@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sampling
-from .chart import ChartFrame, make_chart
+from .chart import ChartFrame, make_chart, tangent_basis_at
 from .errors import DegenerateFrameError, UnboundedRayError
 from .forms import SymmetricForm
 from .homogeneous import HomogeneousPolynomial
@@ -69,6 +69,8 @@ class RegularityReport:
 
 
 def default_direction_count(chart_dim: int) -> int:
+    if chart_dim == 1:
+        return 2  # the slice of a planar cone is an interval: two rays
     return 500 if chart_dim <= 3 else 5000
 
 
@@ -121,32 +123,17 @@ def _gradient_scale(frame: ChartFrame) -> float:
 def _boundary_tangent_bases(frame: ChartFrame, bp: BoundaryPoint):
     """Bases of the full boundary tangent space (kernel of the differential)
     and of its intersection with the slice directions."""
-    grad = bp.gradient
-    gnorm = np.linalg.norm(grad)
-    unit = grad / gnorm
-    d = frame.dimension
-    # full kernel of dh at the boundary point
-    full = []
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        v -= (v @ unit) * unit
-        for b in full:
-            v -= (v @ b) * b
-        if np.linalg.norm(v) > 1e-8:
-            full.append(v / np.linalg.norm(v))
-        if len(full) == d - 1:
-            break
+    full = tangent_basis_at(frame.func, bp.point)
     # kernel restricted to slice directions: solve (grad . basis^T) a = 0
-    row = frame.basis @ grad
+    row = frame.basis @ bp.gradient
     n = frame.chart_dim
     if n == 1:
-        slice_vecs = np.zeros((0, d))
+        slice_vecs = np.zeros((0, frame.dimension))
     else:
         _, _, vt = np.linalg.svd(row.reshape(1, n))
         null = vt[1:]  # (n-1, n) coefficient-space kernel
         slice_vecs = null @ frame.basis
-    return np.array(full), slice_vecs
+    return full, slice_vecs
 
 
 def regular_boundary_check(frame: ChartFrame, bp: BoundaryPoint, tol: float = 1e-6) -> RegularityEntry:

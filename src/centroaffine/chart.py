@@ -102,13 +102,6 @@ def tangent_basis_at(func, q, tol: float = 1e-12) -> np.ndarray:
     return np.array(basis)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    coords: np.ndarray
-    ambient: np.ndarray
-    hval: float
-
-
 class ChartFrame:
     """Affine slice of the cone with a fixed direction basis.
 
@@ -120,7 +113,7 @@ class ChartFrame:
     tangent : True when the slice is the tangent hyperplane at ``origin``.
     """
 
-    def __init__(self, func, origin, basis, tangent: bool, tol: float = 1e-10):
+    def __init__(self, func, origin, basis, tangent: bool):
         origin = np.asarray(origin, dtype=float)
         basis = np.atleast_2d(np.asarray(basis, dtype=float))
         d = origin.size
@@ -154,7 +147,6 @@ class ChartFrame:
         self.degree = k
         self.dimension = d
         self.chart_dim = d - 1
-        self._pinv = np.linalg.pinv(basis.T)
         self._diameter: float | None = None
 
     # -- basic chart maps ---------------------------------------------------
@@ -163,17 +155,8 @@ class ChartFrame:
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
         return self.origin + coords @ self.basis
 
-    def coords_of(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._pinv @ (x - self.origin)
-
     def hval(self, coords) -> float:
         return self.func(self.point(coords))
-
-    def chart_point(self, coords) -> ChartPoint:
-        coords = np.atleast_1d(np.asarray(coords, dtype=float))
-        x = self.point(coords)
-        return ChartPoint(coords=coords, ambient=x, hval=self.func(x))
 
     def embed(self, coords) -> np.ndarray:
         """Radial-graph parametrization of the unit level set over the slice."""
@@ -321,7 +304,7 @@ class ChartFrame:
         return f"ChartFrame({kind}, origin={self.origin.tolist()})"
 
 
-def make_chart(func, seed, tol: float = 1e-10) -> ChartFrame:
+def make_chart(func, seed) -> ChartFrame:
     """Chart at the normalization of ``seed`` onto the unit level set.
 
     The tangent basis is orthonormalized against the Euclidean gradient in
@@ -333,7 +316,7 @@ def make_chart(func, seed, tol: float = 1e-10) -> ChartFrame:
         raise DomainError(f"seed value must be positive, got {hs}")
     p = seed / positive_root(hs, func.degree)
     basis = tangent_basis_at(func, p)
-    return ChartFrame(func, p, basis, tangent=True, tol=tol)
+    return ChartFrame(func, p, basis, tangent=True)
 
 
 def slice_chart(func, origin, basis) -> ChartFrame:
@@ -377,8 +360,6 @@ def chart_metric(frame: ChartFrame, coords, method: str = "psi_formula") -> Symm
     - ``u_formula``: Hessian of the k-th root of the slice restriction.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    if hasattr(coords, "coords"):
-        coords = coords.coords
     x = frame.point(coords)
     func = frame.func
     k = frame.degree

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .boundary import regularity_report
+from .boundary import boundary_scan
 from .chart import (
     chart_metric_consistency,
     classify,
@@ -23,7 +23,13 @@ from .chart import (
     lorentz_identity_residuals,
     make_chart,
 )
-from .completeness import AnalysisConfig, completeness_verdict, geodesic_shoot
+from .completeness import (
+    WITNESS_MAX_LEN,
+    AnalysisConfig,
+    completeness_verdict,
+    curve_length_with_error,
+    geodesic_shoot,
+)
 from .errors import DomainError, MixedDegreeError, ParseError, UnboundedRayError
 from .homogeneous import HomogeneousPolynomial, euler_residual, position_identity_residual
 from .structure import curvature_residual, fund_equation_residual, volume_parallel_residual
@@ -94,8 +100,6 @@ class RunConfig:
             segment_lines=self.samples,
             eps_grid=self.eps_grid,
             rng_seed=self.rng_seed,
-            fd_step=self.fd_step,
-            def_tol=self.tol_def,
             quad_tol=self.tol_quad,
         )
 
@@ -181,9 +185,22 @@ def _structure_block(frame, rng_seed: int, fd_step: float | None = None) -> dict
     }
 
 
+def _boundary_block(breport) -> dict:
+    return {
+        "regular": breport.regular,
+        "n_points": len(breport.entries),
+        "closedness_failures": breport.closedness_failures,
+        "condition_i_failures": sum(1 for e in breport.entries if not e.condition_i),
+        "condition_ii_failures": sum(
+            1 for e in breport.entries if e.condition_i and not e.condition_ii
+        ),
+        "lorentz_det_all_negative": bool(breport.lorentz_determinants)
+        and all(d < 0.0 for d in breport.lorentz_determinants if not math.isnan(d)),
+    }
+
+
 def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     func, frame, source = build_frame(config)
-    analysis = config.analysis_config()
     report: dict = {
         "schema": SCHEMA_VERSION,
         "input": {
@@ -199,27 +216,8 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     }
     cls = classify(frame, sample_size=100, seed=config.rng_seed, tol=config.tol_def)
     report["classification"] = {"aggregate": cls.aggregate, "counts": cls.counts}
-    try:
-        breport = regularity_report(frame, tol=analysis.regularity_tol, seed=config.rng_seed)
-        report["boundary"] = {
-            "regular": breport.regular,
-            "n_points": len(breport.entries),
-            "closedness_failures": breport.closedness_failures,
-            "condition_i_failures": sum(1 for e in breport.entries if not e.condition_i),
-            "condition_ii_failures": sum(
-                1 for e in breport.entries if e.condition_i and not e.condition_ii
-            ),
-            "lorentz_det_all_negative": bool(breport.lorentz_determinants)
-            and all(d < 0.0 for d in breport.lorentz_determinants if not math.isnan(d)),
-        }
-    except UnboundedRayError as exc:
-        report["boundary"] = {
-            "regular": False,
-            "closedness_failures": [
-                {"direction": np.asarray(exc.direction).tolist(), "radius": exc.radius}
-            ],
-        }
-    verdict = completeness_verdict(frame, analysis)
+    verdict = completeness_verdict(frame, config.analysis_config())
+    report["boundary"] = _boundary_block(verdict.boundary)
     report["completeness"] = {
         "status": verdict.status,
         "route": verdict.route,
@@ -234,7 +232,7 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
             frame,
             np.zeros(frame.chart_dim),
             np.eye(frame.chart_dim)[0],
-            max_len=analysis.witness_max_len,
+            max_len=WITNESS_MAX_LEN,
         )
         with open(config.trace, "w") as fh:
             trace.to_csv(fh)
@@ -274,13 +272,11 @@ def cmd_repro() -> tuple[dict, int]:
         )
 
     func, frame = catalog.analytic_example(2.0)
-    from .completeness import curve_length
-
     t_plus = frame.boundary_distance(np.zeros(1), np.array([1.0]))
     t_minus = frame.boundary_distance(np.zeros(1), np.array([-1.0]))
-    length = curve_length(
+    length = curve_length_with_error(
         frame, lambda t: np.array([t]), t0=-t_minus, t1=t_plus, dpath=lambda t: np.array([1.0])
-    )
+    )[0]
     check("analytic.total_length", length, math.sqrt(2.0) * math.pi, 1e-6)
     xs = np.linspace(0.1, 0.9, 9)
     worst = 0.0
@@ -320,17 +316,12 @@ def render_plot(frame, trace=None, size: int = 640, samples: int = 400) -> str:
     """Static SVG of a planar curve: level set, cone boundary rays, optional trace."""
     if frame.chart_dim != 1:
         raise ValueError("plotting is available for planar curves only (one chart dimension)")
-    t_plus = frame.boundary_distance(np.zeros(1), np.array([1.0]))
-    t_minus = frame.boundary_distance(np.zeros(1), np.array([-1.0]))
+    ends = boundary_scan(frame, directions=[[1.0], [-1.0]])
+    t_plus, t_minus = (bp.ray_distance for bp in ends)
     margin = 1e-4
     ts = np.linspace(-t_minus * (1 - margin), t_plus * (1 - margin), samples)
     pts = np.array([frame.embed(np.array([t])) for t in ts])
-    rays = []
-    from .boundary import boundary_scan
-
-    for d in ([1.0], [-1.0]):
-        bp = boundary_scan(frame, directions=[d])[0]
-        rays.append(bp.point)
+    rays = [bp.point for bp in ends]
     allpts = np.vstack([pts, np.zeros((1, 2))] + [3.0 * r[None, :] for r in rays])
     lo = allpts.min(axis=0) - 0.3
     hi = allpts.max(axis=0) + 0.3
@@ -420,6 +411,18 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _join_dash_values(argv) -> list:
+    """Rewrite ``--seed -1,1`` as ``--seed=-1,1`` (likewise ``--poly``):
+    argparse takes a value that starts with '-' for an unknown option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--poly", "--seed") and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -441,7 +444,11 @@ def main(argv=None) -> int:
     p_plot = sub.add_parser("plot", help="SVG plot of a planar curve")
     _add_common(p_plot)
     p_list = sub.add_parser("list", help="list catalog entries")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error, the code of an inconclusive verdict
+        return 0 if exc.code in (0, None) else 1
 
     try:
         if args.command == "analyze":
@@ -464,7 +471,7 @@ def main(argv=None) -> int:
             for entry in catalog.entries():
                 print(f"{entry.identifier}: {entry.title}")
             return 0
-    except (ParseError, MixedDegreeError, DomainError, ValueError, KeyError) as exc:
+    except (ParseError, MixedDegreeError, DomainError, ValueError, KeyError, UnboundedRayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import sampling
-from .boundary import boundary_scan, regularity_report
+from .boundary import RegularityReport, boundary_scan, regularity_report
 from .chart import (
     ChartFrame,
     _polish_polynomial_zero,
@@ -322,20 +322,6 @@ def curve_length_with_error(
         warnings.simplefilter("ignore")
         value, err = quad(speed, t0, t1, epsabs=quad_tol, epsrel=1e-10, limit=500)
     return float(value), float(err)
-
-
-def curve_length(
-    frame: ChartFrame,
-    path,
-    t0: float = 0.0,
-    t1: float = 1.0,
-    quad_tol: float = 1e-10,
-    dpath=None,
-) -> float:
-    """Length of a chart path under the chart metric (see
-    :func:`curve_length_with_error`)."""
-    value, _ = curve_length_with_error(frame, path, t0, t1, quad_tol, dpath)
-    return value
 
 
 # -- geodesics ---------------------------------------------------------------------
@@ -779,12 +765,7 @@ class AnalysisConfig:
     concavity_samples: int = 400
     eps_grid: tuple | None = None
     rng_seed: int = 0
-    fd_step: float | None = None
-    def_tol: float = 1e-9
     quad_tol: float = 1e-10
-    witness_max_len: float = 12.0
-    geodesic_step_tol: float = 1e-8
-    regularity_tol: float = 1e-6
 
 
 @dataclass
@@ -793,6 +774,11 @@ class CompletenessVerdict:
     route: str
     evidence: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    boundary: RegularityReport | None = None  # the one boundary scan of the analysis
+
+
+# chart length of the witness geodesics, and of the ``analyze --trace`` geodesic
+WITNESS_MAX_LEN = 12.0
 
 
 # stops that mean the trace ran into the boundary: "drift" is where the state
@@ -830,15 +816,13 @@ def _witness_length(frame: ChartFrame, axis_dir, config) -> tuple[float, CurveTr
         frame,
         np.zeros(frame.chart_dim),
         axis_dir,
-        max_len=config.witness_max_len,
-        step_tol=config.geodesic_step_tol,
+        max_len=WITNESS_MAX_LEN,
     )
     bwd = geodesic_shoot(
         frame,
         np.zeros(frame.chart_dim),
         -np.asarray(axis_dir, dtype=float),
-        max_len=config.witness_max_len,
-        step_tol=config.geodesic_step_tol,
+        max_len=WITNESS_MAX_LEN,
     )
     fwd_eligible = fwd.stop_reason in _WITNESS_STOPS
     bwd_eligible = bwd.stop_reason in _WITNESS_STOPS
@@ -900,30 +884,33 @@ def _witness_length(frame: ChartFrame, axis_dir, config) -> tuple[float, CurveTr
 
 
 def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None) -> CompletenessVerdict:
-    """Decide completeness of the hypersurface piece charted by ``frame``."""
+    """Decide completeness of the hypersurface piece charted by ``frame``.
+
+    The boundary is scanned once, by :func:`regularity_report`; the verdict
+    carries that report as ``boundary``.
+    """
     config = config or AnalysisConfig()
     k = frame.degree
     is_poly = isinstance(frame.func, HomogeneousPolynomial)
     evidence: dict = {}
     notes: list = []
 
-    bounded = True
-    try:
-        pts = boundary_scan(frame, count=config.boundary_dirs, seed=config.rng_seed)
-        evidence["boundary_points_scanned"] = len(pts)
-    except UnboundedRayError as exc:
-        bounded = False
-        evidence["closedness_failure"] = {
-            "direction": np.asarray(exc.direction).tolist(),
-            "radius": exc.radius,
-        }
+    report = regularity_report(frame, count=config.boundary_dirs, seed=config.rng_seed)
+
+    def verdict(status: str, route: str) -> CompletenessVerdict:
+        return CompletenessVerdict(status, route, evidence, notes, report)
+
+    bounded = not report.closedness_failures
+    if bounded:
+        evidence["boundary_points_scanned"] = len(report.entries)
+    else:
+        evidence["closedness_failure"] = report.closedness_failures[0]
         notes.append("positivity slice unbounded: the piece is not closed in the ambient space")
-    if not bounded:
         notes.append("chart coverage assumed")
 
     if is_poly and k == 2:
         evidence["hessian_constant"] = True
-        return CompletenessVerdict("complete", "quadric", evidence, notes)
+        return verdict("complete", "quadric")
 
     if is_poly and k == 3 and bounded and config.segment_lines > 0:
         seg = cubic_segment_test(frame, n_lines=config.segment_lines, seed=config.rng_seed)
@@ -934,16 +921,13 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
             evidence["closedness_failure"] = seg.closedness_failures[0]
             notes.append("segment sampling found an unbounded positivity interval")
         elif seg.passed:
-            return CompletenessVerdict("complete", "cubic-criterion", evidence, notes)
+            return verdict("complete", "cubic-criterion")
 
     if bounded:
-        report = regularity_report(
-            frame, count=config.boundary_dirs, tol=config.regularity_tol, seed=config.rng_seed
-        )
         evidence["regular_boundary"] = report.regular
         evidence["regularity_points"] = len(report.entries)
         if report.regular:
-            return CompletenessVerdict("complete", "regular-boundary", evidence, notes)
+            return verdict("complete", "regular-boundary")
 
     if is_poly and frame.chart_dim == 1 and bounded:
         mono = n1_monomial_test(frame.func, frame)
@@ -955,7 +939,7 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
                 for f in mono.faces
             ]
             if mono.passed:
-                return CompletenessVerdict("complete", "n1-monomial", evidence, notes)
+                return verdict("complete", "n1-monomial")
 
     if bounded:
         grid = config.eps_grid if config.eps_grid is not None else default_eps_grid(k)
@@ -966,9 +950,7 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
             if res.passed:
                 evidence["concavity_eps"] = eps
                 evidence["concavity_samples"] = res.n_samples
-                return CompletenessVerdict(
-                    "numerically-certified", f"concavity({eps:g})", evidence, notes
-                )
+                return verdict("numerically-certified", f"concavity({eps:g})")
         evidence["concavity_grid_failed"] = list(grid)
 
     # incompleteness evidence: geodesics reaching the boundary at finite length
@@ -979,7 +961,7 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
             evidence["witness_length"] = length
             evidence["witness_stop"] = (fwd.stop_reason, bwd.stop_reason)
             evidence["witness_drift"] = max(fwd.unit_speed_drift, bwd.unit_speed_drift)
-            return CompletenessVerdict("incomplete", "finite-length-witness", evidence, notes)
+            return verdict("incomplete", "finite-length-witness")
         evidence.setdefault("geodesic_probes", []).append(
             {
                 "direction": axis.tolist(),
@@ -987,4 +969,4 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
                 "backward": {"length": bwd.length, "stop": bwd.stop_reason},
             }
         )
-    return CompletenessVerdict("inconclusive", "none", evidence, notes)
+    return verdict("inconclusive", "none")

@@ -328,8 +328,6 @@ def _parse_expression(text, dimension):
         if tokens[i][0] == "num":
             coeff *= float(tokens[i][1])
             i += 1
-            if i < len(tokens) and tokens[i] == ("op", "*", tokens[i][2]):
-                pass
             if i >= len(tokens) or tokens[i][0] != "op" or tokens[i][1] != "*":
                 raise ParseError("a coefficient must be followed by '*' and a variable", position=term_pos)
             i += 1
@@ -503,20 +501,6 @@ class UnivariateRestriction:
         return self.func(self.base + t * self.direction)
 
     __call__ = value
-
-    def derivative(self, t: float, order: int = 1) -> float:
-        if self.coefficients is not None:
-            c = np.polynomial.polynomial.polyder(self.coefficients, order)
-            return float(np.polynomial.polynomial.polyval(t, c))
-        p = self.base + t * self.direction
-        v = self.direction
-        if order == 1:
-            return float(self.func.gradient(p) @ v)
-        if order == 2:
-            return float(v @ self.func.hessian(p) @ v)
-        if order == 3:
-            return float(np.einsum("abc,a,b,c->", self.func.third_tensor(p), v, v, v))
-        raise ValueError("orders 1..3 supported")
 
 
 def restrict_to_line(func, x, v) -> UnivariateRestriction:

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,6 +43,11 @@ def unit_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = 2.0 * np.pi * ((i * GOLDEN) % 1.0)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    # scipy.stats costs most of the package's import time, and only
+    # directions in 4 or more dimensions need it
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
     u = sampler.random(count)
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))

@@ -19,7 +19,7 @@ from centroaffine import (
     cubic_form,
     cubic_segment_test,
     curvature_residual,
-    curve_length,
+    curve_length_with_error,
     euler_residual,
     fund_equation_residual,
     gen_perturb,
@@ -82,9 +82,9 @@ def test_criterion_2_analytic_counterexample():
 
     t_plus = frame.boundary_distance([0.0], [1.0])
     t_minus = frame.boundary_distance([0.0], [-1.0])
-    total = curve_length(
+    total = curve_length_with_error(
         frame, lambda t: np.array([t]), t0=-t_minus, t1=t_plus, dpath=lambda t: np.array([1.0])
-    )
+    )[0]
     length_ok = abs(total - math.sqrt(2) * math.pi) <= 1e-6
 
     verdict = completeness_verdict(frame, VERDICT_CONFIG)

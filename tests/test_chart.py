@@ -82,14 +82,6 @@ def test_frame_invariants():
     assert abs(frame.normal @ frame.origin - k) <= 1e-10 * k
 
 
-def test_chart_point_reconstruction():
-    frame = make_chart(HomogeneousPolynomial.parse("x*y*z"), [1, 1, 1])
-    c = np.array([0.2, -0.1])
-    cp = frame.chart_point(c)
-    assert cp.hval > 0
-    assert np.allclose(frame.coords_of(cp.ambient), c, atol=1e-12)
-
-
 # -- ambient metric --------------------------------------------------------------
 
 

@@ -1,7 +1,24 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from centroaffine.cli import RunConfig, build_frame, cmd_analyze, dumps, main, render_plot
+import numpy as np
+import pytest
+
+from centroaffine import ChartFrame, regularity_report
+from centroaffine.cli import (
+    RunConfig,
+    _boundary_block,
+    build_frame,
+    cmd_analyze,
+    dumps,
+    main,
+    render_plot,
+)
+from centroaffine.sampling import unit_directions
 
 
 def run_cli(args):
@@ -97,6 +114,97 @@ def test_analyze_input_errors_exit_one(capsys):
     assert run_cli(["analyze", "--poly", "x^3 - x*y^2"]) == 1  # missing seed
     assert run_cli(["analyze", "--poly", "x^3 - x*y^2", "--seed", "1,0,0"]) == 1
     assert run_cli(["analyze", "--example", "no-such-entry"]) == 1
+
+
+def test_analyze_negative_seed_forms_agree(tmp_path):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    args = ["analyze", "--poly", "x^2*y", "--samples", "150"]
+    assert run_cli(args + ["--seed", "-1,1", "--out", str(out1)]) == 0
+    assert run_cli(args + ["--seed=-1,1", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_usage_errors_exit_one(capsys):
+    # exit code 2 is reserved for inconclusive verdicts
+    assert run_cli(["analyze", "--bogus"]) == 1
+    assert run_cli([]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["plot", "--example", "nonclosed-piece"], ["analyze", "--example", "nonclosed-piece"]],
+)
+def test_nonclosed_curve_plot_exits_one(tmp_path, capsys, args):
+    plot = tmp_path / "curve.svg"
+    assert run_cli(args + ["--plot", str(plot), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unbounded" in err
+
+
+def _count_rays(monkeypatch):
+    rays = []
+    solve = ChartFrame.boundary_distance
+
+    def counted(self, coords, direction, *args, **kwargs):
+        rays.append((id(self), tuple(np.ravel(coords)), tuple(np.ravel(direction))))
+        return solve(self, coords, direction, *args, **kwargs)
+
+    monkeypatch.setattr(ChartFrame, "boundary_distance", counted)
+    return rays
+
+
+def test_analyze_scans_the_boundary_once(monkeypatch):
+    rays = _count_rays(monkeypatch)
+    cmd_analyze(RunConfig(poly="x*y*z*w", seed=(1.0, 1.0, 1.0, 1.0)))
+    # 500 scan rays plus the sample rays of classification and identities
+    assert len(rays) == 538
+    assert len(set(rays)) == len(rays)
+
+
+def test_analyze_scans_a_curve_along_its_two_rays(monkeypatch):
+    rays = _count_rays(monkeypatch)
+    report, _ = cmd_analyze(RunConfig(poly="x^3*y", seed=(1.0, 1.0)))
+    assert len(rays) < 30
+    assert report["boundary"]["n_points"] == 2
+    assert report["completeness"]["evidence"]["boundary_points_scanned"] == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(poly="x^2*y", seed=(1.0, 1.0), samples=150, rng_seed=3),
+        RunConfig(poly="x*y*z", seed=(1.0, 2.0, 0.5), samples=150, rng_seed=5),
+        RunConfig(example="nonclosed-piece", samples=150),
+    ],
+)
+def test_report_boundary_block_is_the_regularity_report(config):
+    report, _ = cmd_analyze(config)
+    _, frame, _ = build_frame(config)
+    expected = _boundary_block(regularity_report(frame, seed=config.rng_seed))
+    assert report["boundary"] == expected
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, centroaffine.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_halton_directions_unchanged():
+    expected = [
+        [-0.5753250182551591, -0.7190758427416465, -0.2335019705753011, 0.3097347085385526, -0.03837050715173262],
+        [0.28257834578120355, 0.6579155383716548, 0.5927141388143828, -0.08465919870373619, -0.35891418555005566],
+        [-0.17530247794333015, -0.1295469511096888, -0.577483320782928, -0.7841165459643566, 0.06450492421173096],
+    ]
+    assert np.array_equal(unit_directions(5, 3, 0), np.array(expected))
 
 
 def test_analyze_trace_and_plot_files(tmp_path):

@@ -10,7 +10,7 @@ from centroaffine import (
     completeness_verdict,
     concavity_test,
     cubic_segment_test,
-    curve_length,
+    curve_length_with_error,
     geodesic_shoot,
     log_length_bound,
     make_chart,
@@ -154,19 +154,19 @@ def test_curve_length_analytic_example():
     _, frame = analytic_example(2.0)
     t_plus = frame.boundary_distance([0.0], [1.0])
     t_minus = frame.boundary_distance([0.0], [-1.0])
-    total = curve_length(
+    total = curve_length_with_error(
         frame, lambda t: np.array([t]), t0=-t_minus, t1=t_plus, dpath=lambda t: np.array([1.0])
-    )
+    )[0]
     assert abs(total - math.sqrt(2) * math.pi) < 1e-6
-    half = curve_length(
+    half = curve_length_with_error(
         frame, lambda t: np.array([t]), t0=-t_minus, t1=0.0, dpath=lambda t: np.array([1.0])
-    )
+    )[0]
     assert abs(half - math.sqrt(2) * math.pi / 2) < 1e-6
 
 
 def test_curve_length_degenerate_path():
     frame = make_chart(CURVE, [1, 0])
-    assert curve_length(frame, lambda t: np.array([0.1]), t0=0.3, t1=0.3) == 0.0
+    assert curve_length_with_error(frame, lambda t: np.array([0.1]), t0=0.3, t1=0.3) == (0.0, 0.0)
 
 
 def test_log_bound_below_measured_length_on_traces():
