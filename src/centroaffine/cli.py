@@ -27,7 +27,7 @@ from .completeness import (
     WITNESS_MAX_LEN,
     AnalysisConfig,
     completeness_verdict,
-    curve_length_with_error,
+    curve_side,
     geodesic_shoot,
 )
 from .errors import DomainError, MixedDegreeError, ParseError, UnboundedRayError
@@ -87,7 +87,6 @@ class RunConfig:
     seed: tuple | None = None
     tol_def: float = 1e-9
     tol_quad: float = 1e-10
-    fd_step: float | None = None
     samples: int = 2000
     eps_grid: tuple | None = None
     rng_seed: int = 0
@@ -173,11 +172,11 @@ def _identity_block(func, frame, rng_seed: int, n_points: int = 200) -> dict:
     }
 
 
-def _structure_block(frame, rng_seed: int, fd_step: float | None = None) -> dict:
+def _structure_block(frame, rng_seed: int) -> dict:
     coords = frame.sample_coords(5, max_frac=0.5, seed=rng_seed)
-    fund = max(fund_equation_residual(frame, c, fd_step=fd_step) for c in coords)
-    curv = max(curvature_residual(frame, c, fd_step=fd_step) for c in coords)
-    vol = max(volume_parallel_residual(frame, c, fd_step=fd_step) for c in coords)
+    fund = max(fund_equation_residual(frame, c) for c in coords)
+    curv = max(curvature_residual(frame, c) for c in coords)
+    vol = max(volume_parallel_residual(frame, c) for c in coords)
     return {
         "fund_equation_max_abs": fund,
         "curvature_max_abs": curv,
@@ -226,7 +225,7 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     }
     report["identities"] = _identity_block(func, frame, config.rng_seed)
     if isinstance(func, HomogeneousPolynomial) and func.degree == 3:
-        report["structure"] = _structure_block(frame, config.rng_seed, config.fd_step)
+        report["structure"] = _structure_block(frame, config.rng_seed)
     if config.trace:
         trace = geodesic_shoot(
             frame,
@@ -272,11 +271,7 @@ def cmd_repro() -> tuple[dict, int]:
         )
 
     func, frame = catalog.analytic_example(2.0)
-    t_plus = frame.boundary_distance(np.zeros(1), np.array([1.0]))
-    t_minus = frame.boundary_distance(np.zeros(1), np.array([-1.0]))
-    length = curve_length_with_error(
-        frame, lambda t: np.array([t]), t0=-t_minus, t1=t_plus, dpath=lambda t: np.array([1.0])
-    )[0]
+    length = sum(curve_side(frame, sign)[0] for sign in (1.0, -1.0))
     check("analytic.total_length", length, math.sqrt(2.0) * math.pi, 1e-6)
     xs = np.linspace(0.1, 0.9, 9)
     worst = 0.0
@@ -378,7 +373,6 @@ def _add_common(parser):
     parser.add_argument("--seed", help="comma-separated seed point coordinates")
     parser.add_argument("--tol-def", type=float, default=1e-9)
     parser.add_argument("--tol-quad", type=float, default=1e-10)
-    parser.add_argument("--fd-step", type=float, default=None)
     parser.add_argument("--samples", type=int, default=2000)
     parser.add_argument("--eps-grid", help="comma-separated concavity exponents")
     parser.add_argument("--rng-seed", type=int, default=0)
@@ -401,7 +395,6 @@ def _config_from_args(args) -> RunConfig:
         seed=seed,
         tol_def=args.tol_def,
         tol_quad=args.tol_quad,
-        fd_step=args.fd_step,
         samples=args.samples,
         eps_grid=eps_grid,
         rng_seed=args.rng_seed,

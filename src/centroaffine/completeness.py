@@ -13,7 +13,8 @@ Certificate routes, in the order tried by :func:`completeness_verdict`:
    restriction is concave, which bounds the metric below by a log-derivative
    term;
 6. otherwise, a finite-length geodesic reaching the boundary witnesses
-   incompleteness.
+   incompleteness: on a curve a side of the chart interval, whose length is
+   one quadrature; on a surface a geodesic shot along a chart axis.
 
 Routes 2..5 presuppose that the slice of the cone is relatively compact,
 so they are gated on an all-rays-bounded scan of the boundary.
@@ -288,32 +289,27 @@ def log_length_bound(frame: ChartFrame, trace: CurveTrace, eps: float) -> float:
 
 def curve_length_with_error(
     frame: ChartFrame,
-    path,
+    start,
+    direction,
     t0: float = 0.0,
     t1: float = 1.0,
     quad_tol: float = 1e-10,
-    dpath=None,
 ) -> tuple[float, float]:
-    """Length of a chart path by adaptive quadrature, with the error estimate.
+    """Length of the chart segment ``start + t * direction``, t0 <= t <= t1,
+    by adaptive quadrature, with the error estimate.
 
-    ``path`` maps a parameter to chart coordinates; the derivative is taken
-    by central differences unless ``dpath`` is supplied.  Integrable metric
-    singularities at the endpoints are handled by the adaptive rule (interior
-    nodes only); a genuinely divergent integral surfaces as a large reported
-    error, which callers use to reject it.
+    Integrable metric singularities at the endpoints are handled by the
+    adaptive rule (interior nodes only); a genuinely divergent integral
+    surfaces as a large reported error, which callers use to reject it.
     """
     if t1 == t0:
         return 0.0, 0.0
-    step = 1e-6 * abs(t1 - t0)
+    start = np.atleast_1d(np.asarray(start, dtype=float))
+    direction = np.atleast_1d(np.asarray(direction, dtype=float))
 
     def speed(t):
-        c = np.atleast_1d(np.asarray(path(t), dtype=float))
-        if dpath is not None:
-            dc = np.atleast_1d(np.asarray(dpath(t), dtype=float))
-        else:
-            dc = (np.atleast_1d(path(t + step)) - np.atleast_1d(path(t - step))) / (2.0 * step)
-        g = chart_metric(frame, c, "psi_formula").matrix
-        val = float(dc @ g @ dc)
+        g = chart_metric(frame, start + t * direction, "psi_formula").matrix
+        val = float(direction @ g @ direction)
         return math.sqrt(max(val, 0.0))
 
     import warnings
@@ -330,6 +326,14 @@ def curve_length_with_error(
 # fraction of the slice diameter enters the boundary layer: chart coordinates
 # there keep fewer than ten significant digits of the distance to the boundary.
 _LAYER_FRAC = 1e-6
+
+# geodesic_shoot: relative change of the length at which step halving stops,
+# the first base step, the unit-speed deviation that ends a run, and the
+# step budget of one run
+_STEP_TOL = 1e-8
+_INIT_STEP = 1e-2
+_DRIFT_STOP = 1e-5
+_MAX_STEPS = 500_000
 
 
 def _rk4_step(gamma_at, c, v, h):
@@ -507,19 +511,15 @@ def geodesic_shoot(
     start,
     direction,
     max_len: float = 50.0,
-    step_tol: float = 1e-8,
-    init_step: float = 1e-2,
     min_h: float = 0.0,
     boundary_frac: float = 1e-8,
-    drift_stop: float = 1e-5,
-    max_steps: int = 500_000,
     refinements: int = 3,
 ) -> CurveTrace:
     """Integrate the chart-metric geodesic from a point and unit direction.
 
     Classical 4th-order fixed steps (halved locally when an evaluation leaves
     the positivity region); the outer loop halves the base step until the
-    total length estimate changes by less than ``step_tol`` (relative).
+    total length estimate changes by less than ``_STEP_TOL`` (relative).
 
     Boundary layer: for a :class:`HomogeneousPolynomial`, once the ray along
     the current velocity meets the boundary within ``_LAYER_FRAC`` times the
@@ -537,7 +537,7 @@ def geodesic_shoot(
     ``boundary_frac`` times the slice diameter; ``degenerate_metric`` when
     the metric collapses (its smallest eigenvalue halves, or the speed form
     turns nonpositive); ``drift`` when the unit-speed constraint deviates by
-    more than ``drift_stop`` while the metric blows up, meaning the state can
+    more than ``_DRIFT_STOP`` while the metric blows up, meaning the state can
     no longer resolve the distance to the boundary (in chart coordinates, or
     inside the layer at a non-regular boundary); ``step_underflow`` and
     ``max_steps``.
@@ -576,7 +576,7 @@ def geodesic_shoot(
         steps = 0
         param = 0.0
         length = 0.0
-        while param < max_len and steps < max_steps:
+        while param < max_len and steps < _MAX_STEPS:
             steps += 1
             try:
                 c_next, v_next = _rk4_step(geo.gamma, c, v, step)
@@ -592,7 +592,7 @@ def geodesic_shoot(
                 reason = "degenerate_metric"
                 break
             speed = math.sqrt(sq)
-            if abs(speed - 1.0) > drift_stop:
+            if abs(speed - 1.0) > _DRIFT_STOP:
                 # speed is an ill-conditioned function of the state where the
                 # metric blows up or collapses; stop before the constraint
                 # degrades further and diagnose which singularity was hit
@@ -637,7 +637,7 @@ def geodesic_shoot(
             if step < base_step:
                 step = min(2.0 * step, base_step)
         else:
-            if steps >= max_steps:
+            if steps >= _MAX_STEPS:
                 reason = "max_steps"
         return CurveTrace(
             params=np.array(params),
@@ -668,15 +668,15 @@ def geodesic_shoot(
             + w * (trace.cumulative_length[i] - trace.cumulative_length[i - 1])
         )
 
-    trace = run(init_step)
-    step = init_step
+    trace = run(_INIT_STEP)
+    step = _INIT_STEP
     for _ in range(refinements):
         step *= 0.5
         refined = run(step)
         h_common = max(trace.hvals[-1], refined.hvals[-1], 1e-300)
         delta = abs(length_at_depth(refined, h_common) - length_at_depth(trace, h_common))
         trace = refined
-        if delta <= step_tol * max(1.0, refined.length):
+        if delta <= _STEP_TOL * max(1.0, refined.length):
             break
     return trace
 
@@ -781,19 +781,18 @@ class CompletenessVerdict:
 WITNESS_MAX_LEN = 12.0
 
 
-# stops that mean the trace ran into the boundary: "drift" is where the state
-# (chart coordinates, or the boundary layer at a non-regular boundary) no
-# longer resolves the distance to it
-_BOUNDARY_STOPS = ("boundary", "step_underflow", "drift")
-_WITNESS_STOPS = _BOUNDARY_STOPS + ("degenerate_metric",)
+# stops of a witness shot that mean it ran into the boundary or the metric
+# degenerated: "drift" is where the state (chart coordinates, or the boundary
+# layer at a non-regular boundary) no longer resolves the distance to it
+_WITNESS_STOPS = ("boundary", "step_underflow", "drift", "degenerate_metric")
 
 
-def _checked_quadrature(frame, path, t0, t1, quad_tol, dpath) -> float:
+def _checked_quadrature(frame, start, direction, t0, t1, quad_tol) -> float:
     """Quadrature length that reports infinity when the integral does not
     converge (the reported error stays large for divergent tails, which is
     exactly the complete-geodesic case that must not produce a witness)."""
     try:
-        value, err = curve_length_with_error(frame, path, t0, t1, quad_tol, dpath)
+        value, err = curve_length_with_error(frame, start, direction, t0, t1, quad_tol)
     except DomainError:
         return math.inf
     if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
@@ -801,86 +800,70 @@ def _checked_quadrature(frame, path, t0, t1, quad_tol, dpath) -> float:
     return value
 
 
-def _witness_length(frame: ChartFrame, axis_dir, config) -> tuple[float, CurveTrace, CurveTrace]:
-    """Maximal-geodesic length through the chart origin along a chart axis.
+def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple[float, str]:
+    """Length and end of one side of a curve's chart interval, from the
+    chart origin in the direction ``sign``.
 
-    For one-dimensional charts the geodesic is the coordinate segment, so the
-    length is the quadrature of the metric speed over the full positivity
-    interval (the singular endpoints are integrable exactly when the curve is
-    incomplete).  In higher dimensions the truncated traces are extended to
-    the boundary along their final direction and the tail lengths added by
-    quadrature.  Any non-convergent quadrature yields an infinite length, so
-    complete geodesics cannot masquerade as witnesses.
+    On a one-dimensional chart the maximal geodesic through the origin is
+    the chart interval itself, so a side is one quadrature of the metric
+    speed.  It ends at the boundary (``"boundary"``), or, for a polynomial,
+    sooner where the metric degenerates (``"degenerate_metric"``): at the
+    first positive zero of N = (k-1) h'^2 - k h h'', the numerator of
+    g = N / (k h)^2 along the side.  With neither end the side is
+    ``"unbounded"``.  The length is infinite when the side is unbounded or
+    its quadrature diverges (that side is complete).
     """
-    fwd = geodesic_shoot(
-        frame,
-        np.zeros(frame.chart_dim),
-        axis_dir,
-        max_len=WITNESS_MAX_LEN,
-    )
-    bwd = geodesic_shoot(
-        frame,
-        np.zeros(frame.chart_dim),
-        -np.asarray(axis_dir, dtype=float),
-        max_len=WITNESS_MAX_LEN,
-    )
-    fwd_eligible = fwd.stop_reason in _WITNESS_STOPS
-    bwd_eligible = bwd.stop_reason in _WITNESS_STOPS
-    if not (fwd_eligible or bwd_eligible):
-        return math.inf, fwd, bwd
-    if (
-        frame.chart_dim == 1
-        and fwd.stop_reason in _BOUNDARY_STOPS
-        and bwd.stop_reason in _BOUNDARY_STOPS
-    ):
-        try:
-            t_plus = frame.boundary_distance(np.zeros(1), np.array([1.0]))
-            t_minus = frame.boundary_distance(np.zeros(1), np.array([-1.0]))
-        except UnboundedRayError:
-            t_plus = None
-        if t_plus is not None:
-            length = _checked_quadrature(
-                frame,
-                lambda t: np.array([t]),
-                -t_minus,
-                t_plus,
-                config.quad_tol,
-                lambda t: np.array([1.0]),
-            )
-            return length, fwd, bwd
-
-    def tail(trace):
-        if trace.stop_reason == "degenerate_metric":
-            return 0.0  # integrand vanishes at the degeneracy; truncation suffices
-        c_end = trace.coords[-1]
-        if len(trace.coords) < 2:
-            return 0.0
-        v = trace.coords[-1] - trace.coords[-2]
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return 0.0
-        v = v / norm
-        try:
-            dist = frame.boundary_distance(c_end, v)
-        except UnboundedRayError:
-            return math.inf
-        if dist <= 0.0:
-            return 0.0
-        return _checked_quadrature(
-            frame, lambda t: c_end + t * v, 0.0, dist, config.quad_tol, lambda t: v
+    c0 = np.zeros(1)
+    direction = np.array([float(sign)])
+    if chart_metric(frame, c0).matrix[0, 0] <= 0.0:
+        raise DegenerateFrameError("metric degenerate along the initial direction")
+    try:
+        end, t_end = "boundary", frame.boundary_distance(c0, direction)
+    except UnboundedRayError:
+        end, t_end = "unbounded", math.inf
+    if isinstance(frame.func, HomogeneousPolynomial):
+        k = frame.func.degree
+        h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
+        dh = _poly.polyder(h)
+        numer = _poly.polysub(
+            (k - 1.0) * _poly.polymul(dh, dh), k * _poly.polymul(h, _poly.polyder(h, 2))
         )
+        # the t^(2k-2) terms cancel exactly; their rounding is not a root
+        t_flat = _first_positive_zero(numer[: 2 * k - 2])
+        # An m-fold zero of h is a zero of N of order 2m - 2, where g blows up
+        # rather than degenerates.  Rounding splits it into roots of N nearby,
+        # at which h is below sqrt(eps) of the size of its terms.
+        if t_flat < t_end:
+            size = _poly.polyval(t_flat, np.abs(h))
+            if abs(_poly.polyval(t_flat, h)) > 1e-6 * size:
+                end, t_end = "degenerate_metric", t_flat
+    if end == "unbounded":
+        return math.inf, end
+    return _checked_quadrature(frame, c0, direction, 0.0, t_end, quad_tol), end
 
-    # a single inextendible ray of finite length already witnesses
-    # incompleteness; sum the sides whose total (trace plus tail) is finite
-    contributions = []
-    if fwd_eligible:
-        contributions.append(fwd.length + tail(fwd))
-    if bwd_eligible:
-        contributions.append(bwd.length + tail(bwd))
-    finite = [s for s in contributions if math.isfinite(s)]
-    if not finite:
-        return math.inf, fwd, bwd
-    return sum(finite), fwd, bwd
+
+def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float:
+    """Length of a witness shot extended to the boundary along its final
+    direction, the tail by quadrature.  Infinite when the shot stopped
+    elsewhere than at the boundary or a degenerate metric, or when its tail
+    diverges, so complete geodesics cannot masquerade as witnesses."""
+    if trace.stop_reason not in _WITNESS_STOPS:
+        return math.inf
+    if trace.stop_reason == "degenerate_metric" or len(trace.coords) < 2:
+        return trace.length  # integrand vanishes at the degeneracy; truncation suffices
+    c_end = trace.coords[-1]
+    v = trace.coords[-1] - trace.coords[-2]
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return trace.length
+    v = v / norm
+    try:
+        dist = frame.boundary_distance(c_end, v)
+    except UnboundedRayError:
+        return math.inf
+    if dist <= 0.0:
+        return trace.length
+    return trace.length + _checked_quadrature(frame, c_end, v, 0.0, dist, quad_tol)
 
 
 def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None) -> CompletenessVerdict:
@@ -953,20 +936,31 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
                 return verdict("numerically-certified", f"concavity({eps:g})")
         evidence["concavity_grid_failed"] = list(grid)
 
-    # incompleteness evidence: geodesics reaching the boundary at finite length
-    axes = np.eye(frame.chart_dim)
-    for axis in axes:
-        length, fwd, bwd = _witness_length(frame, axis, config)
-        if math.isfinite(length) and length > 0.0:
-            evidence["witness_length"] = length
-            evidence["witness_stop"] = (fwd.stop_reason, bwd.stop_reason)
-            evidence["witness_drift"] = max(fwd.unit_speed_drift, bwd.unit_speed_drift)
+    # incompleteness evidence: a side of a maximal geodesic through the chart
+    # origin with finite length; a single one witnesses, and the finite sides
+    # are summed.  On a curve each side is a quadrature of the chart interval,
+    # on a surface a shot along a chart axis extended to the boundary.
+    origin = np.zeros(frame.chart_dim)
+    for axis in np.eye(frame.chart_dim):
+        if frame.chart_dim == 1:
+            sides = [curve_side(frame, sign, config.quad_tol) for sign in (1.0, -1.0)]
+            probes = [{"length": length, "stop": end} for length, end in sides]
+            detail = {"witness_sides": [length for length, _ in sides]}
+        else:
+            shots = [
+                geodesic_shoot(frame, origin, sign * axis, max_len=WITNESS_MAX_LEN)
+                for sign in (1.0, -1.0)
+            ]
+            sides = [(_shot_length(frame, t, config.quad_tol), t.stop_reason) for t in shots]
+            probes = [{"length": t.length, "stop": t.stop_reason} for t in shots]
+            detail = {"witness_drift": max(t.unit_speed_drift for t in shots)}
+        finite = [length for length, _ in sides if math.isfinite(length)]
+        if finite and sum(finite) > 0.0:
+            evidence["witness_length"] = sum(finite)
+            evidence["witness_stop"] = tuple(end for _, end in sides)
+            evidence.update(detail)
             return verdict("incomplete", "finite-length-witness")
         evidence.setdefault("geodesic_probes", []).append(
-            {
-                "direction": axis.tolist(),
-                "forward": {"length": fwd.length, "stop": fwd.stop_reason},
-                "backward": {"length": bwd.length, "stop": bwd.stop_reason},
-            }
+            {"direction": axis.tolist(), "forward": probes[0], "backward": probes[1]}
         )
     return verdict("inconclusive", "none")

@@ -82,9 +82,7 @@ def test_criterion_2_analytic_counterexample():
 
     t_plus = frame.boundary_distance([0.0], [1.0])
     t_minus = frame.boundary_distance([0.0], [-1.0])
-    total = curve_length_with_error(
-        frame, lambda t: np.array([t]), t0=-t_minus, t1=t_plus, dpath=lambda t: np.array([1.0])
-    )[0]
+    total = curve_length_with_error(frame, [0.0], [1.0], t0=-t_minus, t1=t_plus)[0]
     length_ok = abs(total - math.sqrt(2) * math.pi) <= 1e-6
 
     verdict = completeness_verdict(frame, VERDICT_CONFIG)

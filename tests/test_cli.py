@@ -116,6 +116,12 @@ def test_analyze_input_errors_exit_one(capsys):
     assert run_cli(["analyze", "--example", "no-such-entry"]) == 1
 
 
+def test_analyze_degenerate_initial_direction_exits_one(capsys):
+    # the Hessian of x^3 + y^3 is positive definite at (1, 0.5), so the metric -hess/3 is negative
+    assert run_cli(["analyze", "--poly", "x^3+y^3", "--seed", "1,0.5"]) == 1
+    assert capsys.readouterr().err == "error: metric degenerate along the initial direction\n"
+
+
 def test_analyze_negative_seed_forms_agree(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["analyze", "--poly", "x^2*y", "--samples", "150"]

@@ -16,6 +16,7 @@ from centroaffine import (
     make_chart,
     n1_monomial_test,
 )
+from centroaffine import completeness
 from centroaffine.catalog import analytic_example, nonclosed_example
 from centroaffine.completeness import monomial_face_check
 
@@ -154,19 +155,15 @@ def test_curve_length_analytic_example():
     _, frame = analytic_example(2.0)
     t_plus = frame.boundary_distance([0.0], [1.0])
     t_minus = frame.boundary_distance([0.0], [-1.0])
-    total = curve_length_with_error(
-        frame, lambda t: np.array([t]), t0=-t_minus, t1=t_plus, dpath=lambda t: np.array([1.0])
-    )[0]
+    total = curve_length_with_error(frame, [0.0], [1.0], t0=-t_minus, t1=t_plus)[0]
     assert abs(total - math.sqrt(2) * math.pi) < 1e-6
-    half = curve_length_with_error(
-        frame, lambda t: np.array([t]), t0=-t_minus, t1=0.0, dpath=lambda t: np.array([1.0])
-    )[0]
+    half = curve_length_with_error(frame, [0.0], [1.0], t0=-t_minus, t1=0.0)[0]
     assert abs(half - math.sqrt(2) * math.pi / 2) < 1e-6
 
 
 def test_curve_length_degenerate_path():
     frame = make_chart(CURVE, [1, 0])
-    assert curve_length_with_error(frame, lambda t: np.array([0.1]), t0=0.3, t1=0.3) == (0.0, 0.0)
+    assert curve_length_with_error(frame, [0.1], [1.0], t0=0.3, t1=0.3) == (0.0, 0.0)
 
 
 def test_log_bound_below_measured_length_on_traces():
@@ -341,3 +338,84 @@ def test_verdict_deterministic():
     v2 = completeness_verdict(frame, FAST)
     assert v1.status == v2.status and v1.route == v2.route
     assert v1.evidence == v2.evidence
+
+
+# -- curve witnesses ------------------------------------------------------------------
+
+# x^3 + y^3 = 1 over the slice line (1, s) (or (s, 1), by symmetry): h = 1 + s^3
+# and k = 3, so g = N / (3h)^2 with N = 2 h'^2 - 3 h h'' = -18 s, that is
+# g = -2 s / (1 + s^3)^2.  It is positive for -1 < s < 0 and vanishes at the
+# inflection s = 0.  The arc from s = -q to the inflection is
+# (2 sqrt(2) / 3) artanh(q^(3/2)) (substitute s = -w^2, then z = w^3).
+# mpmath at 30 digits, by the closed form and by quad of sqrt(g), gives:
+NONCLOSED_ARC = 0.830966986853640684525  # nonclosed-piece, seed (2^(1/3), -1): q = 2^(-1/3)
+X3Y3_ARC = 0.575386727490154660754  # x^3 + y^3 at (-1, 1.5), slice (s, 1): q = 2/3
+# x^4 + x^2 y^2 = x^2 (x^2 + y^2) over (1, s): h = 1 + s^2, k = 4, N = 4 s^2 - 8,
+# so sqrt(g) = sqrt(s^2 - 2) / (2 (1 + s^2)).  From the seed (-1, 5), the
+# mirror image of s = -5 (h is even), one side ends at the inflection
+# s = -sqrt(2); the other runs into the double zero x = 0, where g ~ 1 / (4 s^2)
+# and the length diverges.  mpmath.quad of sqrt(g) from -5 to -sqrt(2) at
+# 30 digits gives:
+DOUBLE_ZERO_ARC = 0.427456712175659061118
+
+
+def _count_shots(monkeypatch) -> list:
+    calls = []
+    shoot = completeness.geodesic_shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", counting)
+    return calls
+
+
+def test_curve_witness_references():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for q, reference in ((mpmath.cbrt(mpmath.mpf(1) / 2), NONCLOSED_ARC), (mpmath.mpf(2) / 3, X3Y3_ARC)):
+        arc = mpmath.quad(lambda s: mpmath.sqrt(-2 * s) / (1 + s**3), [-q, 0])
+        closed = 2 * mpmath.sqrt(2) / 3 * mpmath.atanh(q**1.5)
+        assert abs(arc - closed) <= 1e-25
+        assert abs(float(closed) - reference) <= 1e-16
+    arc = mpmath.quad(lambda s: mpmath.sqrt(s**2 - 2) / (2 * (1 + s**2)), [-5, -mpmath.sqrt(2)])
+    assert abs(float(arc) - DOUBLE_ZERO_ARC) <= 1e-16
+
+
+@pytest.mark.parametrize(
+    "frame, reference, stops",
+    [
+        (nonclosed_example().build()[1], NONCLOSED_ARC, ("boundary", "degenerate_metric")),
+        (
+            make_chart(HomogeneousPolynomial.parse("x^3 + y^3"), [-1.0, 1.5]),
+            X3Y3_ARC,
+            ("degenerate_metric", "boundary"),
+        ),
+        (
+            make_chart(HomogeneousPolynomial.parse("x^4 + x^2*y^2"), [-1.0, 5.0]),
+            DOUBLE_ZERO_ARC,
+            ("boundary", "degenerate_metric"),
+        ),
+    ],
+    ids=["nonclosed-piece", "x3+y3", "x4+x2y2"],
+)
+def test_curve_witness_ends_at_the_inflection(monkeypatch, frame, reference, stops):
+    shots = _count_shots(monkeypatch)
+    verdict = completeness_verdict(frame, FAST)
+    assert verdict.route == "finite-length-witness"
+    assert abs(verdict.evidence["witness_length"] - reference) <= 1e-10
+    assert verdict.evidence["witness_stop"] == stops
+    sides = verdict.evidence["witness_sides"]
+    assert sorted(sides) == [verdict.evidence["witness_length"], math.inf]
+    assert shots == []
+
+
+def test_curve_witness_sides_of_the_analytic_curve(monkeypatch):
+    shots = _count_shots(monkeypatch)
+    _, frame = analytic_example(2.0)
+    verdict = completeness_verdict(frame, FAST)
+    assert verdict.evidence["witness_stop"] == ("boundary", "boundary")
+    for side in verdict.evidence["witness_sides"]:
+        assert abs(side - math.sqrt(2) * math.pi / 2) <= 1e-9
+    assert shots == []
