@@ -30,14 +30,37 @@ def positive_root(value: float, k: float) -> float:
     return math.exp(math.log(value) / k)
 
 
+def _bisect_sign_change(coeffs, t0: float, w: float) -> float | None:
+    """Bisect a polynomial over [t0 - w, t0 + w]; None when its ends share a sign."""
+    pv = np.polynomial.polynomial.polyval
+    lo, hi = t0 - w, t0 + w
+    vlo, vhi = pv(lo, coeffs), pv(hi, coeffs)
+    if vlo == 0.0 or vhi == 0.0 or (vlo < 0.0) == (vhi < 0.0):
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if (pv(mid, coeffs) < 0.0) == (vlo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _polish_polynomial_zero(coeffs, t0: float, width: float = 1e-3) -> float:
     """Refine a polynomial zero of any multiplicity by bisection.
 
     Eigenvalue-based roots of an m-fold zero carry errors of order eps^(1/m),
     and sign-based refinement of p itself is noise-limited at the same scale.
     The (m-1)-th derivative has a simple zero at the same point, so the
-    multiplicity is estimated from which derivatives vanish at t0 and the
-    last vanishing derivative is bisected at full precision.
+    multiplicity is estimated from which derivatives vanish at t0, each
+    against the size of its own terms there, and the last vanishing
+    derivative is bisected at full precision.  Simple zeros close together
+    can pass for a multiple one; when p does not vanish to rounding at the
+    zero of the derivative, that is no zero of p, and p itself is bisected on
+    the widest bracket around t0 (down to a millionth of ``width``) across
+    which it changes sign.
     """
     pv = np.polynomial.polynomial.polyval
     chain = [np.asarray(coeffs, dtype=float)]
@@ -45,25 +68,25 @@ def _polish_polynomial_zero(coeffs, t0: float, width: float = 1e-3) -> float:
         chain.append(np.polynomial.polynomial.polyder(chain[-1]))
     mult = len(chain) - 1
     for m in range(1, len(chain)):
-        scale = float(np.abs(chain[m]).max()) * (1.0 + abs(t0)) ** max(0, len(chain[m]) - 1)
+        # the size of the m-th derivative's terms at t0
+        scale = float(pv(abs(t0), np.abs(chain[m])))
         if abs(pv(t0, chain[m])) > 1e-4 * max(scale, 1e-300):
             mult = m
             break
-    target = chain[mult - 1]
     w = max(width * abs(t0), 1e-9)
-    lo, hi = t0 - w, t0 + w
-    vlo, vhi = pv(lo, target), pv(hi, target)
-    if vlo == 0.0 or vhi == 0.0 or (vlo < 0.0) == (vhi < 0.0):
-        return t0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (pv(mid, target) < 0.0) == (vlo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if mult > 1:
+        t1 = _bisect_sign_change(chain[mult - 1], t0, w)
+        if t1 is None:
+            return t0
+        rounding = max(abs(pv(t0, chain[0])), 1e-13 * float(pv(abs(t0), np.abs(chain[0]))))
+        if abs(pv(t1, chain[0])) <= rounding:
+            return t1
+    for _ in range(7):
+        t1 = _bisect_sign_change(chain[0], t0, w)
+        if t1 is not None:
+            return t1
+        w *= 0.1
+    return t0
 
 
 def radial_projection(func, x) -> np.ndarray:

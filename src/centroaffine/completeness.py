@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from . import sampling
 from .boundary import RegularityReport, boundary_scan, regularity_report
@@ -37,7 +38,6 @@ from .chart import (
     chart_metric,
     christoffel,
     contract_indices,
-    jet_metric,
     jet_metric_with_derivative,
     levi_civita_gamma,
     positive_root,
@@ -249,6 +249,11 @@ class CurveTrace:
     cumulative_length: np.ndarray
     stop_reason: str = ""
     unit_speed_drift: float = 0.0
+    final_velocity: np.ndarray | None = None  # chart velocity at the last point
+    rejected_steps: int = 0
+    # sum of the accepted steps' local error estimates, each relative to the
+    # state and at most the step tolerance
+    error_estimate: float = 0.0
 
     @property
     def length(self) -> float:
@@ -312,10 +317,9 @@ def curve_length_with_error(
         val = float(direction @ g @ direction)
         return math.sqrt(max(val, 0.0))
 
-    import warnings
-
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        # a divergent integral shows in the error estimate, which callers check
+        warnings.simplefilter("ignore", IntegrationWarning)
         value, err = quad(speed, t0, t1, epsabs=quad_tol, epsrel=1e-10, limit=500)
     return float(value), float(err)
 
@@ -327,26 +331,53 @@ def curve_length_with_error(
 # there keep fewer than ten significant digits of the distance to the boundary.
 _LAYER_FRAC = 1e-6
 
-# geodesic_shoot: relative change of the length at which step halving stops,
-# the first base step, the unit-speed deviation that ends a run, and the
-# step budget of one run
+# geodesic_shoot: the local relative error tolerance of one step, the first
+# step, the unit-speed deviation that ends a run, and the step budget of a run
 _STEP_TOL = 1e-8
 _INIT_STEP = 1e-2
 _DRIFT_STOP = 1e-5
 _MAX_STEPS = 500_000
 
+# largest factor by which the step may grow after an accepted step, and the
+# fraction of the largest step taken below which a rejected step ends the run
+_MAX_GROW = 5.0
+_MIN_STEP_FRAC = 1e-2
 
-def _rk4_step(gamma_at, c, v, h):
-    def accel(c, v):
-        return -((gamma_at(c) @ v) @ v)
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5): row i
+# of _DP_A gives stage i + 1 from the earlier stages; the last row is also
+# the fifth-order solution, whose derivative is the first stage of the next
+# step (FSAL).  _DP_E is the fifth- minus the embedded fourth-order weights.
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+)
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
-    k1v = accel(c, v)
-    k2v = accel(c + 0.5 * h * v, v + 0.5 * h * k1v)
-    k3v = accel(c + 0.5 * h * v + 0.25 * h * h * k1v, v + 0.5 * h * k2v)
-    k4v = accel(c + h * v + 0.5 * h * h * k2v, v + h * k3v)
-    cn = c + h * v + (h * h / 6.0) * (k1v + k2v + k3v)
-    vn = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return cn, vn
+
+def _dp_step(connection, c, v, a, step):
+    """One Dormand-Prince 5(4) step of c'' = -Gamma(c)[c', c'] from position
+    ``c``, velocity ``v`` and acceleration ``a``.
+
+    Returns the new position, velocity, acceleration and metric, and the
+    local error estimates of the position and velocity blocks.
+    """
+    vs, accs = [v], [a]
+    for w in _DP_A:
+        ci = c + step * (w @ np.array(vs))
+        vi = v + step * (w @ np.array(accs))
+        gamma, g = connection(ci)
+        vs.append(vi)
+        accs.append(-((gamma @ vi) @ vi))
+    err_c = step * (_DP_E @ np.array(vs))
+    err_v = step * (_DP_E @ np.array(accs))
+    return ci, vi, accs[-1], g, err_c, err_v
 
 
 def _first_positive_zero(coeffs) -> float:
@@ -375,18 +406,17 @@ class _ChartCoordinates:
     def __init__(self, frame: ChartFrame):
         self.frame = frame
 
-    def gamma(self, c):
-        return levi_civita_gamma(self.frame, c)[0]
+    def connection(self, c):
+        return levi_civita_gamma(self.frame, c)
 
-    def value_and_metric(self, c):
+    def value(self, c) -> float:
         h = self.frame.hval(c)
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError("left the positivity region")
-        return h, chart_metric(self.frame, c, "psi_formula").matrix
+        return h
 
-    def slope(self, c, u) -> float:
-        grad_c = self.frame.basis @ self.frame.func.gradient(self.frame.point(c))
-        return abs(float(grad_c @ u))
+    def gradient(self, c):
+        return self.frame.basis @ self.frame.func.gradient(self.frame.point(c))
 
     def ray_distance(self, c, u) -> float:
         try:
@@ -396,6 +426,9 @@ class _ChartCoordinates:
 
     def chart_coords(self, c):
         return c.copy()
+
+    def chart_velocity(self, v):
+        return v.copy()
 
     def embed(self, c, h):
         return self.frame.embed(c)
@@ -474,20 +507,21 @@ class _BoundaryLayer:
                     t = t @ y
         return out
 
-    def gamma(self, y):
+    def connection(self, y):
         h, d, b, t = self.derivatives(y, 3)
         if not h > 0.0:
             raise DomainError("left the positivity region")
-        return christoffel(*jet_metric_with_derivative(self.degree, h, d, b, t))
+        g, dg = jet_metric_with_derivative(self.degree, h, d, b, t)
+        return christoffel(g, dg), g
 
-    def value_and_metric(self, y):
-        h, d, b = self.derivatives(y, 2)
+    def value(self, y) -> float:
+        h = self.derivatives(y, 0)[0]
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError("left the positivity region")
-        return h, jet_metric(self.degree, h, d, b)
+        return h
 
-    def slope(self, y, u) -> float:
-        return abs(float(self.derivatives(y, 1)[1] @ u))
+    def gradient(self, y):
+        return self.derivatives(y, 1)[1]
 
     def ray_distance(self, y, u) -> float:
         jet = self.derivatives(y, len(self.tensors))
@@ -502,6 +536,9 @@ class _BoundaryLayer:
     def chart_coords(self, y):
         return self.anchor + y @ self.rotation
 
+    def chart_velocity(self, v):
+        return v @ self.rotation
+
     def embed(self, y, h):
         return self.frame.point(self.chart_coords(y)) / positive_root(h, self.degree)
 
@@ -513,34 +550,48 @@ def geodesic_shoot(
     max_len: float = 50.0,
     min_h: float = 0.0,
     boundary_frac: float = 1e-8,
-    refinements: int = 3,
+    refinements: int = 0,
 ) -> CurveTrace:
     """Integrate the chart-metric geodesic from a point and unit direction.
 
-    Classical 4th-order fixed steps (halved locally when an evaluation leaves
-    the positivity region); the outer loop halves the base step until the
-    total length estimate changes by less than ``_STEP_TOL`` (relative).
+    One adaptive pass of the Dormand-Prince 5(4) pair (:func:`_dp_step`), in
+    arc length.  A step is accepted when its local error estimate, the larger
+    of the position and the velocity block's relative to the size of that
+    block, is at most the tolerance ``_STEP_TOL`` (divided by ten for each of
+    ``refinements``); the next step follows the standard controller
+    0.9 (tol / err)^(1/5), kept within a factor 0.2 to 5 (at most 1 right
+    after a rejection).  A step whose evaluations leave the positivity region
+    is halved.  Where rounding, not truncation, sets the error estimate, the
+    tolerance cannot be met: once the controller asks for a step below
+    ``_MIN_STEP_FRAC`` of the largest step the run has taken, the run ends on
+    ``drift`` or ``degenerate_metric`` (diagnosed as below).
 
     Boundary layer: for a :class:`HomogeneousPolynomial`, once the ray along
     the current velocity meets the boundary within ``_LAYER_FRAC`` times the
     slice diameter, the state is carried as an offset from that boundary
     point and h, the metric and the connection are evaluated through the
     exact Taylor expansion there (see :class:`_BoundaryLayer`).  The anchor
-    follows the ray's boundary point when the offset drifts sideways.  Inside
-    the layer ``hvals`` are exact to relative rounding (down to ~1e-300) for
-    the polynomial whose zero set passes through the rounded anchor.  Traces
-    of :class:`SmoothHomogeneousMap` inputs, which have no exact expansion,
-    stay in chart coordinates, whose precision floors h near 1e-16.
+    moves to the boundary point along the normal whenever the offset grows
+    beyond four times the normal distance to the boundary, which keeps the
+    offset, and with it the relative precision of h, at the scale of that
+    distance.  Inside the layer ``hvals`` are exact to relative rounding
+    (down to ~1e-300) for the polynomial whose zero set passes through the
+    rounded anchor.  Traces of :class:`SmoothHomogeneousMap` inputs, which
+    have no exact expansion, stay in chart coordinates, whose precision
+    floors h near 1e-16.
 
     Stop reasons: ``max_len``; ``h_floor`` when the function value falls to
     ``min_h``; ``boundary`` when the ray distance to the boundary drops below
     ``boundary_frac`` times the slice diameter; ``degenerate_metric`` when
     the metric collapses (its smallest eigenvalue halves, or the speed form
     turns nonpositive); ``drift`` when the unit-speed constraint deviates by
-    more than ``_DRIFT_STOP`` while the metric blows up, meaning the state can
-    no longer resolve the distance to the boundary (in chart coordinates, or
-    inside the layer at a non-regular boundary); ``step_underflow`` and
-    ``max_steps``.
+    more than ``_DRIFT_STOP``, or the tolerance cannot be met, while the
+    metric blows up, meaning the state can no longer resolve the distance to
+    the boundary (in chart coordinates, or inside the layer at a non-regular
+    boundary); ``step_underflow`` and ``max_steps``.
+
+    The trace records the final chart velocity, the number of rejected steps
+    and the sum of the accepted steps' local error estimates.
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
@@ -549,136 +600,141 @@ def geodesic_shoot(
     h_start = frame.hval(start)
     if h_start <= 0.0:
         raise DomainError("geodesic start point lies outside the positivity region")
-    g0 = chart_metric(frame, start, "psi_formula").matrix
+    chart = _ChartCoordinates(frame)
+    gamma0, g0 = chart.connection(start)
     speed0 = math.sqrt(max(0.0, float(direction @ g0 @ direction)))
     if speed0 <= 0.0:
         raise DegenerateFrameError("metric degenerate along the initial direction")
-    v0 = direction / speed0
+    tol = _STEP_TOL * 0.1**refinements
     diam = frame.diameter()
     dist_floor = boundary_frac * diam
     layer_dist = _LAYER_FRAC * diam if isinstance(frame.func, HomogeneousPolynomial) else 0.0
-    chart = _ChartCoordinates(frame)
-
     lam_min_start = float(np.linalg.eigvalsh(g0).min())
 
-    def run(base_step):
-        geo = chart  # a _BoundaryLayer while inside it; c is then the offset from its anchor
-        c, v = start.copy(), v0.copy()
-        speed_prev = 1.0
-        params = [0.0]
-        coords = [c.copy()]
-        ambient = [frame.embed(c)]
-        hvals = [h_start]
-        cum = [0.0]
-        drift = 0.0
-        reason = "max_len"
-        step = base_step
-        steps = 0
-        param = 0.0
-        length = 0.0
-        while param < max_len and steps < _MAX_STEPS:
-            steps += 1
-            try:
-                c_next, v_next = _rk4_step(geo.gamma, c, v, step)
-                h_next, g = geo.value_and_metric(c_next)
-            except (DomainError, DegenerateFrameError, FloatingPointError):
-                step *= 0.5
-                if step < 1e-13 * base_step:
-                    reason = "step_underflow"
-                    break
-                continue
-            sq = float(v_next @ g @ v_next)
-            if sq <= 0.0:
-                reason = "degenerate_metric"
-                break
-            speed = math.sqrt(sq)
-            if abs(speed - 1.0) > _DRIFT_STOP:
-                # speed is an ill-conditioned function of the state where the
-                # metric blows up or collapses; stop before the constraint
-                # degrades further and diagnose which singularity was hit
-                # (collapse shrinks the smallest eigenvalue, blow-up grows it)
-                lam_min = float(np.linalg.eigvalsh(g).min())
-                reason = "degenerate_metric" if lam_min <= 0.5 * lam_min_start else "drift"
-                break
-            drift = max(drift, abs(speed - 1.0))
-            c, v = c_next, v_next
-            param += step
-            length += step * 0.5 * (speed_prev + speed)
-            speed_prev = speed
-            params.append(param)
-            coords.append(geo.chart_coords(c))
-            ambient.append(geo.embed(c, h_next))
-            hvals.append(h_next)
-            cum.append(length)
-            if min_h > 0.0 and h_next <= min_h:
-                reason = "h_floor"
-                break
-            if h_next < 0.25 * h_start and (dist_floor > 0.0 or layer_dist > 0.0):
-                vnorm = float(np.linalg.norm(v))
-                if vnorm > 0.0:
-                    u = v / vnorm
-                    slope = geo.slope(c, u)
-                    est = h_next / slope if slope > 0.0 else math.inf
-                    if est < 8.0 * dist_floor and geo.ray_distance(c, u) < dist_floor:
-                        reason = "boundary"
-                        break
-                    if geo is chart:
-                        if est < 8.0 * layer_dist:
-                            dist = chart.ray_distance(c, u)
-                            if dist < layer_dist:
-                                geo, rot = _BoundaryLayer.entered(frame, c + dist * u)
-                                c, v = (-dist * u) @ rot.T, v @ rot.T
-                    elif np.linalg.norm(c) > 4.0 * est:
-                        # the trace moved sideways: re-anchor where the ray meets the boundary
-                        dist = geo.ray_distance(c, u)
-                        if np.linalg.norm(c) > 4.0 * dist:
-                            geo, rot = geo.moved(c + dist * u)
-                            c, v = (-dist * u) @ rot.T, v @ rot.T
-            if step < base_step:
-                step = min(2.0 * step, base_step)
-        else:
-            if steps >= _MAX_STEPS:
-                reason = "max_steps"
-        return CurveTrace(
-            params=np.array(params),
-            coords=np.array(coords),
-            ambient=np.array(ambient),
-            hvals=np.array(hvals),
-            cumulative_length=np.array(cum),
-            stop_reason=reason,
-            unit_speed_drift=drift,
-        )
+    def blown_up(g) -> str:
+        # speed and the error estimate are ill-conditioned functions of the
+        # state where the metric blows up or collapses; diagnose which
+        # singularity was hit (collapse shrinks the smallest eigenvalue,
+        # blow-up grows it)
+        lam_min = float(np.linalg.eigvalsh(g).min())
+        return "degenerate_metric" if lam_min <= 0.5 * lam_min_start else "drift"
 
-    def length_at_depth(trace, h_target):
-        # cumulative length when the function value first reaches h_target;
-        # lets boundary-bound runs of different step sizes be compared fairly
-        hv = trace.hvals
-        below = np.nonzero(hv <= h_target)[0]
-        if len(below) == 0:
-            return trace.length
-        i = int(below[0])
-        if i == 0:
-            return 0.0
-        # the length is close to linear in ln h near the boundary, where one
-        # step can change h by several percent
-        lo, hi = math.log(hv[i - 1]), math.log(hv[i])
-        w = 0.0 if hi == lo else (lo - math.log(h_target)) / (lo - hi)
-        return float(
-            trace.cumulative_length[i - 1]
-            + w * (trace.cumulative_length[i] - trace.cumulative_length[i - 1])
-        )
-
-    trace = run(_INIT_STEP)
+    geo = chart  # a _BoundaryLayer while inside it; c is then the offset from its anchor
+    c, v = start.copy(), direction / speed0
+    a = -((gamma0 @ v) @ v)
+    g = g0
+    speed_prev = 1.0
+    params = [0.0]
+    coords = [c.copy()]
+    ambient = [frame.embed(c)]
+    hvals = [h_start]
+    cum = [0.0]
+    drift = 0.0
+    reason = "max_len"
     step = _INIT_STEP
-    for _ in range(refinements):
-        step *= 0.5
-        refined = run(step)
-        h_common = max(trace.hvals[-1], refined.hvals[-1], 1e-300)
-        delta = abs(length_at_depth(refined, h_common) - length_at_depth(trace, h_common))
-        trace = refined
-        if delta <= _STEP_TOL * max(1.0, refined.length):
+    largest = 0.0
+    grow = _MAX_GROW
+    steps = rejected = 0
+    error_sum = 0.0
+    param = 0.0
+    length = 0.0
+    while param < max_len and steps < _MAX_STEPS:
+        steps += 1
+        last = step >= max_len - param
+        trial = max_len - param if last else step
+        try:
+            c_next, v_next, a_next, g_next, err_c, err_v = _dp_step(geo.connection, c, v, a, trial)
+            h_next = geo.value(c_next)
+        except (DomainError, DegenerateFrameError, FloatingPointError):
+            step = 0.5 * trial
+            grow = 1.0
+            if step < 1e-13 * _INIT_STEP:
+                reason = "step_underflow"
+                break
+            continue
+        err = max(
+            float(np.linalg.norm(err_c)) / (tol * max(np.linalg.norm(c), np.linalg.norm(c_next))),
+            float(np.linalg.norm(err_v)) / (tol * max(np.linalg.norm(v), np.linalg.norm(v_next))),
+        )
+        fac = 0.9 * err**-0.2 if err > 0.0 else _MAX_GROW
+        if not err <= 1.0:
+            rejected += 1
+            step = trial * (max(0.2, fac) if math.isfinite(err) else 0.2)
+            grow = 1.0
+            if step < _MIN_STEP_FRAC * largest:
+                reason = blown_up(g)
+                break
+            continue
+        sq = float(v_next @ g_next @ v_next)
+        if sq <= 0.0:
+            reason = "degenerate_metric"
             break
-    return trace
+        speed = math.sqrt(sq)
+        if abs(speed - 1.0) > _DRIFT_STOP:
+            reason = blown_up(g_next)
+            break
+        drift = max(drift, abs(speed - 1.0))
+        error_sum += err * tol
+        largest = max(largest, trial)
+        step = trial * min(grow, max(0.2, fac))
+        grow = _MAX_GROW
+        c, v, a, g = c_next, v_next, a_next, g_next
+        param = max_len if last else param + trial
+        length += trial * 0.5 * (speed_prev + speed)
+        speed_prev = speed
+        params.append(param)
+        coords.append(geo.chart_coords(c))
+        ambient.append(geo.embed(c, h_next))
+        hvals.append(h_next)
+        cum.append(length)
+        if min_h > 0.0 and h_next <= min_h:
+            reason = "h_floor"
+            break
+        if h_next < 0.25 * h_start and (dist_floor > 0.0 or layer_dist > 0.0):
+            vnorm = float(np.linalg.norm(v))
+            if vnorm > 0.0:
+                u = v / vnorm
+                grad = geo.gradient(c)
+                slope = abs(float(grad @ u))
+                est = h_next / slope if slope > 0.0 else math.inf
+                if est < 8.0 * dist_floor and geo.ray_distance(c, u) < dist_floor:
+                    reason = "boundary"
+                    break
+                rot = None
+                if geo is chart:
+                    if est < 8.0 * layer_dist:
+                        dist = chart.ray_distance(c, u)
+                        if dist < layer_dist:
+                            geo, rot = _BoundaryLayer.entered(frame, c + dist * u)
+                            c = (-dist * u) @ rot.T
+                else:
+                    gnorm = float(np.linalg.norm(grad))
+                    offset = float(np.linalg.norm(c))
+                    if gnorm > 0.0 and offset > 4.0 * h_next / gnorm:
+                        # the offset outgrew the distance to the boundary:
+                        # re-anchor at the boundary point along the normal
+                        normal = -grad / gnorm
+                        dist = geo.ray_distance(c, normal)
+                        if offset > 4.0 * dist:
+                            geo, rot = geo.moved(c + dist * normal)
+                            c = (-dist * normal) @ rot.T
+                if rot is not None:
+                    v, a = v @ rot.T, a @ rot.T
+    else:
+        if steps >= _MAX_STEPS:
+            reason = "max_steps"
+    return CurveTrace(
+        params=np.array(params),
+        coords=np.array(coords),
+        ambient=np.array(ambient),
+        hvals=np.array(hvals),
+        cumulative_length=np.array(cum),
+        stop_reason=reason,
+        unit_speed_drift=drift,
+        final_velocity=geo.chart_velocity(v),
+        rejected_steps=rejected,
+        error_estimate=error_sum,
+    )
 
 
 # -- bivariate monomial criterion ---------------------------------------------------
@@ -844,15 +900,15 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
 
 def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float:
     """Length of a witness shot extended to the boundary along its final
-    direction, the tail by quadrature.  Infinite when the shot stopped
+    velocity, the tail by quadrature.  Infinite when the shot stopped
     elsewhere than at the boundary or a degenerate metric, or when its tail
     diverges, so complete geodesics cannot masquerade as witnesses."""
     if trace.stop_reason not in _WITNESS_STOPS:
         return math.inf
-    if trace.stop_reason == "degenerate_metric" or len(trace.coords) < 2:
+    if trace.stop_reason == "degenerate_metric":
         return trace.length  # integrand vanishes at the degeneracy; truncation suffices
     c_end = trace.coords[-1]
-    v = trace.coords[-1] - trace.coords[-2]
+    v = trace.final_velocity
     norm = np.linalg.norm(v)
     if norm == 0.0:
         return trace.length
@@ -952,8 +1008,20 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
                 for sign in (1.0, -1.0)
             ]
             sides = [(_shot_length(frame, t, config.quad_tol), t.stop_reason) for t in shots]
-            probes = [{"length": t.length, "stop": t.stop_reason} for t in shots]
-            detail = {"witness_drift": max(t.unit_speed_drift for t in shots)}
+            probes = [
+                {
+                    "length": t.length,
+                    "stop": t.stop_reason,
+                    "rejected_steps": t.rejected_steps,
+                    "error_estimate": t.error_estimate,
+                }
+                for t in shots
+            ]
+            detail = {
+                "witness_drift": max(t.unit_speed_drift for t in shots),
+                "witness_rejected_steps": sum(t.rejected_steps for t in shots),
+                "witness_error_estimate": sum(t.error_estimate for t in shots),
+            }
         finite = [length for length, _ in sides if math.isfinite(length)]
         if finite and sum(finite) > 0.0:
             evidence["witness_length"] = sum(finite)

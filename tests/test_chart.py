@@ -23,6 +23,7 @@ from centroaffine import (
 )
 from centroaffine.catalog import analytic_example, analytic_map
 from centroaffine.chart import chart_metric_with_derivative
+from centroaffine.homogeneous import restrict_to_line
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
 MONOMIAL = HomogeneousPolynomial.parse("x^2*y")
@@ -278,6 +279,28 @@ def test_boundary_distance_exact_for_polynomials():
     frame2 = make_chart(MONOMIAL, [1, 1])
     assert abs(frame2.boundary_distance([0.0], [1.0]) - math.sqrt(5) / 2) < 1e-10
     assert abs(frame2.boundary_distance([0.0], [-1.0]) - math.sqrt(5)) < 1e-6
+
+
+def test_boundary_distance_simple_zero_among_close_zeros():
+    # The restriction of this quartic to the chart ray has simple zeros at
+    # 12.18025485, 12.18957636 and 12.20644543 (mpmath, 50 digits, on the
+    # rounded restriction coefficients).  At the first, the derivative is
+    # only 1e-7 of the size of its terms, so the zero can pass for a double
+    # one, and bisecting the derivative lands on a critical point (12.1921,
+    # where h = +9.4e-10).
+    quartic = HomogeneousPolynomial.parse(
+        "0.10337628258511589*x^4 - 0.04509952509953923*x^3*y - 0.25662316401314644*x^2*y^2"
+        " + 0.09368762618554319*x*y^3 + 0.028107554221014054*y^4"
+    )
+    frame = make_chart(quartic, [-0.4029772338434734, 2.037614522295843])
+    t = frame.boundary_distance([0.0], [1.0])
+    assert abs(t - 12.180254852554984) <= 1e-9
+    line = restrict_to_line(quartic, frame.origin, frame.basis[0]).coefficients
+    pv = np.polynomial.polynomial.polyval
+    assert pv(t - 1e-7, line) > 0.0 > pv(t + 1e-7, line)
+    # h along the ray, evaluated without the rounded restriction, changes
+    # sign 6e-8 further out
+    assert frame.hval([t - 1e-6]) > 0.0 > frame.hval([t + 1e-6])
 
 
 def test_boundary_distance_map_bisection():

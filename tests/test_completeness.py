@@ -227,6 +227,22 @@ def test_geodesic_boundary_layer_on_a_surface():
         assert abs(trace.cumulative_length[i] - expected) <= 1e-6 * max(1.0, expected)
 
 
+def test_geodesic_final_velocity_is_the_chart_velocity():
+    # The edge-bound x*y*z geodesic of the layer test above is the chart line
+    # along its start direction, so its final chart velocity, rotated back
+    # from the boundary layer's axes (whose first axis is the normal), points
+    # along that direction.  Near the edge unit speed allows a tangential
+    # velocity of order sqrt(h) against a normal one of order h, so a
+    # tangential error of 1e-8 in the metric turns the direction by about
+    # 1e-8 / sqrt(h): 2e-5 at the stop, where h = 7e-8.
+    frame = make_chart(HomogeneousPolynomial.parse("x*y*z"), [1, 1, 1])
+    direction = np.array([1.0, math.sqrt(3.0)]) / 2.0
+    trace = geodesic_shoot(frame, [0.0, 0.0], direction, max_len=12.0)
+    assert trace.stop_reason == "boundary" and trace.hvals[-1] < 1e-7
+    v = trace.final_velocity
+    assert np.linalg.norm(v / np.linalg.norm(v) - direction) <= 1e-4
+
+
 def test_geodesic_trace_invariants():
     frame = make_chart(CURVE, [1, 0])
     trace = geodesic_shoot(frame, [0.0], [1.0], max_len=3.0, refinements=0)
@@ -419,3 +435,84 @@ def test_curve_witness_sides_of_the_analytic_curve(monkeypatch):
     for side in verdict.evidence["witness_sides"]:
         assert abs(side - math.sqrt(2) * math.pi / 2) <= 1e-9
     assert shots == []
+
+
+# -- work counts of the witness probes ------------------------------------------------
+
+# Christoffel evaluations of one fixed-step RK4 pass (step 1e-2) over these
+# probes: the budget of one adaptive pass
+RK4_PASS_EVALS = 3580
+
+
+@pytest.fixture(scope="module")
+def x2yz_probes():
+    """x^2*y*z at (1, 1, 1) with a concavity grid that fails, so that all four
+    chart-axis probes run: each shot with its trace and the chart points of
+    its Christoffel evaluations."""
+    patch = pytest.MonkeyPatch()
+    points = []
+    shots = []
+    gamma = completeness.levi_civita_gamma
+    shoot = completeness.geodesic_shoot
+
+    def counting_gamma(frame, coords):
+        points[-1].append(np.array(coords, dtype=float))
+        return gamma(frame, coords)
+
+    def recording_shoot(frame, start, direction, **kwargs):
+        points.append([])
+        trace = shoot(frame, start, direction, **kwargs)
+        shots.append((np.asarray(direction, dtype=float), trace, points[-1]))
+        return trace
+
+    patch.setattr(completeness, "levi_civita_gamma", counting_gamma)
+    patch.setattr(completeness, "geodesic_shoot", recording_shoot)
+    try:
+        frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+        verdict = completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
+    finally:
+        patch.undo()
+    return verdict, shots
+
+
+def test_x2yz_axis_0_shot_is_one_adaptive_pass(x2yz_probes):
+    _, shots = x2yz_probes
+    axis0 = [(trace, pts) for d, trace, pts in shots if d[0] != 0.0]
+    assert len(axis0) == 2
+    for trace, pts in axis0:
+        # every pass starts with an evaluation at the start point
+        assert sum(1 for c in pts if not np.any(c)) == 1
+        assert len(pts) <= RK4_PASS_EVALS
+        assert trace.stop_reason == "boundary"
+
+
+def test_x2yz_axis_1_probes_end_within_budget(x2yz_probes):
+    verdict, shots = x2yz_probes
+    axis1 = [(trace, pts) for d, trace, pts in shots if d[1] != 0.0]
+    assert len(axis1) == 2
+    for trace, pts in axis1:
+        # the rounding floor of chart coordinates ends the run, not a crawl
+        assert trace.stop_reason in ("drift", "boundary")
+        assert len(pts) <= RK4_PASS_EVALS
+    assert verdict.status == "inconclusive"
+    probes = verdict.evidence["geodesic_probes"]
+    traces = [trace for _, trace, _ in shots]
+    entries = [probe[side] for probe in probes for side in ("forward", "backward")]
+    assert len(entries) == len(traces) == 4
+    for entry, trace in zip(entries, traces):
+        assert entry["stop"] == trace.stop_reason
+        assert entry["rejected_steps"] == trace.rejected_steps
+        assert 0.0 < entry["error_estimate"] == trace.error_estimate < 1e-4
+
+
+def test_surface_witness_reports_integrator_health(monkeypatch):
+    # a finite tail for every shot turns the first axis pair into a witness
+    monkeypatch.setattr(completeness, "_shot_length", lambda frame, trace, quad_tol: trace.length)
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    verdict = completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
+    evidence = verdict.evidence
+    assert verdict.route == "finite-length-witness"
+    assert evidence["witness_stop"] == ("boundary", "boundary")
+    assert isinstance(evidence["witness_rejected_steps"], int)
+    assert 0.0 < evidence["witness_error_estimate"] < 1e-4
+    assert 0.0 < evidence["witness_drift"] < 1e-6
