@@ -1,9 +1,8 @@
 """Boundary analysis of the positivity cone: regularity, Lorentz extension,
-compactness comparison bound, and the genericity perturbation."""
+and the genericity perturbation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ class BoundaryPoint:
     ray_distance: float
     gradient: np.ndarray
     hval: float
+    multiplicity: int = 1  # of the zero, as the ray solve's polish treated it
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class RegularityReport:
     regular: bool
     closedness_failures: list = field(default_factory=list)
     lorentz_determinants: list = field(default_factory=list)
+    multiple_zero_rays: int = 0  # scan rays whose zero was polished as multiple
 
     def to_json(self) -> dict:
         return {
@@ -65,6 +66,7 @@ class RegularityReport:
             "closedness_failures": self.closedness_failures,
             "entries": [e.to_json() for e in self.entries],
             "lorentz_determinants": self.lorentz_determinants,
+            "multiple_zero_rays": self.multiple_zero_rays,
         }
 
 
@@ -79,39 +81,32 @@ def boundary_scan(
     count: int | None = None,
     directions=None,
     seed: int = 0,
-    max_factor: float = 1e6,
-    iterations: int = 80,
-) -> list[BoundaryPoint]:
-    """Locate boundary points of the cone along chart rays from the origin.
-
-    Raises :class:`UnboundedRayError` when a ray stays inside the positivity
-    region beyond ``max_factor`` times the frame scale, witnessing that the
-    slice is not relatively compact.
-    """
+    unbounded_ok: bool = False,
+) -> list:
+    """Locate boundary points of the cone along chart rays from the origin,
+    all rays in one :meth:`ChartFrame.boundary_distances` call.  A ray that
+    stays inside the positivity region, witnessing that the slice is not
+    relatively compact, raises :class:`UnboundedRayError`, or with
+    ``unbounded_ok`` gives None in its place."""
     if directions is None:
         n = count if count is not None else default_direction_count(frame.chart_dim)
         directions = sampling.unit_directions(frame.chart_dim, n, seed)
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
     origin = np.zeros(frame.chart_dim)
+    dists, mults = frame.boundary_distances(origin, directions, multiplicity=True)
     out = []
-    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
-        if not np.any(d != 0.0):
-            raise ValueError("direction must be nonzero")
-        t = frame.boundary_distance(origin, d, max_factor=max_factor, iterations=iterations)
+    for d, t, mult in zip(directions, dists.tolist(), mults.tolist()):
+        if t == np.inf:
+            if not unbounded_ok:
+                raise UnboundedRayError(origin, d, frame.ray_limit)
+            out.append(None)
+            continue
         x = frame.point(t * d)
         norm = np.linalg.norm(x)
         if norm == 0.0:
             raise DegenerateFrameError("boundary ray passes through the origin")
         x_unit = x / norm
-        out.append(
-            BoundaryPoint(
-                point=x_unit,
-                origin_coords=origin,
-                direction=d,
-                ray_distance=t,
-                gradient=frame.func.gradient(x_unit),
-                hval=frame.func(x_unit),
-            )
-        )
+        out.append(BoundaryPoint(x_unit, origin, d, t, frame.func.gradient(x_unit), frame.func(x_unit), mult))
     return out
 
 
@@ -220,16 +215,14 @@ def regularity_report(
     """Scan the boundary and aggregate the per-point regularity checks."""
     n = count if count is not None else default_direction_count(frame.chart_dim)
     directions = sampling.unit_directions(frame.chart_dim, n, seed)
+    points = boundary_scan(frame, directions=directions, unbounded_ok=True)
     entries = []
     failures = []
     determinants = []
-    for d in directions:
-        try:
-            pts = boundary_scan(frame, directions=[d])
-        except UnboundedRayError as exc:
-            failures.append({"direction": d.tolist(), "radius": exc.radius})
+    for d, bp in zip(directions, points):
+        if bp is None:
+            failures.append({"direction": d.tolist(), "radius": frame.ray_limit})
             continue
-        bp = pts[0]
         entry = regular_boundary_check(frame, bp, tol=tol)
         entries.append(entry)
         if entry.condition_i and entry.condition_ii:
@@ -244,90 +237,7 @@ def regularity_report(
         regular=regular,
         closedness_failures=failures,
         lorentz_determinants=determinants,
-    )
-
-
-@dataclass(frozen=True)
-class CompactnessBound:
-    delta: float
-    eps: float
-    radius_bound: float
-    n_checked: int
-    max_violation: float
-    max_scanned_distance: float
-
-
-def compactness_bound(
-    frame: ChartFrame,
-    delta: float | None = None,
-    n_check: int = 1000,
-    seed: int = 0,
-) -> CompactnessBound:
-    """Comparison-function bound for the slice of the cone.
-
-    Finds eps > 0 with Hessian(u) <= -eps * Id on a coordinate ball of radius
-    delta around the chart origin (u the k-th root of the slice restriction),
-    builds the concave comparison function, verifies it dominates u at sampled
-    points of the slice, and returns the induced outer radius bound.
-
-    The chart origin must be the maximum of u on the slice (automatic for
-    tangent frames).
-    """
-    n = frame.chart_dim
-    origin = np.zeros(n)
-    k = frame.degree
-    h0 = frame.hval(origin)
-    u0 = h0 ** (1.0 / k)
-    du0 = (u0 / (k * h0)) * (frame.basis @ frame.func.gradient(frame.origin))
-    if float(np.abs(du0).max()) > 1e-8 * max(1.0, u0):
-        raise DegenerateFrameError("chart origin is not a critical point of the root restriction")
-    axis_dirs = np.vstack([np.eye(n), -np.eye(n)])
-    dists = [frame.boundary_distance(origin, d) for d in axis_dirs]
-    if delta is None:
-        delta = 0.5 * min(dists)
-    # Hessian of u on the delta-ball: Hess(u) = -u * (chart metric)
-    from .chart import chart_metric  # local import to avoid cycle at module load
-
-    ball = [origin] + [
-        f * delta * d
-        for d in sampling.unit_directions(n, max(8, 4 * n), seed)
-        for f in (0.35, 0.7, 0.999)
-    ]
-    eps = math.inf
-    for c in ball:
-        hval = frame.hval(c)
-        if hval <= 0.0:
-            continue
-        u = hval ** (1.0 / frame.degree)
-        hess_u = -u * chart_metric(frame, c, "psi_formula").matrix
-        lam_max = float(np.linalg.eigvalsh(hess_u).max())
-        eps = min(eps, -lam_max)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise DegenerateFrameError("no valid concavity modulus on the inner ball")
-    # the parabolic comparison function dominates the root restriction only
-    # when its opening is half the Hessian modulus: along a unit-speed
-    # segment (v - u)'' = -2 eps - u'', nonnegative for eps <= modulus / 2
-    eps *= 0.5
-
-    def comparison(c):
-        r = float(np.linalg.norm(c))
-        if r <= delta:
-            return u0 - eps * r * r
-        return u0 + eps * delta * delta - 2.0 * eps * delta * r
-
-    worst = -math.inf
-    coords = frame.sample_coords(n_check, max_frac=0.999, seed=seed + 1)
-    for c in coords:
-        u = frame.hval(c) ** (1.0 / frame.degree)
-        worst = max(worst, u - comparison(c))
-    radius_bound = (u0 + eps * delta * delta) / (2.0 * eps * delta)
-    return CompactnessBound(
-        delta=delta,
-        eps=eps,
-        radius_bound=radius_bound,
-        n_checked=len(coords),
-        max_violation=worst,
-        max_scanned_distance=max(dists),
+        multiple_zero_rays=sum(1 for bp in points if bp is not None and bp.multiplicity >= 2),
     )
 
 

@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chart import ChartFrame, make_chart, slice_chart
-from .homogeneous import HomogeneousPolynomial, SmoothHomogeneousMap
+from .homogeneous import HomogeneousPolynomial, SmoothHomogeneousMap, univariate_zeros
 
 Polynomial = np.polynomial.Polynomial
 
@@ -143,7 +142,8 @@ QUARTIC_Q = Polynomial([9.0, -24.0, -42.0, 188.0, -80.0])
 def quartic_x0() -> tuple[float, float]:
     """Root of 14 x^2 + 6 x - 3 in [0, 1]: closed form and solver value."""
     closed = (-3.0 + math.sqrt(51.0)) / 14.0
-    solved = brentq(lambda x: 14.0 * x * x + 6.0 * x - 3.0, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    zeros = univariate_zeros([-3.0, 6.0, 14.0])
+    solved = float(zeros[(zeros >= 0.0) & (zeros <= 1.0)][0])
     return closed, solved
 
 

@@ -18,7 +18,13 @@ import numpy as np
 from . import sampling
 from .errors import ConsistencyError, DegenerateFrameError, DomainError, UnboundedRayError
 from .forms import SymmetricForm
-from .homogeneous import HomogeneousPolynomial
+from .homogeneous import (
+    HomogeneousPolynomial,
+    _fma,
+    line_coefficients,
+    polyval_rows,
+    univariate_zeros_rows,
+)
 
 METHODS = ("pullback", "psi_formula", "u_formula")
 
@@ -30,63 +36,84 @@ def positive_root(value: float, k: float) -> float:
     return math.exp(math.log(value) / k)
 
 
-def _bisect_sign_change(coeffs, t0: float, w: float) -> float | None:
-    """Bisect a polynomial over [t0 - w, t0 + w]; None when its ends share a sign."""
-    pv = np.polynomial.polynomial.polyval
+def _bisect_rows(coeffs, t0, w):
+    """Bisect each row's polynomial over [t0 - w, t0 + w]; returns the
+    midpoints and whether the ends of a row's bracket differ in sign."""
     lo, hi = t0 - w, t0 + w
-    vlo, vhi = pv(lo, coeffs), pv(hi, coeffs)
-    if vlo == 0.0 or vhi == 0.0 or (vlo < 0.0) == (vhi < 0.0):
-        return None
+    vlo, vhi = polyval_rows(coeffs, lo), polyval_rows(coeffs, hi)
+    ok = (vlo != 0.0) & (vhi != 0.0) & ((vlo < 0.0) != (vhi < 0.0))
+    active = ok.copy()
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if (pv(mid, coeffs) < 0.0) == (vlo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        left = (polyval_rows(coeffs, mid) < 0.0) == (vlo < 0.0)
+        lo = np.where(active & left, mid, lo)
+        hi = np.where(active & ~left, mid, hi)
+    return 0.5 * (lo + hi), ok
 
 
-def _polish_polynomial_zero(coeffs, t0: float, width: float = 1e-3) -> float:
-    """Refine a polynomial zero of any multiplicity by bisection.
+def _polish_polynomial_zeros(coeffs, t0, width: float = 1e-3):
+    """Refine a zero of each row's polynomial p from the matching entry of
+    ``t0``; returns the zeros and the multiplicities they were treated as
+    (inf and 0 where ``t0`` is inf).
 
-    Eigenvalue-based roots of an m-fold zero carry errors of order eps^(1/m),
-    and sign-based refinement of p itself is noise-limited at the same scale.
-    The (m-1)-th derivative has a simple zero at the same point, so the
-    multiplicity is estimated from which derivatives vanish at t0, each
-    against the size of its own terms there, and the last vanishing
-    derivative is bisected at full precision.  Simple zeros close together
-    can pass for a multiple one; when p does not vanish to rounding at the
-    zero of the derivative, that is no zero of p, and p itself is bisected on
-    the widest bracket around t0 (down to a millionth of ``width``) across
-    which it changes sign.
+    An m-fold zero is a simple zero of the (m-1)-th derivative, which is
+    bisected; m is the order of the first derivative that does not vanish
+    at t0 against the size of its terms there.  Close simple zeros can pass
+    for a multiple one: if p does not vanish to rounding at the point found,
+    p itself is bisected on the widest bracket around t0 (down to a
+    millionth of ``width``) that holds a sign change.  Horner's rule leaves
+    a simple zero uncertain by about 2k eps sum |c_i t^i| / |p'|; where that
+    exceeds 1e-13 |t|, a Newton step on a compensated evaluation of p moves
+    it onto the zero of the rounded coefficients.
     """
-    pv = np.polynomial.polynomial.polyval
-    chain = [np.asarray(coeffs, dtype=float)]
-    while len(chain[-1]) > 1:
-        chain.append(np.polynomial.polynomial.polyder(chain[-1]))
-    mult = len(chain) - 1
-    for m in range(1, len(chain)):
-        # the size of the m-th derivative's terms at t0
-        scale = float(pv(abs(t0), np.abs(chain[m])))
-        if abs(pv(t0, chain[m])) > 1e-4 * max(scale, 1e-300):
-            mult = m
-            break
-    w = max(width * abs(t0), 1e-9)
-    if mult > 1:
-        t1 = _bisect_sign_change(chain[mult - 1], t0, w)
-        if t1 is None:
-            return t0
-        rounding = max(abs(pv(t0, chain[0])), 1e-13 * float(pv(abs(t0), np.abs(chain[0]))))
-        if abs(pv(t1, chain[0])) <= rounding:
-            return t1
+    zeros = np.array(t0, dtype=float)
+    mults = np.zeros(len(zeros), dtype=int)
+    rows = np.flatnonzero(np.isfinite(zeros))
+    if not len(rows):
+        return zeros, mults
+    t = zeros[rows]
+    chain = [np.asarray(coeffs, dtype=float)[rows]]
+    while chain[-1].shape[1] > 1:
+        chain.append(chain[-1][:, 1:] * np.arange(1, chain[-1].shape[1]))
+    p = chain[0]
+    mult = np.full(len(rows), len(chain) - 1)
+    for m in range(len(chain) - 1, 0, -1):  # the lowest order that does not vanish wins
+        scale = polyval_rows(np.abs(chain[m]), np.abs(t))
+        mult[np.abs(polyval_rows(chain[m], t)) > 1e-4 * np.maximum(scale, 1e-300)] = m
+    w = np.maximum(width * np.abs(t), 1e-9)
+    out = t.copy()
+    done = mult > 1
+    for m in np.unique(mult[done]):
+        sel = np.flatnonzero(mult == m)
+        ps, ts = p[sel], t[sel]
+        t1, ok = _bisect_rows(chain[m - 1][sel], ts, w[sel])
+        rounding = np.maximum(np.abs(polyval_rows(ps, ts)), 1e-13 * polyval_rows(np.abs(ps), np.abs(ts)))
+        rejected = ok & ~(np.abs(polyval_rows(ps, t1)) <= rounding)
+        out[sel] = np.where(ok, t1, ts)
+        done[sel[rejected]] = False
+        mult[sel[rejected]] = 1
+    shrink = w.copy()
     for _ in range(7):
-        t1 = _bisect_sign_change(chain[0], t0, w)
-        if t1 is not None:
-            return t1
-        w *= 0.1
-    return t0
+        sel = np.flatnonzero(~done)
+        if not len(sel):
+            break
+        t1, ok = _bisect_rows(p[sel], t[sel], shrink[sel])
+        out[sel] = np.where(ok, t1, t[sel])
+        done[sel[ok]] = True
+        shrink[sel] *= 0.1
+    slope = polyval_rows(chain[1], out)
+    size = polyval_rows(np.abs(p), np.abs(out))
+    loose = (mult == 1) & (2 * p.shape[1] * np.finfo(float).eps * size > 1e-13 * np.abs(out * slope))
+    if loose.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = polyval_rows(p[loose], out[loose], compensated=True) / slope[loose]
+        out[loose] -= np.where(np.abs(step) <= w[loose], step, 0.0)  # within the bracket
+    zeros[rows] = out
+    mults[rows] = mult
+    return zeros, mults
 
 
 def radial_projection(func, x) -> np.ndarray:
@@ -170,6 +197,8 @@ class ChartFrame:
         self.degree = k
         self.dimension = d
         self.chart_dim = d - 1
+        # chart distance beyond which a ray counts as unbounded
+        self.ray_limit = 1e6 * max(1.0, float(np.linalg.norm(origin)))
         self._diameter: float | None = None
 
     # -- basic chart maps ---------------------------------------------------
@@ -223,80 +252,85 @@ class ChartFrame:
 
     # -- geometry of the slice -----------------------------------------------
 
-    def boundary_distance(
-        self,
-        coords,
-        direction,
-        max_factor: float = 1e6,
-        iterations: int = 80,
-    ) -> float:
-        """Distance (in chart coordinates) to the first zero of the function
-        along the ray coords + t * direction.
+    def vectors(self, directions) -> np.ndarray:
+        """Ambient vectors of the chart directions (rows), accumulated term
+        by term with fused multiply-adds, so that a row does not depend on
+        the rows beside it."""
+        rows = np.atleast_2d(np.asarray(directions, dtype=float))
+        out = rows[:, :1] * self.basis[0]
+        for i in range(1, self.chart_dim):
+            out = _fma(rows[:, i : i + 1], self.basis[i], out)
+        return out
 
-        Polynomial restrictions are solved exactly through their univariate
-        coefficients, which also locates zeros of even order (where the
-        function touches zero without a sign change, as happens on
-        non-regular boundary faces).  Maps are bracketed by bisection on the
-        predicate "inside the domain with positive value".
+    def boundary_distance(self, coords, direction) -> float:
+        """One row of :meth:`boundary_distances`; an unbounded ray raises
+        :class:`UnboundedRayError`."""
+        direction = np.atleast_1d(np.asarray(direction, dtype=float))
+        t = float(self.boundary_distances(coords, direction[None])[0])
+        if math.isinf(t):
+            raise UnboundedRayError(coords, direction, self.ray_limit)
+        return t
+
+    def boundary_distances(self, coords, directions, multiplicity: bool = False):
+        """Distances (in chart coordinates) to the first zero of the function
+        along the rays coords + t * direction, one per row of
+        ``directions``; inf where a ray never leaves the positivity region.
+
+        Polynomial restrictions are solved exactly, all rays at once, through
+        their univariate coefficients, which also locates zeros of even order
+        (where the function touches zero without a sign change, as on
+        non-regular boundary faces).  Maps are bracketed ray by ray by
+        bisection on "inside the domain with positive value" up to
+        ``ray_limit``.  With ``multiplicity``, also returns each zero's
+        multiplicity as the polish treated it (0 if unbounded, 1 for maps).
         """
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        if not np.any(direction != 0.0):
+        directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        if not np.any(directions != 0.0, axis=1).all():
             raise ValueError("direction must be nonzero")
-        h0 = self.hval(coords)
-        if h0 <= 0.0:
+        if self.hval(coords) <= 0.0:
             raise DomainError("ray origin is outside the positivity region")
-        limit = max_factor * max(1.0, float(np.linalg.norm(self.origin)))
         if isinstance(self.func, HomogeneousPolynomial):
-            from .homogeneous import restrict_to_line, univariate_zeros
+            cf = line_coefficients(self.func, self.point(coords), self.vectors(directions))
+            zeros = univariate_zeros_rows(cf)
+            first = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
+            dist, mult = _polish_polynomial_zeros(cf, first)
+        else:
+            dist = np.array([self._bisect_ray(coords, d) for d in directions])
+            mult = np.isfinite(dist).astype(int)
+        return (dist, mult) if multiplicity else dist
 
-            x0 = self.point(coords)
-            v = direction @ self.basis
-            cf = restrict_to_line(self.func, x0, v).coefficients
-            zeros = univariate_zeros(cf)
-            positive = zeros[zeros > 0.0]
-            if len(positive) == 0:
-                raise UnboundedRayError(coords, direction, limit)
-            return _polish_polynomial_zero(cf, float(positive.min()))
-
+    def _bisect_ray(self, coords, direction) -> float:
         def inside(t):
             x = self.point(coords + t * direction)
-            if not self.func.contains(x):
-                return False
-            val = self.func(x)
-            return math.isfinite(val) and val > 0.0
+            return self.func.contains(x) and 0.0 < self.func(x) < math.inf
 
         scale = 1.0 + float(np.linalg.norm(coords))
         t_lo, t_hi = 0.0, 1e-2 * scale
         while inside(t_hi):
             t_lo = t_hi
             t_hi *= 2.0
-            if t_hi > limit:
-                raise UnboundedRayError(coords, direction, t_hi)
-        for _ in range(iterations):
+            if t_hi > self.ray_limit:
+                return math.inf
+        for _ in range(80):
             mid = 0.5 * (t_lo + t_hi)
             if mid == t_lo or mid == t_hi:
                 break
-            if inside(mid):
-                t_lo = mid
-            else:
-                t_hi = mid
+            t_lo, t_hi = (mid, t_hi) if inside(mid) else (t_lo, mid)
             if t_hi - t_lo < 1e-14 * max(1.0, t_hi):
                 break
         return 0.5 * (t_lo + t_hi)
 
+    def _capped_distances(self, directions) -> np.ndarray:
+        # a non-compact slice is sampled over a capped segment
+        dist = self.boundary_distances(np.zeros(self.chart_dim), directions)
+        cap = 5.0 * (1.0 + float(np.linalg.norm(self.origin)))
+        return np.where(np.isinf(dist), cap, dist)
+
     def diameter(self, n_directions: int = 16, seed: int = 0) -> float:
         if self._diameter is None:
             dirs = sampling.unit_directions(self.chart_dim, max(2, n_directions), seed)
-            cap = 5.0 * (1.0 + float(np.linalg.norm(self.origin)))
-            best = 0.0
-            origin = np.zeros(self.chart_dim)
-            for d in dirs:
-                try:
-                    best = max(best, self.boundary_distance(origin, d))
-                except UnboundedRayError:
-                    best = max(best, cap)
-            self._diameter = 2.0 * best
+            self._diameter = 2.0 * max(0.0, float(self._capped_distances(dirs).max()))
         return self._diameter
 
     def sample_coords(self, count: int, max_frac: float = 0.9, seed: int = 0) -> np.ndarray:
@@ -308,19 +342,10 @@ class ChartFrame:
         dirs = sampling.unit_directions(n, n_dirs, seed)
         fracs = sampling.radial_fractions(per_ray)
         fracs = fracs * (max_frac / fracs.max())
-        origin = np.zeros(n)
-        cap = 5.0 * (1.0 + float(np.linalg.norm(self.origin)))
-        out = []
-        for d in dirs:
-            try:
-                dist = self.boundary_distance(origin, d)
-            except UnboundedRayError:
-                dist = cap  # non-compact slice: sample a capped segment
-            for f in fracs:
-                out.append(f * dist * d)
-                if len(out) == count:
-                    return np.array(out)
-        return np.array(out)
+        # only the rays that hold one of the first ``count`` points are solved
+        dirs = dirs[: math.ceil(count / per_ray)]
+        radii = fracs[None, :] * self._capped_distances(dirs)[:, None]
+        return (radii[:, :, None] * dirs[:, None, :]).reshape(-1, n)[:count]
 
     def __repr__(self):
         kind = "tangent" if self.tangent else "slice"

@@ -195,6 +195,7 @@ def _boundary_block(breport) -> dict:
         ),
         "lorentz_det_all_negative": bool(breport.lorentz_determinants)
         and all(d < 0.0 for d in breport.lorentz_determinants if not math.isnan(d)),
+        "multiple_zero_rays": breport.multiple_zero_rays,
     }
 
 

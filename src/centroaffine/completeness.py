@@ -28,13 +28,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import sampling
 from .boundary import RegularityReport, boundary_scan, regularity_report
 from .chart import (
     ChartFrame,
-    _polish_polynomial_zero,
+    _polish_polynomial_zeros,
     chart_metric,
     christoffel,
     contract_indices,
@@ -43,7 +42,14 @@ from .chart import (
     positive_root,
 )
 from .errors import DegenerateFrameError, DomainError, UnboundedRayError
-from .homogeneous import HomogeneousPolynomial, restrict_to_line, univariate_zeros
+from .homogeneous import (
+    HomogeneousPolynomial,
+    companion_roots,
+    line_coefficients,
+    polyval_rows,
+    restrict_to_line,
+    univariate_zeros_rows,
+)
 
 _poly = np.polynomial.polynomial
 
@@ -76,26 +82,50 @@ class SegmentTestResult:
         return max((l.max_f0 for l in self.lines), default=-math.inf)
 
 
-def _critical_points(coeffs, imag_tol=1e-6):
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(c) <= 1:
-        return np.zeros(0)
-    roots = _poly.polyroots(c)
-    scale = max(1.0, float(np.abs(roots).max()))
-    return np.sort(roots[np.abs(roots.imag) <= imag_tol * scale].real)
+def _critical_points(coeffs, imag_tol=1e-6) -> np.ndarray:
+    """Real parts of each row's roots within ``imag_tol`` (relative to the
+    row's largest root, at least 1) of the axis, padded with nan."""
+    c = np.atleast_2d(coeffs)
+    degree = c.shape[1] - 1 - np.argmax(c[:, ::-1] != 0.0, axis=1)
+    degree[~c.any(axis=1)] = 0
+    roots = companion_roots(c, degree)
+    scale = np.maximum(1.0, np.where(np.isnan(roots), 0.0, np.abs(roots)).max(axis=1))
+    return np.where(np.abs(roots.imag) <= imag_tol * scale[:, None], roots.real, np.nan)
 
 
-def _positive_interval(coeffs):
-    """Positivity interval of a univariate polynomial around t = 0.
+_CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
 
-    Returns (a, b) with a < 0 < b, or None on the unbounded side.
+
+def _segment_block(frame: ChartFrame, base, directions, tol) -> list:
+    """The segment test on the lines from one base point, all at once: a
+    :class:`SegmentLine` per direction, None where the positivity interval
+    is unbounded.  With h0 = c0 + c1 t + c2 t^2 + c3 t^3, the quartic
+    f0 = 2 h0 h0'' - h0'^2 is (4 c0 c2 - c1^2, 12 c0 c3, 6 c1 c3, 4 c2 c3, 3 c3^2).
     """
-    roots = univariate_zeros(coeffs)
-    left = roots[roots < 0.0]
-    right = roots[roots > 0.0]
-    a = float(left.max()) if len(left) else None
-    b = float(right.min()) if len(right) else None
-    return a, b
+    h0 = line_coefficients(frame.func, frame.point(base), frame.vectors(directions))
+    zeros = univariate_zeros_rows(h0)
+    a = np.where(zeros < 0.0, zeros, -np.inf).max(axis=1)
+    b = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
+    c0, c1, c2, c3 = h0.T
+    d1 = np.column_stack([c1, 2.0 * c2, 3.0 * c3])
+    f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
+    f0d = f0[:, 1:] * np.arange(1, 5)
+    # structural identity f0' = 2 h0 h0''' (exact coefficient algebra)
+    mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
+    crit = _critical_points(f0d)
+    with np.errstate(invalid="ignore"):  # unbounded lines give inf and nan; they are dropped
+        crit = np.where((a[:, None] < crit) & (crit < b[:, None]), crit, np.nan)
+        grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
+        values = polyval_rows(f0, np.column_stack([a, b, crit, grid]))
+        max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
+        # the endpoint identity f0 = -h0'^2 where h0 vanishes
+        defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
+    pass_tol = tol if tol is not None else 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
+    columns = (max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol)
+    return [
+        SegmentLine(base, d, (lo, hi), *rest) if math.isfinite(lo) and math.isfinite(hi) else None
+        for d, lo, hi, *rest in zip(directions, a.tolist(), b.tolist(), *(c.tolist() for c in columns))
+    ]
 
 
 def cubic_segment_test(
@@ -119,60 +149,19 @@ def cubic_segment_test(
     if n_bases > 1:
         bases.extend(frame.sample_coords(n_bases - 1, max_frac=0.6, seed=seed))
     directions = sampling.unit_directions(n, math.ceil(n_lines / len(bases)), seed)
-    lines = []
-    failures = []
-    cheb = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
-    done = 0
-    for d in directions:
-        for base in bases:
-            if done >= n_lines:
-                break
-            done += 1
-            x0 = frame.point(base)
-            v = d @ frame.basis
-            h0 = restrict_to_line(frame.func, x0, v).coefficients
-            a, b = _positive_interval(h0)
-            if a is None or b is None:
-                failures.append({"base_coords": base.tolist(), "direction": d.tolist()})
-                continue
-            d1 = _poly.polyder(h0)
-            d2 = _poly.polyder(h0, 2)
-            d3 = _poly.polyder(h0, 3)
-            f0 = 2.0 * _poly.polymul(h0, d2)
-            f0 = _poly.polysub(f0, _poly.polymul(d1, d1))
-            f0d = _poly.polyder(f0)
-            # structural identity f0' = 2 h0 h0''' (exact coefficient algebra)
-            structural = _poly.polysub(f0d, 2.0 * _poly.polymul(h0, d3))
-            scale = float(np.abs(h0).max())
-            mono_defect = float(np.abs(structural).max()) if len(structural) else 0.0
-            candidates = [a, b]
-            crit = _critical_points(f0d)
-            candidates.extend(t for t in crit if a < t < b)
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            candidates.extend((mid + half * cheb).tolist())
-            values = _poly.polyval(np.array(candidates), f0)
-            f0_left = float(_poly.polyval(a, f0))
-            f0_right = float(_poly.polyval(b, f0))
-            dleft = abs(f0_left + _poly.polyval(a, d1) ** 2)
-            dright = abs(f0_right + _poly.polyval(b, d1) ** 2)
-            pass_tol = tol if tol is not None else 1e-9 * max(1.0, scale) ** 4
-            max_f0 = float(values.max())
-            lines.append(
-                SegmentLine(
-                    base_coords=base,
-                    direction=d,
-                    interval=(a, b),
-                    max_f0=max_f0,
-                    f0_left=f0_left,
-                    f0_right=f0_right,
-                    endpoint_identity_defect=max(dleft, dright),
-                    monotone_defect=mono_defect,
-                    passed=max_f0 <= pass_tol,
-                )
-            )
-        if done >= n_lines:
-            break
+    # line i runs along direction i // len(bases) through base i % len(bases)
+    blocks = [
+        _segment_block(frame, base, directions[: len(range(j, n_lines, len(bases)))], tol)
+        for j, base in enumerate(bases)
+    ]
+    lines, failures = [], []
+    for i in range(n_lines):
+        row, j = divmod(i, len(bases))
+        line = blocks[j][row]
+        if line is None:
+            failures.append({"base_coords": bases[j].tolist(), "direction": directions[row].tolist()})
+        else:
+            lines.append(line)
     passed = bool(lines) and all(l.passed for l in lines) and not failures
     used_tol = tol if tol is not None else 1e-9
     return SegmentTestResult(lines=lines, closedness_failures=failures, tol=used_tol, passed=passed)
@@ -309,6 +298,9 @@ def curve_length_with_error(
     """
     if t1 == t0:
         return 0.0, 0.0
+    # scipy.integrate costs most of the package's import time
+    from scipy.integrate import IntegrationWarning, quad
+
     start = np.atleast_1d(np.asarray(start, dtype=float))
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
 
@@ -393,11 +385,9 @@ def _first_positive_zero(coeffs) -> float:
         return math.inf
     tau = min(scales)
     scaled = cf * tau ** np.arange(len(cf)) / cf[0]
-    zeros = univariate_zeros(scaled)
-    positive = zeros[zeros > 0.0]
-    if not len(positive):
-        return math.inf
-    return tau * _polish_polynomial_zero(scaled, float(positive.min()))
+    zeros = univariate_zeros_rows(scaled[None])
+    first = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
+    return tau * float(_polish_polynomial_zeros(scaled[None], first)[0][0])
 
 
 class _ChartCoordinates:
@@ -419,10 +409,7 @@ class _ChartCoordinates:
         return self.frame.basis @ self.frame.func.gradient(self.frame.point(c))
 
     def ray_distance(self, c, u) -> float:
-        try:
-            return self.frame.boundary_distance(c, u)
-        except UnboundedRayError:
-            return math.inf
+        return float(self.frame.boundary_distances(c, u[None])[0])
 
     def chart_coords(self, c):
         return c.copy()
@@ -601,10 +588,17 @@ def geodesic_shoot(
     if h_start <= 0.0:
         raise DomainError("geodesic start point lies outside the positivity region")
     chart = _ChartCoordinates(frame)
-    gamma0, g0 = chart.connection(start)
-    speed0 = math.sqrt(max(0.0, float(direction @ g0 @ direction)))
-    if speed0 <= 0.0:
+    # the metric's terms are of the size of the Hessian over k h; a speed
+    # below that by 1e-12 is rounding, and so is a singular metric
+    size = float(np.abs(frame.func.hessian(frame.point(start))).max()) / (frame.degree * h_start)
+    try:
+        gamma0, g0 = chart.connection(start)
+        sq = float(direction @ g0 @ direction)
+    except np.linalg.LinAlgError:
+        sq = 0.0
+    if not sq > 1e-12 * size * float(direction @ direction):
         raise DegenerateFrameError("metric degenerate along the initial direction")
+    speed0 = math.sqrt(sq)
     tol = _STEP_TOL * 0.1**refinements
     diam = frame.diameter()
     dist_floor = boundary_frac * diam
@@ -873,10 +867,8 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
     direction = np.array([float(sign)])
     if chart_metric(frame, c0).matrix[0, 0] <= 0.0:
         raise DegenerateFrameError("metric degenerate along the initial direction")
-    try:
-        end, t_end = "boundary", frame.boundary_distance(c0, direction)
-    except UnboundedRayError:
-        end, t_end = "unbounded", math.inf
+    t_end = float(frame.boundary_distances(c0, direction[None])[0])
+    end = "boundary" if math.isfinite(t_end) else "unbounded"
     if isinstance(frame.func, HomogeneousPolynomial):
         k = frame.func.degree
         h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
@@ -913,9 +905,8 @@ def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float
     if norm == 0.0:
         return trace.length
     v = v / norm
-    try:
-        dist = frame.boundary_distance(c_end, v)
-    except UnboundedRayError:
+    dist = float(frame.boundary_distances(c_end, v[None])[0])
+    if math.isinf(dist):
         return math.inf
     if dist <= 0.0:
         return trace.length

@@ -469,31 +469,17 @@ def polarization(poly: HomogeneousPolynomial) -> np.ndarray:
 
 
 class UnivariateRestriction:
-    """Restriction t -> func(x + t*v) of a homogeneous function to a line.
-
-    For polynomials the univariate coefficients are expanded exactly; for
-    smooth maps values and derivatives are produced by directional contraction
-    of the supplied derivative callables.
-    """
+    """Restriction t -> func(x + t*v) of a homogeneous function to a line;
+    for polynomials ``coefficients`` holds it exactly (:func:`line_coefficients`),
+    for smooth maps it is None and values come from the map itself."""
 
     def __init__(self, func, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if not np.any(v != 0.0):
+        self.base, self.direction, self.func = np.asarray(x, dtype=float), np.asarray(v, dtype=float), func
+        if not np.any(self.direction != 0.0):
             raise ValueError("direction must be nonzero")
-        self.base = x
-        self.direction = v
-        self.func = func
+        self.coefficients = None
         if isinstance(func, HomogeneousPolynomial):
-            self.coefficients = _line_coefficients(func, x, v)
-        else:
-            self.coefficients = None
-
-    @property
-    def degree(self):
-        if self.coefficients is not None:
-            return len(self.coefficients) - 1
-        return self.func.degree
+            self.coefficients = line_coefficients(func, self.base, self.direction[None])[0]
 
     def value(self, t: float) -> float:
         if self.coefficients is not None:
@@ -507,58 +493,152 @@ def restrict_to_line(func, x, v) -> UnivariateRestriction:
     return UnivariateRestriction(func, x, v)
 
 
-def univariate_zeros(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
-    """Real zeros of a univariate polynomial, robust to even-order roots.
-
-    Roots of even multiplicity split under coefficient rounding into complex
-    pairs with imaginary parts of order sqrt(eps); a candidate with a small
-    imaginary part is accepted only if the polynomial actually vanishes at
-    its real part at numerical precision, so genuinely complex pairs close
-    to the axis are not misread as zeros.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if not c.size:
-        return np.zeros(0)
-    cmax = float(np.abs(c).max())
-    if cmax == 0.0:
-        return np.zeros(0)
-    # drop noise-level leading coefficients: they inject spurious huge roots
-    last = len(c)
-    while last > 1 and abs(c[last - 1]) <= 1e-13 * cmax:
-        last -= 1
-    c = c[:last]
-    if len(c) <= 1:
-        return np.zeros(0)
-    roots = np.polynomial.polynomial.polyroots(c)
-    out = []
-    for r in roots:
-        local = max(1.0, abs(r))
-        if abs(r.imag) <= 1e-12 * local:
-            out.append(r.real)
-        elif abs(r.imag) <= loose_imag_tol * local:
-            value = abs(np.polynomial.polynomial.polyval(r.real, c))
-            if value <= 1e-10 * cmax * (1.0 + abs(r.real)) ** (len(c) - 1):
-                out.append(r.real)
-    out.sort()
-    merged: list[float] = []
-    for z in out:
-        if not merged or z - merged[-1] > 1e-7 * max(1.0, abs(z)):
-            merged.append(z)
-    return np.array(merged)
-
-
-def _line_coefficients(poly: HomogeneousPolynomial, x, v) -> np.ndarray:
-    # exact expansion: per monomial, convolve the binomial expansions of
-    # (x_i + t v_i)^{e_i} across the variables
-    total = np.zeros(poly.degree + 1)
+def line_coefficients(poly: HomogeneousPolynomial, x, directions) -> np.ndarray:
+    """Coefficients of t -> poly(x + t v), lowest order first, one row per
+    row v of ``directions``: per monomial, the binomial expansions of the
+    factors (x_i + t v_i)^e_i multiplied out for all rows at once.  Each row
+    is rounded exactly as its expansion alone through ``numpy.convolve``
+    (:func:`_convolve_rows`), so it does not depend on the rows beside it."""
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(np.asarray(directions, dtype=float))
+    top = poly._exps.max(axis=0)
+    # the C library's pow, as for scalars: numpy's array power may round otherwise
+    powers = [
+        [np.ones(len(rows)), col] + [np.array([v**j for v in col.tolist()]) for j in range(2, e + 1)]
+        for col, e in zip(rows.T, top)
+    ]
+    total = np.zeros((len(rows), poly.degree + 1))
     for exp, coeff in poly._terms.items():
-        factor = np.array([coeff])
-        for xi, vi, e in zip(x, v, exp):
-            if e == 0:
-                continue
-            binom = np.array(
-                [math.comb(e, j) * xi ** (e - j) * vi**j for j in range(e + 1)]
-            )
-            factor = np.convolve(factor, binom)
-        total[: len(factor)] += factor
+        factor = np.full((len(rows), 1), coeff)
+        for i, e in enumerate(exp):
+            if e:
+                binom = [math.comb(e, j) * x[i] ** (e - j) * powers[i][j] for j in range(e + 1)]
+                factor = _convolve_rows(factor, np.column_stack(binom))
+        total[:, : factor.shape[1]] += factor
     return total
+
+
+def _convolve_rows(f, g) -> np.ndarray:
+    """Row-wise ``numpy.convolve``, summed as it sums: in order along the
+    longer factor; over a partial overlap by fused multiply-adds, as the
+    BLAS dot that numpy calls there computes them on FMA hardware."""
+    a, b = (f, g) if f.shape[1] >= g.shape[1] else (g, f)
+    na, nb = a.shape[1], b.shape[1]
+    out = np.empty((len(a), na + nb - 1))
+    for n in range(na + nb - 1):
+        ks = range(max(0, n - nb + 1), min(na, n + 1))
+        s = 0.0 + a[:, ks[0]] * b[:, n - ks[0]]
+        for k in ks[1:]:
+            s = s + a[:, k] * b[:, n - k] if len(ks) == nb else _fma(a[:, k], b[:, n - k], s)
+        out[:, n] = s
+    return out
+
+
+def _fma(a, b, c) -> np.ndarray:
+    """a * b + c with a single rounding: the product exactly by Dekker's
+    splitting, the sum by rounding to odd (Boldo & Melquiond, IEEE Trans.
+    Comput. 57, 2008)."""
+    p, pl = _two_product(a, b)
+    th, tl = _two_sum(c, pl)
+    vh, vl = _two_sum(p, th)
+    w, e = _two_sum(tl, vl)
+    even = (w.view(np.int64) & 1) == 0
+    return vh + np.where((e != 0.0) & even, np.nextafter(w, np.copysign(np.inf, e)), w)
+
+
+def _two_product(a, b):
+    """a * b as an unevaluated sum p + e, exactly (Dekker's splitting)."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def polyval_rows(coeffs, t, compensated: bool = False) -> np.ndarray:
+    """Each row of ``coeffs`` (lowest order first) evaluated at the matching
+    row of ``t`` by Horner's rule, with numpy's ``polyval`` arithmetic; or
+    by compensated Horner (Graillat, Langlois & Louvet, 2005), as accurate
+    as Horner's rule in twice the working precision, then rounded."""
+    c = np.asarray(coeffs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    cols = c.T.reshape(c.shape[1:] + c.shape[:1] + (1,) * (t.ndim - 1))
+    out = cols[-1] + t * 0
+    err = np.zeros_like(out)
+    for col in cols[-2::-1]:
+        if not compensated:
+            out = col + out * t
+            continue
+        p, pe = _two_product(out, t)
+        out, se = _two_sum(p, col)
+        err = err * t + (pe + se)
+    return out + err if compensated else out
+
+
+def companion_roots(coeffs, degree) -> np.ndarray:
+    """Complex roots of each row of ``coeffs`` taken to its own ``degree``
+    (whose coefficient must be nonzero), padded with nan: rows of one degree
+    share one stacked eigenvalue solve of companion matrices built as
+    numpy's ``polyroots`` builds them (Edelman & Murakami, Math. Comp. 64,
+    1995)."""
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    out = np.full((len(c), c.shape[1] - 1), np.nan, dtype=complex)
+    for n in np.unique(degree):
+        if n < 1:
+            continue
+        rows = np.flatnonzero(degree == n)
+        cc = c[rows, : n + 1]
+        mat = np.zeros((len(rows), n, n))
+        mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        mat[:, :, -1] -= cc[:, :-1] / cc[:, -1:]
+        out[rows, :n] = np.linalg.eigvals(mat)
+    return out
+
+
+def univariate_zeros(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
+    """Real zeros of a univariate polynomial, robust to even-order roots
+    (one row of :func:`univariate_zeros_rows`)."""
+    zeros = univariate_zeros_rows(np.asarray(coeffs, dtype=float)[None], loose_imag_tol)[0]
+    return zeros[~np.isnan(zeros)]
+
+
+def univariate_zeros_rows(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
+    """Sorted real zeros of each row's polynomial, padded with nan.
+
+    Leading coefficients below 1e-13 of a row's largest are dropped: they
+    inject spurious huge roots.  Even-order roots split under rounding into
+    complex pairs with imaginary parts of order sqrt(eps); such a candidate
+    counts only if the polynomial vanishes at its real part to numerical
+    precision.  Zeros closer than 1e-7 (relative) merge into the first.
+    """
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if c.shape[1] < 2:
+        return np.zeros((len(c), 0))
+    cmax = np.abs(c).max(axis=1)
+    keep = np.abs(c) > 1e-13 * cmax[:, None]
+    degree = c.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    degree[cmax == 0.0] = 0
+    roots = companion_roots(c, degree)
+    local = np.maximum(1.0, np.abs(roots))
+    imag = np.abs(roots.imag)
+    accept = imag <= 1e-12 * local
+    loose = ~accept & (imag <= loose_imag_tol * local)
+    if loose.any():
+        trimmed = np.where(np.arange(c.shape[1]) <= degree[:, None], c, 0.0)
+        value = np.abs(polyval_rows(trimmed, roots.real))
+        bound = 1e-10 * cmax[:, None] * (1.0 + np.abs(roots.real)) ** degree[:, None]
+        accept |= loose & (value <= bound)
+    z = np.sort(np.where(accept, roots.real, np.nan), axis=1)
+    last = z[:, 0]
+    for j in range(1, z.shape[1]):
+        col = z[:, j]
+        new = col - last > 1e-7 * np.maximum(1.0, np.abs(col))
+        last = np.where(new, col, last)
+        z[:, j] = np.where(new, col, np.nan)
+    return np.sort(z, axis=1)

@@ -40,14 +40,8 @@ def _default_step(frame: ChartFrame, coords, fd_step):
     if fd_step is not None:
         return float(fd_step)
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    from .errors import UnboundedRayError
-
-    dist = math.inf
-    for d in np.vstack([np.eye(frame.chart_dim), -np.eye(frame.chart_dim)]):
-        try:
-            dist = min(dist, frame.boundary_distance(coords, d))
-        except UnboundedRayError:
-            continue
+    axes = np.vstack([np.eye(frame.chart_dim), -np.eye(frame.chart_dim)])
+    dist = float(frame.boundary_distances(coords, axes).min())
     if not math.isfinite(dist):
         dist = 1.0 + float(np.abs(coords).max())  # boundaryless slice
     return 1e-4 * dist

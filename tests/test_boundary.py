@@ -8,7 +8,6 @@ from centroaffine import (
     HomogeneousPolynomial,
     SymmetricForm,
     boundary_scan,
-    compactness_bound,
     gen_perturb,
     lorentz_extension_check,
     make_chart,
@@ -158,33 +157,20 @@ def test_regularity_report_records_closedness_failure():
     assert report.closedness_failures and not report.regular
 
 
-# -- compactness bound ----------------------------------------------------------
+def test_regularity_report_counts_multiple_zero_rays():
+    # x^2 y z meets its boundary face x = 0 in a double zero; the boundary
+    # lines x = +-y of x^3 - x y^2 are simple zeros
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1.0, 1.0, 1.0])
+    report = regularity_report(frame, count=100)
+    assert 0 < report.multiple_zero_rays < 100
+    assert report.to_json()["multiple_zero_rays"] == report.multiple_zero_rays
+    assert regularity_report(make_chart(CURVE, [1.0, 0.0])).multiple_zero_rays == 0
 
 
-def test_compactness_bound_curve():
-    frame = make_chart(CURVE, [1, 0])
-    cb = compactness_bound(frame, n_check=500)
-    assert cb.eps == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert cb.max_violation <= 1e-12
-    assert cb.radius_bound >= cb.max_scanned_distance
-
-
-def test_compactness_bound_analytic_exact_comparison():
-    from centroaffine.catalog import analytic_example
-
-    _, frame = analytic_example(2.0)
-    cb = compactness_bound(frame, n_check=200)
-    # the root restriction is the parabola itself, so the comparison is exact
-    assert cb.eps == pytest.approx(1.0, rel=1e-12)
-    assert abs(cb.max_violation) <= 1e-12
-    assert cb.radius_bound >= cb.max_scanned_distance
-
-
-def test_compactness_bound_dominates_scanned_distances(catalog_frames):
-    for poly, frame in catalog_frames.values():
-        cb = compactness_bound(frame, n_check=300)
-        assert cb.max_violation <= 1e-10
-        assert cb.radius_bound >= cb.max_scanned_distance
+def test_boundary_scan_marks_unbounded_rays_when_asked():
+    frame = make_chart(HomogeneousPolynomial.parse("x^3 + y^3"), [2 ** (1 / 3), -1.0])
+    points = boundary_scan(frame, directions=[[1.0], [-1.0]], unbounded_ok=True)
+    assert points[0].ray_distance < 10.0 and points[1] is None
 
 
 # -- perturbation -----------------------------------------------------------------

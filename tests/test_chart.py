@@ -315,3 +315,120 @@ def test_boundary_distance_unbounded_ray():
         # toward the interior of the half-plane the value never vanishes
         frame.boundary_distance([0.0], [-1.0])
     assert frame.boundary_distance([0.0], [1.0]) < 10.0  # the other side exits
+
+
+def test_boundary_distances_rows_equal_one_row_calls():
+    rng = np.random.default_rng(8)
+    cases = [
+        (HomogeneousPolynomial.parse("x^2*y*z"), [1.0, 1.0, 1.0]),
+        (HomogeneousPolynomial.parse("x*y*z*w"), [1.0, 2.0, 1.0, 0.5]),
+        (HomogeneousPolynomial.parse("x^3 + y^3"), [2 ** (1 / 3), -1.0]),
+        (CURVE, [1.0, 0.2]),
+    ]
+    for poly, seed in cases:
+        frame = make_chart(poly, seed)
+        base = 0.1 * rng.standard_normal(frame.chart_dim)
+        dirs = rng.standard_normal((25, frame.chart_dim))
+        dirs[:2] = np.vstack([np.eye(frame.chart_dim)[:1], -np.eye(frame.chart_dim)[:1]])
+        dists, mults = frame.boundary_distances(base, dirs, multiplicity=True)
+        for d, t, m in zip(dirs, dists, mults):
+            if math.isinf(t):
+                assert m == 0
+                with pytest.raises(UnboundedRayError):
+                    frame.boundary_distance(base, d)
+            else:
+                assert m >= 1 and frame.boundary_distance(base, d) == t
+    # the piece of x^3 + y^3 is unbounded on one side: inf, no exception
+    assert list(np.isinf(make_chart(*cases[2]).boundary_distances([0.0], [[1.0], [-1.0]]))) == [False, True]
+
+
+def _first_positive_mp_zero(coeffs, dps=60):
+    """Smallest positive real zero of the polynomial with these (mpmath or
+    float) coefficients, lowest order first, by mpmath at ``dps`` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[::-1]], maxsteps=500, extraprec=4 * dps)
+        # a k-fold zero converges only to about 10^(-dps/k) off the axis
+        real = [float(r.real) for r in roots if abs(r.imag) < 1e-13 * max(1.0, abs(r))]
+    return min(r for r in real if r > 0.0)
+
+
+def _exact_restriction(poly, x, v, dps=60):
+    """Coefficients of t -> poly(x + t v) at ``dps`` digits, from the exact
+    binary values of x and v."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        total = [mpmath.mpf(0)] * (poly.degree + 1)
+        for exp, coeff in poly.terms.items():
+            factor = [mpmath.mpf(coeff)]
+            for xi, vi, e in zip(x, v, exp):
+                for _ in range(e):  # times (xi + t vi)
+                    grown = [mpmath.mpf(0)] * (len(factor) + 1)
+                    for j, a in enumerate(factor):
+                        grown[j] += a * mpmath.mpf(xi)
+                        grown[j + 1] += a * mpmath.mpf(vi)
+                    factor = grown
+            for j, a in enumerate(factor):
+                total[j] += a
+    return total
+
+
+def test_boundary_distances_match_mpmath_roots():
+    rng = np.random.default_rng(21)
+    # random binary and ternary quartics and cubics with a positive value at
+    # the seed; the oracle solves the restriction coefficients the code uses
+    checked = 0
+    while checked < 200:
+        dim = int(rng.integers(2, 4))
+        poly = HomogeneousPolynomial({tuple(e): rng.uniform(-1, 1) for e in _exponents(dim, 4)})
+        seed = rng.standard_normal(dim)
+        if poly(seed) <= 0.0:
+            continue
+        frame = make_chart(poly, seed)
+        dirs = rng.standard_normal((5, frame.chart_dim))
+        dists = frame.boundary_distances(np.zeros(frame.chart_dim), dirs)
+        for d, t in zip(dirs, dists):
+            if math.isfinite(t):
+                line = restrict_to_line(poly, frame.origin, frame.vectors(d)[0]).coefficients
+                assert abs(t - _first_positive_mp_zero(line)) <= 1e-12 * t
+                checked += 1
+    # multiple zeros: rounding splits them in the rounded coefficients, so
+    # the oracle solves the exact restriction
+    for expr, seed in (("x^2*y*z", [1.0, 1.0, 1.0]), ("x^6 + x^4*y^2", [1.0, 0.5])):
+        poly = HomogeneousPolynomial.parse(expr)
+        frame = make_chart(poly, seed)
+        dirs = rng.standard_normal((30, frame.chart_dim))
+        dists, mults = frame.boundary_distances(np.zeros(frame.chart_dim), dirs, multiplicity=True)
+        assert mults.max() >= 2
+        for d, t in zip(dirs, dists):
+            if math.isfinite(t):
+                exact = _exact_restriction(poly, frame.origin, frame.vectors(d)[0])
+                assert abs(t - _first_positive_mp_zero(exact)) <= 1e-12 * t
+    # the close zeros of the quartic in the test above: ill-conditioned, so
+    # against the rounded coefficients
+    quartic = HomogeneousPolynomial.parse(
+        "0.10337628258511589*x^4 - 0.04509952509953923*x^3*y - 0.25662316401314644*x^2*y^2"
+        " + 0.09368762618554319*x*y^3 + 0.028107554221014054*y^4"
+    )
+    frame = make_chart(quartic, [-0.4029772338434734, 2.037614522295843])
+    t = frame.boundary_distance([0.0], [1.0])
+    line = restrict_to_line(quartic, frame.origin, frame.basis[0]).coefficients
+    assert abs(t - _first_positive_mp_zero(line)) <= 1e-12 * t
+
+
+def _exponents(dim, degree):
+    import itertools
+
+    out = set()
+    for combo in itertools.combinations_with_replacement(range(dim), degree):
+        e = [0] * dim
+        for i in combo:
+            e[i] += 1
+        out.add(tuple(e))
+    return sorted(out)
+
+
+def test_boundary_distances_of_a_map():
+    _, frame = analytic_example(2.0)
+    dists = frame.boundary_distances([0.0], [[1.0], [-1.0]])
+    assert abs(dists[0] - 0.5) < 1e-12 and dists[1] == frame.boundary_distance([0.0], [-1.0])

@@ -122,6 +122,19 @@ def test_analyze_degenerate_initial_direction_exits_one(capsys):
     assert capsys.readouterr().err == "error: metric degenerate along the initial direction\n"
 
 
+@pytest.mark.parametrize(
+    "poly, seed",
+    [("x^2*y+y^2*z+z^2*x", "1,1,1"), ("x^3+y^3+z^3", "1,0,0")],
+)
+def test_analyze_zero_metric_at_the_seed_exits_one(capsys, poly, seed):
+    # the metric vanishes at the seed (exactly, or up to rounding), so the
+    # witness geodesic cannot start there
+    assert run_cli(["analyze", "--poly", poly, "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: metric degenerate along the initial direction\n"
+    assert "Singular matrix" not in err
+
+
 def test_analyze_negative_seed_forms_agree(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["analyze", "--poly", "x^2*y", "--samples", "150"]
@@ -149,14 +162,16 @@ def test_nonclosed_curve_plot_exits_one(tmp_path, capsys, args):
 
 
 def _count_rays(monkeypatch):
+    # every ray solve, one ray or many, goes through boundary_distances
     rays = []
-    solve = ChartFrame.boundary_distance
+    solve = ChartFrame.boundary_distances
 
-    def counted(self, coords, direction, *args, **kwargs):
-        rays.append((id(self), tuple(np.ravel(coords)), tuple(np.ravel(direction))))
-        return solve(self, coords, direction, *args, **kwargs)
+    def counted(self, coords, directions, *args, **kwargs):
+        for direction in np.atleast_2d(directions):
+            rays.append((id(self), tuple(np.ravel(coords)), tuple(direction)))
+        return solve(self, coords, directions, *args, **kwargs)
 
-    monkeypatch.setattr(ChartFrame, "boundary_distance", counted)
+    monkeypatch.setattr(ChartFrame, "boundary_distances", counted)
     return rays
 
 
@@ -192,8 +207,13 @@ def test_report_boundary_block_is_the_regularity_report(config):
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # scipy.integrate (which loads scipy.optimize) and scipy.stats load only
+    # where a quadrature or a Halton direction set is needed
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, centroaffine.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, centroaffine.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -201,7 +221,7 @@ def test_import_leaves_scipy_stats_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_halton_directions_unchanged():

@@ -14,7 +14,13 @@ from centroaffine import (
     restrict_to_line,
 )
 from centroaffine.catalog import analytic_map
-from centroaffine.homogeneous import univariate_zeros
+from centroaffine.homogeneous import (
+    _fma,
+    line_coefficients,
+    polyval_rows,
+    univariate_zeros,
+    univariate_zeros_rows,
+)
 
 from conftest import fd_gradient, fd_hessian, fd_third
 
@@ -305,6 +311,63 @@ def test_univariate_zeros_handles_touch_roots():
     zeros = univariate_zeros(coeffs)
     assert np.allclose(sorted(zeros), [-1.0, 1.0], atol=1e-6)
     assert len(univariate_zeros([1.0, 0.0, 1.0])) == 0  # t^2 + 1
+
+
+def _random_polynomial(rng, dim, degree):
+    import itertools
+
+    terms = {}
+    for combo in itertools.combinations_with_replacement(range(dim), degree):
+        exp = [0] * dim
+        for i in combo:
+            exp[i] += 1
+        terms[tuple(exp)] = rng.uniform(-1.0, 1.0)
+    return HomogeneousPolynomial(terms)
+
+
+def test_batched_rows_equal_one_row_calls():
+    rng = np.random.default_rng(11)
+    polys = [HomogeneousPolynomial.parse(e) for e in ("x^2*y*z", "x^6 + x^4*y^2", "x*y*z*w")]
+    polys += [_random_polynomial(rng, d, k) for d in (2, 3, 4) for k in (2, 3, 4)]
+    for poly in polys:
+        x = rng.standard_normal(poly.dimension)
+        rows = rng.standard_normal((40, poly.dimension))
+        rows[0] = 0.0
+        rows[0, 0] = 1.0  # an axis direction: many exact zeros
+        block = line_coefficients(poly, x, rows)
+        zeros = univariate_zeros_rows(block)
+        for i, v in enumerate(rows):
+            one = restrict_to_line(poly, x, v).coefficients
+            assert np.array_equal(block[i], one)
+            assert np.array_equal(zeros[i][~np.isnan(zeros[i])], univariate_zeros(one))
+
+
+def test_row_evaluations():
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal((30, 5))
+    t = rng.uniform(-3.0, 3.0, (30, 4))
+    pv = np.polynomial.polynomial.polyval
+    expected = np.array([pv(t[i], coeffs[i]) for i in range(30)])
+    assert np.array_equal(polyval_rows(coeffs, t), expected)
+    assert np.array_equal(polyval_rows(coeffs, t[:, 0]), expected[:, 0])
+    # (t - 1)^4 just off its root: Horner's rule returns rounding noise,
+    # the compensated evaluation the rounded value of the exact one
+    c = np.array([[1.0, -4.0, 6.0, -4.0, 1.0]])
+    at = np.array([1.0 + 2.0**-12])
+    assert polyval_rows(c, at, compensated=True)[0] == 2.0**-48
+
+
+def test_fma_rounds_once():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(300) * np.exp2(rng.integers(-30, 30, 300))
+    b = rng.standard_normal(300)
+    c = -a * b * (1.0 + rng.standard_normal(300) * np.exp2(rng.integers(-52, 0, 300)))
+    got = _fma(a, b, c)
+    for i in range(300):
+        exact = Fraction(float(a[i])) * Fraction(float(b[i])) + Fraction(float(c[i]))
+        assert got[i] == float(exact)
 
 
 def test_map_domain_enforced():
