@@ -3,14 +3,14 @@ and the genericity perturbation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sampling
-from .chart import ChartFrame, make_chart, tangent_basis_at
+from .chart import ChartFrame, dot_rows, make_chart, tangent_bases
 from .errors import DegenerateFrameError, UnboundedRayError
-from .forms import SymmetricForm
+from .forms import eigen_counts, restrict_rows, signature_rows
 from .homogeneous import HomogeneousPolynomial
 
 
@@ -19,7 +19,6 @@ class BoundaryPoint:
     """First zero of the function along a chart ray, normalized to |x| = 1."""
 
     point: np.ndarray
-    origin_coords: np.ndarray
     direction: np.ndarray
     ray_distance: float
     gradient: np.ndarray
@@ -39,16 +38,7 @@ class RegularityEntry:
     regular: bool
 
     def to_json(self) -> dict:
-        return {
-            "point": self.point,
-            "condition_i": self.condition_i,
-            "gradient_norm": self.gradient_norm,
-            "condition_ii": self.condition_ii,
-            "boundary_tangent_dim": self.boundary_tangent_dim,
-            "psd": self.psd,
-            "kernel_dim": self.kernel_dim,
-            "regular": self.regular,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -92,83 +82,106 @@ def boundary_scan(
         n = count if count is not None else default_direction_count(frame.chart_dim)
         directions = sampling.unit_directions(frame.chart_dim, n, seed)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    origin = np.zeros(frame.chart_dim)
-    dists, mults = frame.boundary_distances(origin, directions, multiplicity=True)
-    out = []
-    for d, t, mult in zip(directions, dists.tolist(), mults.tolist()):
-        if t == np.inf:
-            if not unbounded_ok:
-                raise UnboundedRayError(origin, d, frame.ray_limit)
-            out.append(None)
-            continue
-        x = frame.point(t * d)
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise DegenerateFrameError("boundary ray passes through the origin")
-        x_unit = x / norm
-        out.append(BoundaryPoint(x_unit, origin, d, t, frame.func.gradient(x_unit), frame.func(x_unit), mult))
+    dists, mults, points = _scan_rows(frame, directions, unbounded_ok)
+    jets = zip(points, frame.func.derivative_rows(points, 1), frame.func.derivative_rows(points, 0).tolist())
+    out = [None] * len(directions)
+    for i, (x, grad, hval) in zip(np.flatnonzero(np.isfinite(dists)), jets):
+        out[i] = BoundaryPoint(x, directions[i], float(dists[i]), grad, hval, int(mults[i]))
     return out
 
 
+def _scan_rows(frame: ChartFrame, directions, unbounded_ok: bool):
+    """Distances and multiplicities of the first zeros along the chart rays
+    (inf and 0 on unbounded rays), and the unit boundary points of the
+    bounded rays, each row rounded as :meth:`ChartFrame.point` rounds it."""
+    origin = np.zeros(frame.chart_dim)
+    dists, mults = frame.boundary_distances(origin, directions, multiplicity=True)
+    bounded = np.isfinite(dists)
+    if not (unbounded_ok or bounded.all()):
+        raise UnboundedRayError(origin, directions[np.argmin(bounded)], frame.ray_limit)
+    x = frame.origin + np.matmul((dists[bounded, None] * directions[bounded])[:, None, :], frame.basis)[:, 0]
+    norm = np.sqrt(dot_rows(x, x))
+    if (norm == 0.0).any():
+        raise DegenerateFrameError("boundary ray passes through the origin")
+    return dists, mults, x / norm[:, None]
+
+
 def _gradient_scale(frame: ChartFrame) -> float:
-    p = frame.origin / np.linalg.norm(frame.origin)
-    return max(1.0, float(np.linalg.norm(frame.func.gradient(p))))
+    # |grad h| at the unit point of the origin ray; nonzero, as h(origin) > 0
+    return float(np.linalg.norm(frame.func.gradient(frame.origin / np.linalg.norm(frame.origin))))
 
 
-def _boundary_tangent_bases(frame: ChartFrame, bp: BoundaryPoint):
-    """Bases of the full boundary tangent space (kernel of the differential)
-    and of its intersection with the slice directions."""
-    full = tangent_basis_at(frame.func, bp.point)
-    # kernel restricted to slice directions: solve (grad . basis^T) a = 0
-    row = frame.basis @ bp.gradient
-    n = frame.chart_dim
-    if n == 1:
-        slice_vecs = np.zeros((0, frame.dimension))
-    else:
-        _, _, vt = np.linalg.svd(row.reshape(1, n))
-        null = vt[1:]  # (n-1, n) coefficient-space kernel
-        slice_vecs = null @ frame.basis
-    return full, slice_vecs
+def _boundary_tangent_bases(frame: ChartFrame, grads):
+    """Bases of the full boundary tangent spaces (kernels of the nonzero
+    differentials ``grads``: (m, d-1, d)) and of their intersections with
+    the slice directions ((m, n-1, d))."""
+    full = tangent_bases(grads)
+    if frame.chart_dim == 1:
+        return full, np.zeros((len(grads), 0, frame.dimension))
+    # kernel restricted to slice directions: the null space of grad . basis^T
+    row = np.matmul(frame.basis, grads[:, :, None])  # (m, n, 1)
+    null = np.linalg.svd(np.swapaxes(row, 1, 2))[2][:, 1:]  # (m, n-1, n)
+    return full, null @ frame.basis
+
+
+def _boundary_rows(frame: ChartFrame, points, grads, floor: float, tol=1e-6, lorentz_tol=1e-9):
+    """Regularity and Lorentz extension at boundary points (the rows of
+    ``points``, with gradients ``grads``), all rows in one stacked pass.
+
+    (i) the differential does not vanish: its norm exceeds ``floor``; (ii)
+    minus the Hessian is positive definite on the boundary tangent directions
+    inside the slice (equivalent to positive semidefiniteness with
+    one-dimensional kernel on the full boundary tangent space, the kernel
+    being the ray direction).  An eigenvalue counts as zero within tol of
+    its restricted form's size (:meth:`SymmetricForm.signature`).  The
+    extension is the Gram data of minus the Hessian in the adapted frame
+    (gradient, ray direction, slice tangents orthonormalized for the slice
+    block); negative determinant and signature (d-1, 1, 0) certify it.
+    Returns the entries and the Gram matrices, determinants and signatures,
+    the determinant nan where (i) fails or the slice block is not positive
+    definite at max(lorentz_tol, 1e-9) or has no Cholesky factor.
+    """
+    k, gnorm = frame.chart_dim - 1, np.sqrt(dot_rows(grads, grads))
+    rows = np.flatnonzero(gnorm > floor)
+    beta = -frame.func.derivative_rows(points[rows], 2)
+    beta = 0.5 * (beta + np.swapaxes(beta, 1, 2))
+    full, slice_vecs = _boundary_tangent_bases(frame, grads[rows])
+    block = restrict_rows(beta, slice_vecs)
+    eigs, scale = np.linalg.eigvalsh(block), np.abs(block).max(axis=(1, 2), initial=0.0)
+    cond_ii = eigen_counts(eigs, scale, tol)[:, 0] == k
+    psd = signature_rows(restrict_rows(beta, full), tol)
+    ok = eigen_counts(eigs, scale, max(lorentz_tol, 1e-9))[:, 0] == k
+    chol = _cholesky_rows(block[ok])
+    factored = ~np.isnan(chol).any(axis=(1, 2))
+    ok[ok] = factored
+    ext = rows[ok]  # the points whose extension is defined
+    ortho = np.linalg.solve(chol[factored], slice_vecs[ok])
+    adapted = np.concatenate([grads[ext, None], points[ext, None], ortho], axis=1)
+    gram = np.full((len(points),) + beta.shape[1:], np.nan)
+    gram[ext] = adapted @ beta[ok] @ np.swapaxes(adapted, 1, 2)
+    sym = 0.5 * (gram[ext] + np.swapaxes(gram[ext], 1, 2))
+    det, signature = np.full(len(points), np.nan), np.zeros((len(points), 3), dtype=int)
+    det[ext], signature[ext] = np.linalg.det(sym), signature_rows(sym, max(lorentz_tol, 1e-12))
+    points, gnorm = points.tolist(), gnorm.tolist()
+    entries = [RegularityEntry(x, False, g, None, None, None, None, False) for x, g in zip(points, gnorm)]
+    for i, ii, (_, n_neg, n_zero) in zip(rows.tolist(), cond_ii.tolist(), psd.tolist()):
+        entries[i] = RegularityEntry(points[i], True, gnorm[i], ii, k, n_neg == 0, n_zero, ii)
+    return entries, gram, det, signature
+
+
+def _cholesky_rows(mats) -> np.ndarray:
+    """Cholesky factors of a stack of matrices; nan where one has none."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:  # the stack fails as a whole: factor row by row
+        return np.concatenate([_cholesky_rows(m[None]) for m in mats]) if len(mats) > 1 else mats * np.nan
 
 
 def regular_boundary_check(frame: ChartFrame, bp: BoundaryPoint, tol: float = 1e-6) -> RegularityEntry:
-    """Check the two regularity conditions at one boundary point.
-
-    (i) the differential does not vanish; (ii) minus the Hessian is positive
-    definite on the boundary tangent directions inside the slice (equivalent
-    to positive semidefiniteness with one-dimensional kernel on the full
-    boundary tangent space, the kernel being the ray direction).
-    """
-    gnorm = float(np.linalg.norm(bp.gradient))
-    cond_i = gnorm > tol * _gradient_scale(frame)
-    if not cond_i:
-        return RegularityEntry(
-            point=bp.point.tolist(),
-            condition_i=False,
-            gradient_norm=gnorm,
-            condition_ii=None,
-            boundary_tangent_dim=None,
-            psd=None,
-            kernel_dim=None,
-            regular=False,
-        )
-    full, slice_vecs = _boundary_tangent_bases(frame, bp)
-    beta = SymmetricForm(-frame.func.hessian(bp.point))
-    if len(slice_vecs):
-        cond_ii = beta.restrict(slice_vecs).is_definite(1, tol)
-    else:
-        cond_ii = True  # zero-dimensional boundary tangent inside the slice
-    psd, kernel_dim = beta.restrict(full).psd_with_kernel_dim(tol) if len(full) else (True, 0)
-    return RegularityEntry(
-        point=bp.point.tolist(),
-        condition_i=True,
-        gradient_norm=gnorm,
-        condition_ii=cond_ii,
-        boundary_tangent_dim=len(slice_vecs),
-        psd=psd,
-        kernel_dim=kernel_dim,
-        regular=cond_ii,
-    )
+    """Check the two regularity conditions at one boundary point, condition
+    (i) relative to |grad h| at the unit point of the origin ray, so that it
+    scales with h: one row of :func:`_boundary_rows`."""
+    return _boundary_rows(frame, bp.point[None], bp.gradient[None], tol * _gradient_scale(frame), tol)[0][0]
 
 
 @dataclass(frozen=True)
@@ -185,25 +198,14 @@ class LorentzExtension:
 def lorentz_extension_check(frame: ChartFrame, bp: BoundaryPoint, tol: float = 1e-9) -> LorentzExtension:
     """Gram data of minus the Hessian in the adapted boundary frame
     (gradient, ray direction, boundary tangents); negative determinant and
-    signature (d-1, 1, 0) certify the Lorentzian extension across the boundary."""
-    gnorm = np.linalg.norm(bp.gradient)
-    if gnorm == 0.0:
+    signature (d-1, 1, 0) certify the Lorentzian extension across the
+    boundary.  One row of :func:`_boundary_rows`."""
+    if np.linalg.norm(bp.gradient) <= 1e-12:  # the floor of tangent_basis_at
         raise DegenerateFrameError("adapted frame undefined where the gradient vanishes")
-    beta = SymmetricForm(-frame.func.hessian(bp.point))
-    _, slice_vecs = _boundary_tangent_bases(frame, bp)
-    adapted = [bp.gradient, bp.point]
-    if len(slice_vecs):
-        restricted = beta.restrict(slice_vecs)
-        if not restricted.is_definite(1, max(tol, 1e-9)):
-            raise DegenerateFrameError("boundary tangent block is not positive definite")
-        # orthonormalize the boundary tangents for the inner block
-        chol = np.linalg.cholesky(restricted.matrix)
-        ortho = np.linalg.solve(chol, slice_vecs)
-        adapted.extend(ortho)
-    gram = np.array([[beta.value(u, v) for v in adapted] for u in adapted])
-    form = SymmetricForm(gram)
-    sig = form.signature(max(tol, 1e-12))
-    return LorentzExtension(gram=gram, determinant=form.det(), signature=(sig.n_pos, sig.n_neg, sig.n_zero))
+    _, gram, det, signature = _boundary_rows(frame, bp.point[None], bp.gradient[None], 1e-12, lorentz_tol=tol)
+    if np.isnan(det[0]):
+        raise DegenerateFrameError("boundary tangent block is not positive definite")
+    return LorentzExtension(gram=gram[0], determinant=float(det[0]), signature=tuple(signature[0].tolist()))
 
 
 def regularity_report(
@@ -212,32 +214,21 @@ def regularity_report(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> RegularityReport:
-    """Scan the boundary and aggregate the per-point regularity checks."""
+    """Scan the boundary and check :func:`regular_boundary_check` and, where
+    both conditions hold, :func:`lorentz_extension_check` (nan where it
+    raises) at every scanned point, in one stacked pass."""
     n = count if count is not None else default_direction_count(frame.chart_dim)
     directions = sampling.unit_directions(frame.chart_dim, n, seed)
-    points = boundary_scan(frame, directions=directions, unbounded_ok=True)
-    entries = []
-    failures = []
-    determinants = []
-    for d, bp in zip(directions, points):
-        if bp is None:
-            failures.append({"direction": d.tolist(), "radius": frame.ray_limit})
-            continue
-        entry = regular_boundary_check(frame, bp, tol=tol)
-        entries.append(entry)
-        if entry.condition_i and entry.condition_ii:
-            try:
-                ext = lorentz_extension_check(frame, bp)
-                determinants.append(ext.determinant)
-            except DegenerateFrameError:
-                determinants.append(float("nan"))
-    regular = bool(entries) and all(e.regular for e in entries) and not failures
+    dists, mults, points = _scan_rows(frame, directions, unbounded_ok=True)
+    grads = frame.func.derivative_rows(points, 1)
+    entries, _, det, _ = _boundary_rows(frame, points, grads, tol * _gradient_scale(frame), tol)
+    failures = [{"direction": d.tolist(), "radius": frame.ray_limit} for d in directions[np.isinf(dists)]]
     return RegularityReport(
         entries=entries,
-        regular=regular,
+        regular=bool(entries) and all(e.regular for e in entries) and not failures,
         closedness_failures=failures,
-        lorentz_determinants=determinants,
-        multiple_zero_rays=sum(1 for bp in points if bp is not None and bp.multiplicity >= 2),
+        lorentz_determinants=det[[e.regular for e in entries]].tolist(),
+        multiple_zero_rays=int(np.sum(mults >= 2)),
     )
 
 

@@ -126,30 +126,41 @@ def radial_projection(func, x) -> np.ndarray:
 
 
 def tangent_basis_at(func, q, tol: float = 1e-12) -> np.ndarray:
-    """Deterministic orthonormal basis of ker(dh) at q, built by Gram-Schmidt
-    of the standard basis against the Euclidean gradient."""
+    """Deterministic orthonormal basis of ker(dh) at q: one row of
+    :func:`tangent_bases`."""
     q = np.asarray(q, dtype=float)
     grad = func.gradient(q)
     gnorm = np.linalg.norm(grad)
     if gnorm <= tol:
         raise DegenerateFrameError(f"gradient vanishes at {q.tolist()}")
-    unit_normal = grad / gnorm
-    dim = q.size
-    basis = []
+    return tangent_bases(grad[None])[0]
+
+
+def dot_rows(a, b) -> np.ndarray:
+    """Row-wise dot products, each rounded as the one-row ``a @ b`` is."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def tangent_bases(grads) -> np.ndarray:
+    """Orthonormal bases (m, d-1, d) of the kernels of the nonzero rows of
+    ``grads``, each by Gram-Schmidt of the standard basis against the unit
+    normal, in order, skipping a vector whose residual norm is at most 1e-8."""
+    m, dim = grads.shape
+    normals, eye = grads / np.sqrt(dot_rows(grads, grads))[:, None], np.eye(dim)
+    out = np.zeros((m, dim - 1, dim))
+    count = np.zeros(m, dtype=int)
     for i in range(dim):
-        v = np.zeros(dim)
-        v[i] = 1.0
-        v = v - (v @ unit_normal) * unit_normal
-        for b in basis:
-            v = v - (v @ b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == dim - 1:
-            break
-    if len(basis) != dim - 1:
+        # e_i . n is n_i exactly; v has no -0 entry, so a slot not yet filled subtracts nothing
+        v = eye[i] - normals[:, i : i + 1] * normals
+        for b in out.transpose(1, 0, 2)[:i]:  # the accepted vectors, in order
+            v = v - dot_rows(v, b)[:, None] * b
+        norm = np.sqrt(dot_rows(v, v))
+        take = (norm > 1e-8) & (count < dim - 1)
+        out[take, count[take]] = v[take] / norm[take, None]
+        count += take
+    if (count != dim - 1).any():
         raise DegenerateFrameError("could not complete a tangent basis")
-    return np.array(basis)
+    return out
 
 
 class ChartFrame:
@@ -536,12 +547,13 @@ def classify(
     witnesses for the disagreeing samples).
     """
     coords = frame.sample_coords(sample_size, max_frac=0.8, seed=seed)
+    points = np.array([frame.embed(c) for c in coords]).reshape(len(coords), frame.dimension)
+    bases = tangent_bases(frame.func.derivative_rows(points, 1))  # tangent_basis_at of every point
     counts = {"hyperbolic": 0, "elliptic": 0, "indefinite": 0}
     witnesses = []
     first_of: dict = {}
-    for c in coords:
-        q = frame.embed(c)
-        form, _ = centroaffine_metric_ambient(frame.func, q)
+    for c, q, basis in zip(coords, points, bases):
+        form, _ = centroaffine_metric_ambient(frame.func, q, basis)
         if form.is_definite(1, tol):
             kind = "hyperbolic"
         elif form.is_definite(-1, tol):

@@ -60,12 +60,7 @@ class SymmetricForm:
         """Count eigenvalues, treating |lam| <= tol * max(1, scale) as zero."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        cut = tol * max(1.0, self.scale)
-        eigs = self.eigenvalues()
-        n_zero = int(np.sum(np.abs(eigs) <= cut))
-        n_pos = int(np.sum(eigs > cut))
-        n_neg = int(np.sum(eigs < -cut))
-        return Signature(n_pos, n_neg, n_zero, tol)
+        return Signature(*eigen_counts(self.eigenvalues(), self.scale, tol).tolist(), tol)
 
     def is_definite(self, sign: int, tol: float = DEFAULT_ZERO_TOL) -> bool:
         """True iff the form is positive (sign=+1) or negative (sign=-1) definite.
@@ -97,10 +92,31 @@ class SymmetricForm:
             raise ValueError(
                 f"basis vectors live in R^{vecs.shape[1]}, form in R^{self.dimension}"
             )
-        svals = np.linalg.svd(vecs, compute_uv=False)
-        if svals.size and svals.min() <= tol * max(1.0, svals.max()):
-            raise DegenerateFrameError("restriction basis is rank deficient")
-        return SymmetricForm(vecs @ self.matrix @ vecs.T)
+        return SymmetricForm(restrict_rows(self.matrix[None], vecs[None], tol)[0])
 
     def __repr__(self):
         return f"SymmetricForm({self.matrix.tolist()})"
+
+
+def restrict_rows(matrices, bases, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """:meth:`SymmetricForm.restrict` (with its rank check) for a stack of
+    forms (r, d, d) and of bases (r, m, d); the results are symmetrized."""
+    svals = np.linalg.svd(bases, compute_uv=False)
+    if svals.size and (svals.min(-1) <= tol * np.maximum(1.0, svals.max(-1))).any():
+        raise DegenerateFrameError("restriction basis is rank deficient")
+    gram = bases @ matrices @ np.swapaxes(bases, -1, -2)
+    return 0.5 * (gram + np.swapaxes(gram, -1, -2))
+
+
+def signature_rows(matrices, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """(n_pos, n_neg, n_zero), as in :meth:`SymmetricForm.signature`, of each
+    symmetric matrix of a stack: an (r, 3) array."""
+    scale = np.abs(matrices).max(axis=(-2, -1), initial=0.0)
+    return eigen_counts(np.linalg.eigvalsh(matrices), scale, tol)
+
+
+def eigen_counts(eigs, scale, tol: float) -> np.ndarray:
+    """(n_pos, n_neg, n_zero) along the last axis of ``eigs``, an eigenvalue
+    with |lam| <= tol * max(1, scale) counting as zero."""
+    cut = (tol * np.maximum(1.0, scale))[..., None]
+    return np.stack([(eigs > cut).sum(-1), (eigs < -cut).sum(-1), (np.abs(eigs) <= cut).sum(-1)], -1)

@@ -157,6 +157,22 @@ class HomogeneousPolynomial:
         out = np.bincount(slots, weights=vals, minlength=size)
         return out.reshape((self.dimension,) * order)
 
+    def derivative_rows(self, points, order: int) -> np.ndarray:
+        """Value (order 0) or derivative tensor at each row of ``points``, in
+        one evaluation; a derivative row rounds as the one-point call does."""
+        exps, coeffs, slots = self._table(order)
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        # x_j^0..x_j^max by pow over an exponent array, as the one-point call (numpy squares a lone 2)
+        powers = [x[:, j : j + 1] ** np.arange(exps[:, j].max(initial=0) + 1) for j in range(self.dimension)]
+        out = np.zeros((len(x), self.dimension**order))
+        step = max(1, 2**14 // max(1, len(x)))  # table rows per block, bounding the scratch arrays
+        for rows in (slice(i, i + step) for i in range(0, len(coeffs), step)):
+            vals = np.repeat(coeffs[None, rows], len(x), axis=0)
+            for j, power in enumerate(powers):
+                vals *= power[:, exps[rows, j]]
+            np.add.at(out, (slice(None), slots[rows]), vals)  # in table order, as bincount sums
+        return out.reshape((len(x),) + (self.dimension,) * order)
+
     def _table(self, order: int):
         # rows: one per (term, ordered index sequence); symmetric slots appear
         # as separate identical rows, so the assembled tensor is exactly symmetric
@@ -433,6 +449,11 @@ class SmoothHomogeneousMap:
         if self._third is None:
             raise DomainError("this map does not supply third derivatives")
         return np.asarray(self._third(self._check(x)), dtype=float)
+
+    def derivative_rows(self, points, order: int) -> np.ndarray:
+        """Value (order 0), gradient or Hessian at each row of ``points``."""
+        jet = (self, self.gradient, self.hessian)[order]
+        return np.array([jet(x) for x in points], dtype=float).reshape((len(points),) + (self.dimension,) * order)
 
     def __repr__(self):
         tag = self.name or "anonymous"

@@ -102,6 +102,34 @@ def random_hyperbolic_cubics(count=20, seed=20260809, max_dim=4):
     return out
 
 
+# (expression, seed point, status, route) of the seven fixture polynomials
+FIXTURES = (
+    ("x^3 - x*y^2", (1.0, 0.0), "complete", "cubic-criterion"),
+    ("x^2*y", (1.0, 1.0), "complete", "cubic-criterion"),
+    ("x*y*z", (1.0, 1.0, 1.0), "complete", "cubic-criterion"),
+    ("x^3*y", (1.0, 1.0), "complete", "n1-monomial"),
+    ("x^2*y^2", (1.0, 1.0), "complete", "n1-monomial"),
+    ("x*y*z*w", (1.0, 1.0, 1.0, 1.0), "numerically-certified", "concavity(0.5)"),
+    ("x^2*y*z", (1.0, 1.0, 1.0), "numerically-certified", "concavity(0.5)"),
+)
+
+
+def linear_copies(poly, point, rng, count=2):
+    """Pairs (q, y0) with q(y) = poly(A y) and y0 = A^-1 point for random
+    well-conditioned A: the same hypersurface piece in other coordinates."""
+    out = []
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((poly.dimension, poly.dimension)))
+        a = q @ np.diag(rng.uniform(0.6, 1.6, poly.dimension))
+        out.append((poly.compose_linear(a), np.linalg.solve(a, point)))
+    return out
+
+
+def scaled(poly, lam):
+    """lam * poly, whose level sets are those of poly."""
+    return HomogeneousPolynomial({e: lam * c for e, c in poly.terms.items()})
+
+
 @pytest.fixture(scope="session")
 def catalog_frames():
     from centroaffine import catalog

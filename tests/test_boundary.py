@@ -14,6 +14,9 @@ from centroaffine import (
     regular_boundary_check,
     regularity_report,
 )
+from centroaffine.boundary import _boundary_rows, _cholesky_rows, _gradient_scale
+from centroaffine.cli import _boundary_block
+from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
 MONOMIAL = HomogeneousPolynomial.parse("x^2*y")
@@ -124,7 +127,7 @@ def test_boundary_contraction_identities_quadric_cone():
         beta = SymmetricForm(-quadric.hessian(bp.point))
         scale = max(1.0, beta.scale)
         assert abs(beta.value(bp.point, bp.point)) <= 1e-8 * scale
-        _, slice_vecs = _boundary_tangent_bases(frame, bp)
+        _, (slice_vecs,) = _boundary_tangent_bases(frame, bp.gradient[None])
         assert len(slice_vecs) == 1
         for y in slice_vecs:
             assert abs(beta.value(bp.point, y)) <= 1e-8 * scale
@@ -165,6 +168,62 @@ def test_regularity_report_counts_multiple_zero_rays():
     assert 0 < report.multiple_zero_rays < 100
     assert report.to_json()["multiple_zero_rays"] == report.multiple_zero_rays
     assert regularity_report(make_chart(CURVE, [1.0, 0.0])).multiple_zero_rays == 0
+
+
+@pytest.mark.parametrize("expr, seed", [f[:2] for f in FIXTURES], ids=[f[0] for f in FIXTURES])
+def test_regularity_report_is_invariant_under_scaling(expr, seed):
+    # lambda * h has the level sets of h: no decision may depend on lambda
+    def summary(poly):
+        report = regularity_report(make_chart(poly, seed))
+        block = _boundary_block(report)
+        kernels = [e.kernel_dim for e in report.entries]
+        return report.regular, block["condition_i_failures"], block["condition_ii_failures"], kernels
+
+    poly = HomogeneousPolynomial.parse(expr)
+    expected = summary(poly)
+    for lam in (1e-3, 0.02, 37.5, 1e3):
+        assert summary(scaled(poly, lam)) == expected, lam
+
+
+def test_regularity_rows_equal_one_row_checks(catalog_frames):
+    # the stacked pass gives at every scanned point what the one-point
+    # wrappers give there; the random cubics have regular boundaries
+    frames = [frame for _, frame in catalog_frames.values()]
+    frames += [frame for _, frame in random_hyperbolic_cubics(count=3, seed=1)]
+    rng = np.random.default_rng(29)
+    for expr, seed, *_ in FIXTURES:
+        poly = HomogeneousPolynomial.parse(expr)
+        frames += [make_chart(q, y0) for q, y0 in linear_copies(poly, seed, rng)]
+    checked = 0
+    for frame in frames:
+        points = [bp for bp in boundary_scan(frame, unbounded_ok=True) if bp is not None]
+        rows = np.array([bp.point for bp in points])
+        grads = np.array([bp.gradient for bp in points])
+        entries, grams, dets, signatures = _boundary_rows(frame, rows, grads, 1e-6 * _gradient_scale(frame))
+        assert entries == [regular_boundary_check(frame, bp) for bp in points]
+        assert entries == regularity_report(frame).entries
+        for entry, bp, gram, det, signature in zip(entries, points, grams, dets, signatures):
+            if not entry.condition_i:
+                continue
+            if np.isnan(det):
+                with pytest.raises(DegenerateFrameError):
+                    lorentz_extension_check(frame, bp)
+                continue
+            ext = lorentz_extension_check(frame, bp)
+            assert abs(ext.determinant - det) <= 1e-12 * abs(det)
+            assert ext.signature == tuple(signature)
+            assert np.array_equal(ext.gram, gram)
+            checked += 1
+    assert checked > 1000  # Lorentz extensions compared
+
+
+def test_cholesky_rows_mark_the_rows_without_a_factor():
+    # numpy rejects a whole stack for one indefinite matrix; that row alone is nan
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [[4.0, 2.0], [2.0, 3.0]]])
+    chol = _cholesky_rows(stack)
+    assert np.isnan(chol[1]).all()
+    for i in (0, 2):
+        assert np.array_equal(chol[i], np.linalg.cholesky(stack[i]))
 
 
 def test_boundary_scan_marks_unbounded_rays_when_asked():

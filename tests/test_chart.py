@@ -22,7 +22,7 @@ from centroaffine import (
     slice_chart,
 )
 from centroaffine.catalog import analytic_example, analytic_map
-from centroaffine.chart import chart_metric_with_derivative
+from centroaffine.chart import chart_metric_with_derivative, tangent_bases
 from centroaffine.homogeneous import restrict_to_line
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -432,3 +432,34 @@ def test_boundary_distances_of_a_map():
     _, frame = analytic_example(2.0)
     dists = frame.boundary_distances([0.0], [[1.0], [-1.0]])
     assert abs(dists[0] - 0.5) < 1e-12 and dists[1] == frame.boundary_distance([0.0], [-1.0])
+
+
+def _gram_schmidt_loop(grad):
+    # the one-point Gram-Schmidt that tangent_bases reproduces row by row
+    unit_normal = grad / np.linalg.norm(grad)
+    basis = []
+    for i in range(grad.size):
+        v = np.zeros(grad.size)
+        v[i] = 1.0
+        v = v - (v @ unit_normal) * unit_normal
+        for b in basis:
+            v = v - (v @ b) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            basis.append(v / norm)
+        if len(basis) == grad.size - 1:
+            break
+    return np.array(basis)
+
+
+def test_tangent_bases_round_as_the_one_point_loop():
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 4, 5):
+        grads = rng.standard_normal((400, d))
+        grads[::7, rng.integers(d)] = 0.0
+        grads[1::7, rng.integers(d)] = 1e-9
+        grads[2::7] = 0.0
+        grads[2::7, d - 1] = -2.0  # a skipped standard vector
+        rows = tangent_bases(grads)
+        for g, basis in zip(grads, rows):
+            assert basis.tobytes() == _gram_schmidt_loop(g).tobytes()

@@ -19,6 +19,7 @@ from centroaffine import (
 from centroaffine import completeness
 from centroaffine.catalog import analytic_example, nonclosed_example
 from centroaffine.completeness import monomial_face_check
+from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
 MONOMIAL = HomogeneousPolynomial.parse("x^2*y")
@@ -520,31 +521,22 @@ def test_surface_witness_reports_integrator_health(monkeypatch):
 
 # -- invariance of the verdict -------------------------------------------------------
 
-# (expression, seed point, status, route) of the seven fixture polynomials
-_FIXTURES = (
-    ("x^3 - x*y^2", (1.0, 0.0), "complete", "cubic-criterion"),
-    ("x^2*y", (1.0, 1.0), "complete", "cubic-criterion"),
-    ("x*y*z", (1.0, 1.0, 1.0), "complete", "cubic-criterion"),
-    ("x^3*y", (1.0, 1.0), "complete", "n1-monomial"),
-    ("x^2*y^2", (1.0, 1.0), "complete", "n1-monomial"),
-    ("x*y*z*w", (1.0, 1.0, 1.0, 1.0), "numerically-certified", "concavity(0.5)"),
-    ("x^2*y*z", (1.0, 1.0, 1.0), "numerically-certified", "concavity(0.5)"),
-)
 
-
-@pytest.mark.parametrize("expr, seed, status, route", _FIXTURES, ids=[f[0] for f in _FIXTURES])
+@pytest.mark.parametrize("expr, seed, status, route", FIXTURES, ids=[f[0] for f in FIXTURES])
 def test_verdict_is_invariant_under_linear_maps_and_scaling(expr, seed, status, route):
     # q(y) = p(A y) at y0 = A^-1 x0 is the same hypersurface piece, and so is
     # the level set of lambda * p
-    rng = np.random.default_rng(17)
     poly = HomogeneousPolynomial.parse(expr)
-    cases = [(poly, np.array(seed))]
-    for _ in range(2):
-        q, r = np.linalg.qr(rng.standard_normal((poly.dimension, poly.dimension)))
-        a = q @ np.diag(rng.uniform(0.6, 1.6, poly.dimension))
-        cases.append((poly.compose_linear(a), np.linalg.solve(a, seed)))
-    for lam in (0.02, 37.5):
-        cases.append((HomogeneousPolynomial({e: lam * c for e, c in poly.terms.items()}), np.array(seed)))
+    cases = [(poly, np.array(seed))] + linear_copies(poly, seed, np.random.default_rng(17))
+    cases += [(scaled(poly, lam), np.array(seed)) for lam in (0.02, 37.5)]
     for func, point in cases:
         verdict = completeness_verdict(make_chart(func, point))
         assert (verdict.status, verdict.route) == (status, route), func
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_hyperbolic_cubics_are_complete_by_the_cubic_criterion(seed):
+    # the paper's theorem for cubics: a closed hyperbolic component is complete
+    for poly, frame in random_hyperbolic_cubics(count=6, seed=seed):
+        verdict = completeness_verdict(frame)
+        assert (verdict.status, verdict.route) == ("complete", "cubic-criterion"), poly

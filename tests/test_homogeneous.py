@@ -342,6 +342,26 @@ def test_batched_rows_equal_one_row_calls():
             assert np.array_equal(zeros[i][~np.isnan(zeros[i])], univariate_zeros(one))
 
 
+def test_derivative_rows_round_as_one_point_calls():
+    # bit for bit, also over several blocks (5,000 rows) and for a lone
+    # exponent 2, which numpy would square rather than pass to its pow
+    rng = np.random.default_rng(13)
+    polys = [HomogeneousPolynomial.parse(e) for e in ("x^2*y*z", "x^6 + x^4*y^2")]
+    polys += [HomogeneousPolynomial({(3, 0): 1.0}, dimension=2), _random_polynomial(rng, 4, 4)]
+    for poly in polys:
+        for m in (1, 7, 5000):
+            points = rng.standard_normal((m, poly.dimension)) * rng.uniform(0.01, 100.0, (m, 1))
+            points[0, 0] = 0.0
+            for order in (1, 2, 3):
+                rows = poly.derivative_rows(points, order)
+                one = np.array([poly.derivative_tensor(x, order) for x in points])
+                assert rows.tobytes() == one.tobytes(), (poly, m, order)
+        # values are summed in table order, not by fsum: equal to rounding of the terms' size
+        size = HomogeneousPolynomial({e: abs(c) for e, c in poly.terms.items()}, dimension=poly.dimension)
+        for x, value in zip(points, poly.derivative_rows(points, 0)):
+            assert abs(value - poly(x)) <= 1e-13 * size(np.abs(x))
+
+
 def test_row_evaluations():
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal((30, 5))
