@@ -117,23 +117,48 @@ def _polish_polynomial_zeros(coeffs, t0, width: float = 1e-3):
 
 
 def radial_projection(func, x) -> np.ndarray:
-    """Project a cone point onto the unit level set along its ray."""
+    """Project a cone point, or each row of ``x``, onto the unit level set
+    along its ray."""
     x = np.asarray(x, dtype=float)
-    hx = func(x)
-    if hx <= 0.0:
-        raise DomainError(f"cannot project: function value {hx} is not positive")
-    return x / positive_root(hx, func.degree)
+    rows = np.atleast_2d(x)
+    hx = func.derivative_rows(rows, 0)
+    _require_positive(hx, "cannot project: function value {} is not positive")
+    out = rows / np.array([positive_root(h, func.degree) for h in hx.tolist()])[:, None]
+    return out if x.ndim > 1 else out[0]
+
+
+def _require_positive(values, message: str) -> None:
+    """Raise DomainError, with the value, at the first row not above zero."""
+    bad = values <= 0.0
+    if bad.any():
+        raise DomainError(message.format(float(values[bad][0])))
+
+
+def _differential_images(k: float, points, values, grads, vectors) -> np.ndarray:
+    """Images a w + b <grad h(x), w> x of the vectors w (rows (r, d), or
+    (m, r, d) per point) under the differential of x -> x / h(x)^(1/k) at
+    each row x of ``points``, a = h^(-1/k), b = -(1/k) h^(-1/k-1): an
+    (m, r, d) array, each image rounded as the one-point expression."""
+    a = np.array([h ** (-1.0 / k) for h in values.tolist()])
+    b = np.array([-(1.0 / k) * h ** (-1.0 / k - 1.0) for h in values.tolist()])
+    slopes = b[:, None] * dot_rows(grads[:, None, :], vectors)
+    return a[:, None, None] * vectors + slopes[..., None] * points[:, None, :]
 
 
 def tangent_basis_at(func, q, tol: float = 1e-12) -> np.ndarray:
     """Deterministic orthonormal basis of ker(dh) at q: one row of
-    :func:`tangent_bases`."""
+    :func:`tangent_bases_at`."""
     q = np.asarray(q, dtype=float)
-    grad = func.gradient(q)
-    gnorm = np.linalg.norm(grad)
-    if gnorm <= tol:
-        raise DegenerateFrameError(f"gradient vanishes at {q.tolist()}")
-    return tangent_bases(grad[None])[0]
+    return tangent_bases_at(q[None], func.gradient(q)[None], tol)[0]
+
+
+def tangent_bases_at(points, grads, tol: float = 1e-12) -> np.ndarray:
+    """:func:`tangent_bases` of the gradients ``grads`` at ``points``;
+    raises at the first point whose gradient norm is at most ``tol``."""
+    small = np.flatnonzero(np.sqrt(dot_rows(grads, grads)) <= tol)
+    if small.size:
+        raise DegenerateFrameError(f"gradient vanishes at {points[small[0]].tolist()}")
+    return tangent_bases(grads)
 
 
 def dot_rows(a, b) -> np.ndarray:
@@ -215,51 +240,51 @@ class ChartFrame:
     # -- basic chart maps ---------------------------------------------------
 
     def point(self, coords) -> np.ndarray:
+        """Slice point of chart coordinates, or one per row of ``coords``;
+        a row rounds as it does alone."""
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
-        return self.origin + coords @ self.basis
+        return self.origin + np.matmul(coords[..., None, :], self.basis)[..., 0, :]
 
     def hval(self, coords) -> float:
         return self.func(self.point(coords))
 
     def embed(self, coords) -> np.ndarray:
-        """Radial-graph parametrization of the unit level set over the slice."""
+        """Radial-graph parametrization of the unit level set over the slice
+        (one point per row of ``coords``)."""
         return radial_projection(self.func, self.point(coords))
 
+    def _jets(self, coords, orders):
+        """Slice points (rows), their values, then the derivative rows of
+        each order in ``orders``; raises at the first point off the cone."""
+        x = np.atleast_2d(self.point(coords))
+        hx = self.func.derivative_rows(x, 0)
+        _require_positive(hx, "chart point left the cone (value {})")
+        return [x, hx] + [self.func.derivative_rows(x, order) for order in orders]
+
     def embed_jacobian(self, coords) -> np.ndarray:
-        """(d, n) Jacobian of the embedding, columns are images of the basis."""
-        x = self.point(coords)
-        hx = self.func(x)
-        if hx <= 0.0:
-            raise DomainError(f"chart point left the cone (value {hx})")
-        k = self.degree
-        grad = self.func.gradient(x)
-        a = hx ** (-1.0 / k)
-        b = -(1.0 / k) * hx ** (-1.0 / k - 1.0)
-        cols = [a * v + b * (grad @ v) * x for v in self.basis]
-        return np.column_stack(cols)
+        """(d, n) Jacobian of the embedding, columns are images of the basis;
+        (m, d, n) for rows of ``coords``."""
+        x, hx, grads = self._jets(coords, (1,))
+        images = _differential_images(self.degree, x, hx, grads, self.basis)
+        jac = np.ascontiguousarray(np.swapaxes(images, 1, 2))
+        return jac if np.ndim(coords) > 1 else jac[0]
 
     def embed_second(self, coords) -> np.ndarray:
-        """(n, n, d) array of second derivatives of the embedding."""
-        x = self.point(coords)
-        hx = self.func(x)
-        if hx <= 0.0:
-            raise DomainError(f"chart point left the cone (value {hx})")
+        """(n, n, d) array of second derivatives of the embedding; (m, n, n, d)
+        for rows of ``coords``."""
+        x, hx, grads, hess = self._jets(coords, (1, 2))
         k = self.degree
-        grad = self.func.gradient(x)
-        hess = self.func.hessian(x)
-        c1 = -(1.0 / k) * hx ** (-1.0 / k - 1.0)
-        c2 = (1.0 / k) * (1.0 / k + 1.0) * hx ** (-1.0 / k - 2.0)
-        n = self.chart_dim
-        out = np.empty((n, n, self.dimension))
-        dh = self.basis @ grad
+        c1 = np.array([-(1.0 / k) * h ** (-1.0 / k - 1.0) for h in hx.tolist()])[:, None, None, None]
+        c2 = np.array([(1.0 / k) * (1.0 / k + 1.0) * h ** (-1.0 / k - 2.0) for h in hx.tolist()])[:, None, None]
+        dh = np.matmul(self.basis, grads[:, :, None])[:, :, 0]
         hb = self.basis @ hess @ self.basis.T
-        for i in range(n):
-            for j in range(i, n):
-                u, v = self.basis[i], self.basis[j]
-                val = c1 * (dh[j] * u + dh[i] * v + hb[i, j] * x) + c2 * dh[i] * dh[j] * x
-                out[i, j] = val
-                out[j, i] = val
-        return out
+        u, v, xs = self.basis[None, :, None, :], self.basis[None, None, :, :], x[:, None, None, :]
+        # out[i, j] for j >= i as c1 (dh_j u_i + dh_i u_j + hb_ij x) + c2 dh_i dh_j x, mirrored below
+        out = c1 * (dh[:, None, :, None] * u + dh[:, :, None, None] * v + hb[..., None] * xs)
+        out = out + ((c2 * dh[:, :, None]) * dh[:, None, :])[..., None] * xs
+        upper = np.triu_indices(self.chart_dim)
+        out[:, upper[1], upper[0]] = out[:, upper[0], upper[1]]
+        return out if np.ndim(coords) > 1 else out[0]
 
     # -- geometry of the slice -----------------------------------------------
 
@@ -417,32 +442,52 @@ def chart_metric(frame: ChartFrame, coords, method: str = "psi_formula") -> Symm
       through the differential of the projection;
     - ``psi_formula``: Hessian and differential at the slice point itself;
     - ``u_formula``: Hessian of the k-th root of the slice restriction.
+
+    One row of :func:`chart_metric_rows`; the ``psi_formula`` route, which
+    geodesics and curve lengths evaluate point by point, skips the stacking.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
+    if method != "psi_formula":
+        return SymmetricForm(chart_metric_rows(frame, coords[None], method)[0])
+    x = frame.point(coords)
+    hx = frame.func(x)
+    if hx <= 0.0:
+        raise DomainError(f"chart point outside the positivity region (value {hx})")
+    return SymmetricForm(_psi_metric(frame, hx, frame.func.gradient(x), frame.func.hessian(x)))
+
+
+def _psi_metric(frame: ChartFrame, hx: float, grad, hess) -> np.ndarray:
+    """The ``psi_formula`` Gram matrix at a slice point from h, its gradient
+    and its Hessian there."""
+    return jet_metric(frame.degree, hx, frame.basis @ grad, frame.basis @ hess @ frame.basis.T)
+
+
+def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") -> np.ndarray:
+    """Gram matrices (m, n, n) of :func:`chart_metric` at the rows of
+    ``coords``, symmetrized as :class:`SymmetricForm` stores them; each row
+    rounds as it does alone.  Raises at the first row outside the region."""
     x = frame.point(coords)
     func = frame.func
     k = frame.degree
-    hx = func(x)
-    if hx <= 0.0:
-        raise DomainError(f"chart point outside the positivity region (value {hx})")
+    hx = func.derivative_rows(x, 0)
+    _require_positive(hx, "chart point outside the positivity region (value {})")
     if method == "pullback":
         jac = frame.embed_jacobian(coords)
-        q = frame.embed(coords)
-        hess_q = func.hessian(q)
-        gram = -(jac.T @ hess_q @ jac) / k
-        return SymmetricForm(gram)
-    grad = func.gradient(x)
-    dh = frame.basis @ grad
-    hb = frame.basis @ func.hessian(x) @ frame.basis.T
+        gram = -(np.swapaxes(jac, 1, 2) @ func.derivative_rows(frame.embed(coords), 2) @ jac) / k
+        return 0.5 * (gram + np.swapaxes(gram, 1, 2))
+    grads, hess = func.derivative_rows(x, 1), func.derivative_rows(x, 2)
     if method == "psi_formula":
-        return SymmetricForm(jet_metric(k, hx, dh, hb))
-    if method == "u_formula":
-        u = hx ** (1.0 / k)
-        hess_u = (1.0 / k) * hx ** (1.0 / k - 1.0) * hb + (1.0 / k) * (
-            1.0 / k - 1.0
-        ) * hx ** (1.0 / k - 2.0) * np.outer(dh, dh)
-        return SymmetricForm(-hess_u / u)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        gram = np.array([_psi_metric(frame, h, g, b) for h, g, b in zip(hx.tolist(), grads, hess)])
+    elif method == "u_formula":
+        dh = np.matmul(frame.basis, grads[:, :, None])[:, :, 0]
+        hb = frame.basis @ hess @ frame.basis.T
+        r = 1.0 / k
+        coefs = np.array([(h**r, r * h ** (r - 1.0), r * (r - 1.0) * h ** (r - 2.0)) for h in hx.tolist()])
+        u, s1, s2 = coefs.T[:, :, None, None]  # u = h^(1/k); Hess u = s1 hb + s2 dh dh^T
+        gram = -(s1 * hb + s2 * (dh[:, :, None] * dh[:, None, :])) / u
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return 0.5 * (gram + np.swapaxes(gram, 1, 2))
 
 
 def chart_metric_with_derivative(frame: ChartFrame, coords):
@@ -511,16 +556,24 @@ def levi_civita_gamma(frame: ChartFrame, coords):
 
 
 def chart_metric_consistency(frame: ChartFrame, coords, tol: float = 1e-6) -> float:
-    """Max relative disagreement of the three metric routes; raises beyond tol."""
-    grams = [chart_metric(frame, coords, m).matrix for m in METHODS]
-    scale = max(1e-300, max(float(np.abs(g).max()) for g in grams))
-    worst = 0.0
-    for i in range(len(grams)):
-        for j in range(i + 1, len(grams)):
-            worst = max(worst, float(np.abs(grams[i] - grams[j]).max()) / scale)
-    if worst > tol:
+    """Max relative disagreement of the three metric routes; raises beyond
+    tol.  One row of :func:`chart_metric_consistency_rows`."""
+    coords = np.atleast_1d(np.asarray(coords, dtype=float))
+    return float(chart_metric_consistency_rows(frame, coords[None], tol)[0])
+
+
+def chart_metric_consistency_rows(frame: ChartFrame, coords, tol: float = 1e-6) -> np.ndarray:
+    """:func:`chart_metric_consistency` at each row of ``coords``; raises at
+    the first row beyond tol."""
+    grams = [chart_metric_rows(frame, coords, m) for m in METHODS]
+    scale = np.maximum(1e-300, np.fmax.reduce([np.abs(g).max(axis=(1, 2)) for g in grams]))
+    pairs = [(i, j) for i in range(len(grams)) for j in range(i + 1, len(grams))]
+    devs = [np.abs(grams[i] - grams[j]).max(axis=(1, 2)) / scale for i, j in pairs]
+    worst = np.fmax.reduce(devs, initial=0.0)  # a nan deviation is skipped, as max() skips it
+    bad = np.flatnonzero(worst > tol)
+    if bad.size:
         raise ConsistencyError(
-            f"chart metric routes disagree: relative deviation {worst:.3e} > {tol:g}"
+            f"chart metric routes disagree: relative deviation {worst[bad[0]]:.3e} > {tol:g}"
         )
     return worst
 
@@ -547,7 +600,7 @@ def classify(
     witnesses for the disagreeing samples).
     """
     coords = frame.sample_coords(sample_size, max_frac=0.8, seed=seed)
-    points = np.array([frame.embed(c) for c in coords]).reshape(len(coords), frame.dimension)
+    points = frame.embed(coords)
     bases = tangent_bases(frame.func.derivative_rows(points, 1))  # tangent_basis_at of every point
     counts = {"hyperbolic": 0, "elliptic": 0, "indefinite": 0}
     witnesses = []
@@ -597,14 +650,25 @@ def lorentz_metric(func, x, tol: float = 1e-9, validate: bool = True) -> Symmetr
 
 def lorentz_identity_residuals(func, x) -> dict:
     """Absolute residuals of the homogeneity identities of the cone metric:
-    radial: |g_L(x, x) + (k-1) h|; gradient: max |g_L(x, .) + ((k-1)/k) dh|."""
+    radial: |g_L(x, x) + (k-1) h|; gradient: max |g_L(x, .) + ((k-1)/k) dh|.
+    One row of :func:`lorentz_identity_residual_rows`."""
     x = np.asarray(x, dtype=float)
-    k = func.degree
-    form = lorentz_metric(func, x, validate=False)
-    radial = abs(form.value(x, x) + (k - 1.0) * func(x))
-    grad = func.gradient(x)
-    gradient = float(np.abs(form.matrix @ x + ((k - 1.0) / k) * grad).max())
-    return {"radial": radial, "gradient": gradient}
+    radial, gradient = lorentz_identity_residual_rows(
+        func.degree, x[None], np.array([func(x)]), func.gradient(x)[None], func.hessian(x)[None]
+    )
+    return {"radial": float(radial[0]), "gradient": float(gradient[0])}
+
+
+def lorentz_identity_residual_rows(k: float, points, values, grads, hessians):
+    """The radial and gradient residuals of :func:`lorentz_identity_residuals`
+    at each row of ``points``, from the values, gradients and Hessians there;
+    g_L is -Hessian/k stored as :class:`SymmetricForm` stores it, and
+    g_L(x, x) is evaluated as :meth:`SymmetricForm.value`, (x g_L) x."""
+    forms = -hessians / k
+    forms = 0.5 * (forms + np.swapaxes(forms, 1, 2))
+    radial = np.abs(dot_rows(np.matmul(points[:, None, :], forms)[:, 0], points) + (k - 1.0) * values)
+    lowered = np.matmul(forms, points[:, :, None])[:, :, 0]
+    return radial, np.abs(lowered + ((k - 1.0) / k) * grads).max(axis=1)
 
 
 def cone_identity_residual(frame: ChartFrame, x, fd_step: float | None = None) -> float:
@@ -615,38 +679,43 @@ def cone_identity_residual(frame: ChartFrame, x, fd_step: float | None = None) -
     normalization of the metric-cone structure.  The radial differential ds
     is taken by central differences (step ``fd_step``), the level-set metric
     at the projected point, so both sides are computed along distinct routes.
+    One row of :func:`cone_identity_residual_rows`.
     """
-    func = frame.func
     x = np.asarray(x, dtype=float)
+    return float(cone_identity_residual_rows(frame, x[None], fd_step)[0])
+
+
+def cone_identity_residual_rows(frame: ChartFrame, points, fd_step: float | None = None) -> np.ndarray:
+    """:func:`cone_identity_residual` at each row of ``points``, compared on
+    the point itself and its tangent basis; the default step of a row is
+    1e-5 (1 + |x|).  Raises at the first row that fails a check."""
+    func = frame.func
     k = frame.degree
-    hx = func(x)
-    if hx <= 0.0:
-        raise DomainError(f"cone point has nonpositive value {hx}")
+    hx = func.derivative_rows(points, 0)
+    _require_positive(hx, "cone point has nonpositive value {}")
     if fd_step is None:
-        fd_step = 1e-5 * (1.0 + float(np.linalg.norm(x)))
+        steps = 1e-5 * (1.0 + np.sqrt(dot_rows(points, points)))
+    else:
+        steps = np.full(len(points), float(fd_step))
+    grads = func.derivative_rows(points, 1)
+    vectors = np.concatenate([points[:, None, :], tangent_bases_at(points, grads)], axis=1)
+    shifts = steps[:, None, None] * vectors
+    probes = np.stack([points[:, None, :] + shifts, points[:, None, :] - shifts], axis=2)
     s0 = 2.0 * math.sqrt(k - 1.0) / k
+    radii = np.array([s0 * math.sqrt(h) for h in func.derivative_rows(probes.reshape(-1, frame.dimension), 0).tolist()])
+    radii = radii.reshape(probes.shape[:3])
+    ds = (radii[..., 0] - radii[..., 1]) / (2.0 * steps[:, None])
+    q = radial_projection(func, points)
+    images = _differential_images(k, points, hx, grads, vectors)
+    lhs = -_bilinear_rows(vectors, func.derivative_rows(points, 2)) / k
+    cross = -_bilinear_rows(images, func.derivative_rows(q, 2)) / k
+    rhs = -ds[:, :, None] * ds[:, None, :] + hx[:, None, None] * cross
+    upper = np.triu_indices(vectors.shape[1])  # the one-point loop fills j >= i and mirrors it
+    return np.abs(lhs - rhs)[:, upper[0], upper[1]].max(axis=1)
 
-    def radius(p):
-        return s0 * math.sqrt(func(p))
 
-    tangent = tangent_basis_at(func, x)
-    vectors = [x] + [v for v in tangent]
-    ds = np.array(
-        [(radius(x + fd_step * w) - radius(x - fd_step * w)) / (2.0 * fd_step) for w in vectors]
-    )
-    q = radial_projection(func, x)
-    hess_q = func.hessian(q)
-    grad = func.gradient(x)
-    a = hx ** (-1.0 / k)
-    b = -(1.0 / k) * hx ** (-1.0 / k - 1.0)
-    images = [a * w + b * (grad @ w) * x for w in vectors]
-    m = len(vectors)
-    lhs = np.empty((m, m))
-    rhs = np.empty((m, m))
-    hess_x = func.hessian(x)
-    for i in range(m):
-        for j in range(i, m):
-            lhs[i, j] = lhs[j, i] = -(vectors[i] @ hess_x @ vectors[j]) / k
-            cross = -(images[i] @ hess_q @ images[j]) / k
-            rhs[i, j] = rhs[j, i] = -ds[i] * ds[j] + hx * cross
-    return float(np.abs(lhs - rhs).max())
+def _bilinear_rows(vectors, matrices) -> np.ndarray:
+    """(v_i M) v_j for every pair of the vectors (m, r, d) of a row and its
+    matrix (m, d, d), each rounded as the one-row ``v_i @ M @ v_j``."""
+    vm = np.matmul(vectors[:, :, None, :], matrices[:, None])[:, :, 0, :]
+    return dot_rows(vm[:, :, None, :], vectors[:, None, :, :])

@@ -17,10 +17,10 @@ import numpy as np
 from . import catalog
 from .boundary import boundary_scan
 from .chart import (
-    chart_metric_consistency,
+    chart_metric_consistency_rows,
     classify,
-    cone_identity_residual,
-    lorentz_identity_residuals,
+    cone_identity_residual_rows,
+    lorentz_identity_residual_rows,
     make_chart,
 )
 from .completeness import (
@@ -31,8 +31,8 @@ from .completeness import (
     geodesic_shoot,
 )
 from .errors import DomainError, MixedDegreeError, ParseError, UnboundedRayError
-from .homogeneous import HomogeneousPolynomial, euler_residual, position_identity_residual
-from .structure import curvature_residual, fund_equation_residual, volume_parallel_residual
+from .homogeneous import HomogeneousPolynomial, euler_residual_rows, position_identity_residual_rows
+from .structure import structure_residual_rows
 
 SCHEMA_VERSION = 1
 
@@ -131,56 +131,59 @@ def build_frame(config: RunConfig):
 # -- analyze -------------------------------------------------------------------------
 
 
+def _largest(values) -> float:
+    """The running maximum from 0 of ``max(worst, v)`` over the values: nan skipped."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+def _cone_points(func, frame, rng, count: int):
+    """The first ``count`` draws origin + 0.25 |origin| z (z standard normal)
+    in the domain with h > 0, in draw order, and h there.  A map checks its
+    rows one by one: ``contains``, then its value, which may raise."""
+    scale = np.linalg.norm(frame.origin)
+    points, values, taken = [], [], 0
+    while taken < count:
+        x = frame.origin + 0.25 * rng.standard_normal((count - taken, frame.dimension)) * scale
+        if isinstance(func, HomogeneousPolynomial):
+            hx, inside = func.value_rows(x), np.ones(len(x), dtype=bool)
+        else:
+            hx, inside = np.full(len(x), np.nan), np.array([func.contains(p) for p in x])
+            for i in np.flatnonzero(inside):
+                try:
+                    hx[i] = func(x[i])
+                except DomainError:
+                    inside[i] = False
+        keep = np.flatnonzero(inside & ~(hx <= 0.0))
+        points.append(x[keep])
+        values.append(hx[keep])
+        taken += len(keep)
+    return np.concatenate(points), np.concatenate(values)
+
+
 def _identity_block(func, frame, rng_seed: int, n_points: int = 200) -> dict:
-    rng = np.random.default_rng(rng_seed)
-    d = frame.dimension
-    euler_max = 0.0
-    position_max = 0.0
-    lorentz_radial = 0.0
-    lorentz_gradient = 0.0
-    checked = 0
-    while checked < n_points:
-        x = frame.origin + 0.25 * rng.standard_normal(d) * np.linalg.norm(frame.origin)
-        if not func.contains(x):
-            continue
-        try:
-            hx = func(x)
-        except DomainError:
-            continue
-        if hx <= 0.0:
-            continue
-        checked += 1
-        euler_max = max(euler_max, abs(euler_residual(func, x)) / (1.0 + abs(hx)))
-        scale = 1.0 + float(np.abs(func.gradient(x)).max()) * (func.degree - 1.0)
-        position_max = max(position_max, position_identity_residual(func, x) / scale)
-        res = lorentz_identity_residuals(func, x)
-        lorentz_radial = max(lorentz_radial, res["radial"] / (1.0 + (func.degree - 1.0) * abs(hx)))
-        lorentz_gradient = max(lorentz_gradient, res["gradient"] / scale)
-    metric_dev = 0.0
-    cone_res = 0.0
-    for c in frame.sample_coords(50, max_frac=0.85, seed=rng_seed):
-        metric_dev = max(metric_dev, chart_metric_consistency(frame, c))
-        cone_res = max(cone_res, cone_identity_residual(frame, frame.point(c)))
+    x, hx = _cone_points(func, frame, np.random.default_rng(rng_seed), n_points)
+    k = func.degree
+    grads, hessians = func.derivative_rows(x, 1), func.derivative_rows(x, 2)
+    scale = 1.0 + np.abs(grads).max(axis=1) * (k - 1.0)
+    radial, gradient = lorentz_identity_residual_rows(k, x, hx, grads, hessians)
+    coords = frame.sample_coords(50, max_frac=0.85, seed=rng_seed)
     return {
-        "euler_max_rel": euler_max,
-        "position_identity_max_rel": position_max,
-        "lorentz_radial_max_rel": lorentz_radial,
-        "lorentz_gradient_max_rel": lorentz_gradient,
-        "metric_routes_max_rel": metric_dev,
-        "cone_identity_max_abs": cone_res,
-        "points": checked,
+        "euler_max_rel": _largest(np.abs(euler_residual_rows(k, x, hx, grads)) / (1.0 + np.abs(hx))),
+        "position_identity_max_rel": _largest(position_identity_residual_rows(k, x, grads, hessians) / scale),
+        "lorentz_radial_max_rel": _largest(radial / (1.0 + (k - 1.0) * np.abs(hx))),
+        "lorentz_gradient_max_rel": _largest(gradient / scale),
+        "metric_routes_max_rel": _largest(chart_metric_consistency_rows(frame, coords)),
+        "cone_identity_max_abs": _largest(cone_identity_residual_rows(frame, frame.point(coords))),
+        "points": len(x),
     }
 
 
 def _structure_block(frame, rng_seed: int) -> dict:
-    coords = frame.sample_coords(5, max_frac=0.5, seed=rng_seed)
-    fund = max(fund_equation_residual(frame, c) for c in coords)
-    curv = max(curvature_residual(frame, c) for c in coords)
-    vol = max(volume_parallel_residual(frame, c) for c in coords)
+    res = structure_residual_rows(frame, frame.sample_coords(5, max_frac=0.5, seed=rng_seed))
     return {
-        "fund_equation_max_abs": fund,
-        "curvature_max_abs": curv,
-        "volume_parallel_max_abs": vol,
+        "fund_equation_max_abs": _largest(res["fund_equation"]),
+        "curvature_max_abs": _largest(res["curvature"]),
+        "volume_parallel_max_abs": _largest(res["volume_parallel"]),
     }
 
 
@@ -288,13 +291,16 @@ def cmd_repro() -> tuple[dict, int]:
     rng = np.random.default_rng(7)
     for entry in catalog.catalog_cubics():
         poly, frm = entry.build()
-        for _ in range(200):
-            x = frm.origin + 0.2 * rng.standard_normal(frm.dimension)
-            hx = poly(x)
-            euler_worst = max(euler_worst, abs(euler_residual(poly, x)) / (1.0 + abs(hx)))
-            scale = 1.0 + float(np.abs(poly.gradient(x)).max()) * 2.0
-            intid_worst = max(intid_worst, position_identity_residual(poly, x) / scale)
-        fund = max(fund_equation_residual(frm, c) for c in frm.sample_coords(5, 0.5, seed=1))
+        x = frm.origin + 0.2 * rng.standard_normal((200, frm.dimension))
+        hx = poly.value_rows(x)
+        grads, hessians = poly.derivative_rows(x, 1), poly.derivative_rows(x, 2)
+        euler = np.abs(euler_residual_rows(poly.degree, x, hx, grads)) / (1.0 + np.abs(hx))
+        euler_worst = max(euler_worst, _largest(euler))
+        scale = 1.0 + np.abs(grads).max(axis=1) * 2.0
+        position = position_identity_residual_rows(poly.degree, x, grads, hessians) / scale
+        intid_worst = max(intid_worst, _largest(position))
+        coords = frm.sample_coords(5, 0.5, seed=1)
+        fund = _largest(structure_residual_rows(frm, coords, ("fund_equation",))["fund_equation"])
         rows.append(
             {"name": f"identities.fund_equation.{entry.identifier}", "computed": fund, "expected": 0.0, "tol": 1e-4, "pass": fund <= 1e-4}
         )

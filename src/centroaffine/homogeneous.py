@@ -125,9 +125,14 @@ class HomogeneousPolynomial:
     # -- evaluation and derivatives ---------------------------------------
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        vals = self._coeffs * np.prod(x**self._exps, axis=1)
-        return math.fsum(vals.tolist())
+        return float(self.value_rows(x)[0])
+
+    def value_rows(self, points) -> np.ndarray:
+        """Value at each row of ``points`` (one value for a point): the terms
+        c * prod_j x_j^e_j of a row summed by ``math.fsum``, correctly rounded."""
+        x = np.asarray(points, dtype=float)
+        terms = self._coeffs * np.prod(x[..., None, :] ** self._exps, axis=-1)
+        return np.array([math.fsum(row) for row in terms.reshape(-1, len(self._coeffs)).tolist()])
 
     def contains(self, x) -> bool:
         return True
@@ -158,10 +163,15 @@ class HomogeneousPolynomial:
         return out.reshape((self.dimension,) * order)
 
     def derivative_rows(self, points, order: int) -> np.ndarray:
-        """Value (order 0) or derivative tensor at each row of ``points``, in
-        one evaluation; a derivative row rounds as the one-point call does."""
-        exps, coeffs, slots = self._table(order)
+        """Value (order 0, :meth:`value_rows`) or derivative tensor at each row
+        of ``points``, in one evaluation; a derivative row rounds as the
+        one-point call does."""
         x = np.atleast_2d(np.asarray(points, dtype=float))
+        if order == 0:
+            return self.value_rows(x)
+        if len(x) == 1:  # the one-point call, which rounds alike, has less overhead
+            return self._derivative(x[0], order)[None]
+        exps, coeffs, slots = self._table(order)
         # x_j^0..x_j^max by pow over an exponent array, as the one-point call (numpy squares a lone 2)
         powers = [x[:, j : j + 1] ** np.arange(exps[:, j].max(initial=0) + 1) for j in range(self.dimension)]
         out = np.zeros((len(x), self.dimension**order))
@@ -464,10 +474,17 @@ class SmoothHomogeneousMap:
 
 
 def euler_residual(func, x) -> float:
-    """Return <x, grad(x)> - k * value(x); zero for genuinely homogeneous input."""
+    """Return <x, grad(x)> - k * value(x); zero for genuinely homogeneous input.
+    One row of :func:`euler_residual_rows`."""
     x = np.asarray(x, dtype=float)
     grad = func.gradient(x)
-    return math.fsum((x * grad).tolist()) - func.degree * func(x)
+    return float(euler_residual_rows(func.degree, x[None], np.array([func(x)]), grad[None])[0])
+
+
+def euler_residual_rows(k: float, points, values, grads) -> np.ndarray:
+    """<x, grad(x)> - k * value(x) at each row of ``points``, from the values
+    and gradients there; each row's products are summed by ``math.fsum``."""
+    return np.array([math.fsum(row) for row in (points * grads).tolist()]) - k * values
 
 
 def position_identity_residual(func, x) -> float:
@@ -475,11 +492,18 @@ def position_identity_residual(func, x) -> float:
 
     The contraction of the Hessian with the position vector reproduces the
     differential scaled by k - 1 for any function homogeneous of degree k.
+    One row of :func:`position_identity_residual_rows`.
     """
     x = np.asarray(x, dtype=float)
-    lhs = func.hessian(x) @ x
-    rhs = (func.degree - 1.0) * func.gradient(x)
-    return float(np.abs(lhs - rhs).max())
+    hess = func.hessian(x)
+    return float(position_identity_residual_rows(func.degree, x[None], func.gradient(x)[None], hess[None])[0])
+
+
+def position_identity_residual_rows(k: float, points, grads, hessians) -> np.ndarray:
+    """:func:`position_identity_residual` at each row of ``points``, from the
+    gradients and Hessians there."""
+    lhs = np.matmul(hessians, points[:, :, None])[:, :, 0]
+    return np.abs(lhs - (k - 1.0) * grads).max(axis=1)
 
 
 def polarization(poly: HomogeneousPolynomial) -> np.ndarray:

@@ -519,6 +519,22 @@ def test_surface_witness_reports_integrator_health(monkeypatch):
     assert 0.0 < evidence["witness_drift"] < 1e-6
 
 
+@pytest.mark.parametrize("expr", ["x^2*y*z", "x^3*y*z"])
+def test_monomial_surfaces_never_get_a_witness(monkeypatch, expr):
+    # h = 1 on the positive orthant is an orbit of the diagonal linear maps
+    # that preserve h: a homogeneous Riemannian manifold, hence complete.  With
+    # the concavity grid failing, the witness search must find no finite
+    # probe and end inconclusive, never incomplete.
+    lengths = []
+    shot_length = completeness._shot_length
+    monkeypatch.setattr(completeness, "_shot_length", lambda *a: lengths.append(shot_length(*a)) or lengths[-1])
+    for seed in ((1.0, 1.0, 1.0), (2.0, 1.0, 0.5)):
+        frame = make_chart(HomogeneousPolynomial.parse(expr), seed)
+        verdict = completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
+        assert (verdict.status, verdict.route) == ("inconclusive", "none"), seed
+    assert len(lengths) == 8 and all(math.isinf(v) for v in lengths), lengths
+
+
 # -- invariance of the verdict -------------------------------------------------------
 
 

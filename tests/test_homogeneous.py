@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,10 +358,10 @@ def test_derivative_rows_round_as_one_point_calls():
                 rows = poly.derivative_rows(points, order)
                 one = np.array([poly.derivative_tensor(x, order) for x in points])
                 assert rows.tobytes() == one.tobytes(), (poly, m, order)
-        # values are summed in table order, not by fsum: equal to rounding of the terms' size
-        size = HomogeneousPolynomial({e: abs(c) for e, c in poly.terms.items()}, dimension=poly.dimension)
-        for x, value in zip(points, poly.derivative_rows(points, 0)):
-            assert abs(value - poly(x)) <= 1e-13 * size(np.abs(x))
+        # values: each row's terms summed by fsum, as the one-point formula kept here sums them
+        ref = [math.fsum((poly._coeffs * np.prod(x**poly._exps, axis=1)).tolist()) for x in points]
+        assert poly.derivative_rows(points, 0).tobytes() == np.array(ref).tobytes(), poly
+        assert np.array([poly(x) for x in points]).tobytes() == np.array(ref).tobytes(), poly
 
 
 def test_row_evaluations():
