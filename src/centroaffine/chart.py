@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sampling
 from .errors import ConsistencyError, DegenerateFrameError, DomainError, UnboundedRayError
-from .forms import SymmetricForm
+from .forms import Signature, SymmetricForm, signature_rows
 from .homogeneous import (
     HomogeneousPolynomial,
     _fma,
@@ -123,8 +123,13 @@ def radial_projection(func, x) -> np.ndarray:
     rows = np.atleast_2d(x)
     hx = func.derivative_rows(rows, 0)
     _require_positive(hx, "cannot project: function value {} is not positive")
-    out = rows / np.array([positive_root(h, func.degree) for h in hx.tolist()])[:, None]
+    out = _project_rows(func.degree, rows, hx)
     return out if x.ndim > 1 else out[0]
+
+
+def _project_rows(k: float, points, values) -> np.ndarray:
+    """x / h(x)^(1/k) at each row x of ``points`` from its positive value."""
+    return points / np.array([positive_root(h, k) for h in values.tolist()])[:, None]
 
 
 def _require_positive(values, message: str) -> None:
@@ -264,15 +269,21 @@ class ChartFrame:
     def embed_jacobian(self, coords) -> np.ndarray:
         """(d, n) Jacobian of the embedding, columns are images of the basis;
         (m, d, n) for rows of ``coords``."""
-        x, hx, grads = self._jets(coords, (1,))
-        images = _differential_images(self.degree, x, hx, grads, self.basis)
-        jac = np.ascontiguousarray(np.swapaxes(images, 1, 2))
+        jac = self._jacobian_rows(*self._jets(coords, (1,)))
         return jac if np.ndim(coords) > 1 else jac[0]
 
-    def embed_second(self, coords) -> np.ndarray:
-        """(n, n, d) array of second derivatives of the embedding; (m, n, n, d)
-        for rows of ``coords``."""
-        x, hx, grads, hess = self._jets(coords, (1, 2))
+    def _embed_rows(self, x, hx, *_) -> np.ndarray:
+        """:meth:`embed` of the rows of :meth:`_jets`."""
+        return _project_rows(self.func.degree, x, hx)
+
+    def _jacobian_rows(self, x, hx, grads, *_) -> np.ndarray:
+        """:meth:`embed_jacobian` of the rows of :meth:`_jets`."""
+        images = _differential_images(self.degree, x, hx, grads, self.basis)
+        return np.ascontiguousarray(np.swapaxes(images, 1, 2))
+
+    def _second_rows(self, x, hx, grads, hess) -> np.ndarray:
+        """(m, n, n, d) second derivatives of the embedding at the rows of
+        :meth:`_jets`."""
         k = self.degree
         c1 = np.array([-(1.0 / k) * h ** (-1.0 / k - 1.0) for h in hx.tolist()])[:, None, None, None]
         c2 = np.array([(1.0 / k) * (1.0 / k + 1.0) * h ** (-1.0 / k - 2.0) for h in hx.tolist()])[:, None, None]
@@ -284,7 +295,7 @@ class ChartFrame:
         out = out + ((c2 * dh[:, :, None]) * dh[:, None, :])[..., None] * xs
         upper = np.triu_indices(self.chart_dim)
         out[:, upper[1], upper[0]] = out[:, upper[0], upper[1]]
-        return out if np.ndim(coords) > 1 else out[0]
+        return out
 
     # -- geometry of the slice -----------------------------------------------
 
@@ -311,28 +322,32 @@ class ChartFrame:
         """Distances (in chart coordinates) to the first zero of the function
         along the rays coords + t * direction, one per row of
         ``directions``; inf where a ray never leaves the positivity region.
+        ``coords`` is one origin for every ray, or one origin per ray.
 
         Polynomial restrictions are solved exactly, all rays at once, through
         their univariate coefficients, which also locates zeros of even order
         (where the function touches zero without a sign change, as on
-        non-regular boundary faces).  Maps are bracketed ray by ray by
-        bisection on "inside the domain with positive value" up to
-        ``ray_limit``.  With ``multiplicity``, also returns each zero's
-        multiplicity as the polish treated it (0 if unbounded, 1 for maps).
+        non-regular boundary faces).  Each ray rounds as it does alone.  Maps
+        are bracketed ray by ray by bisection on "inside the domain with
+        positive value" up to ``ray_limit``.  With ``multiplicity``, also
+        returns each zero's multiplicity as the polish treated it (0 if
+        unbounded, 1 for maps).
         """
-        coords = np.atleast_1d(np.asarray(coords, dtype=float))
+        coords = np.asarray(coords, dtype=float)
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         if not np.any(directions != 0.0, axis=1).all():
             raise ValueError("direction must be nonzero")
-        if self.hval(coords) <= 0.0:
+        x = self.point(coords)
+        if (self.func.derivative_rows(np.atleast_2d(x), 0) <= 0.0).any():
             raise DomainError("ray origin is outside the positivity region")
         if isinstance(self.func, HomogeneousPolynomial):
-            cf = line_coefficients(self.func, self.point(coords), self.vectors(directions))
+            cf = line_coefficients(self.func, x, self.vectors(directions))
             zeros = univariate_zeros_rows(cf)
             first = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
             dist, mult = _polish_polynomial_zeros(cf, first)
         else:
-            dist = np.array([self._bisect_ray(coords, d) for d in directions])
+            origins = np.broadcast_to(np.atleast_1d(coords), directions.shape)
+            dist = np.array([self._bisect_ray(c, d) for c, d in zip(origins, directions)])
             mult = np.isfinite(dist).astype(int)
         return (dist, mult) if multiplicity else dist
 
@@ -417,18 +432,28 @@ def centroaffine_metric_ambient(frame_or_func, q, basis=None, tol: float = 1e-10
 
     Returns (form, basis).  ``basis`` defaults to the deterministic tangent
     basis at q; pass explicit vectors to evaluate the form on them instead.
+    One row of :func:`ambient_metric_rows`.
     """
     func = frame_or_func.func if isinstance(frame_or_func, ChartFrame) else frame_or_func
     q = np.asarray(q, dtype=float)
-    hq = func(q)
-    if abs(hq - 1.0) > tol * max(1.0, abs(hq)):
-        raise DomainError(f"point is not on the unit level set (value {hq})")
     if basis is None:
         basis = tangent_basis_at(func, q)
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    hess = func.hessian(q)
-    gram = -(basis @ hess @ basis.T) / func.degree
-    return SymmetricForm(gram), basis
+    return SymmetricForm(ambient_metric_rows(func, q[None], basis[None], tol)[0]), basis
+
+
+def ambient_metric_rows(func, points, bases, tol: float = 1e-10) -> np.ndarray:
+    """Gram matrices -(B H B^T)/k of the Hessians H at the rows of ``points``
+    on the vectors B (r, d) of the matching row of ``bases``, symmetrized as
+    :class:`SymmetricForm` stores them; each row rounds as it does alone.
+    Raises at the first row off the unit level set by more than ``tol``
+    (relative to the value, if that exceeds 1)."""
+    hq = func.derivative_rows(points, 0)
+    bad = np.flatnonzero(np.abs(hq - 1.0) > tol * np.maximum(1.0, np.abs(hq)))
+    if bad.size:
+        raise DomainError(f"point is not on the unit level set (value {float(hq[bad[0]])})")
+    gram = -(bases @ func.derivative_rows(points, 2) @ np.swapaxes(bases, 1, 2)) / func.degree
+    return 0.5 * (gram + np.swapaxes(gram, 1, 2))
 
 
 def chart_metric(frame: ChartFrame, coords, method: str = "psi_formula") -> SymmetricForm:
@@ -477,8 +502,8 @@ def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") ->
         return 0.5 * (gram + np.swapaxes(gram, 1, 2))
     grads, hess = func.derivative_rows(x, 1), func.derivative_rows(x, 2)
     if method == "psi_formula":
-        gram = np.array([_psi_metric(frame, h, g, b) for h, g, b in zip(hx.tolist(), grads, hess)])
-    elif method == "u_formula":
+        return _psi_rows(frame, hx, grads, hess)
+    if method == "u_formula":
         dh = np.matmul(frame.basis, grads[:, :, None])[:, :, 0]
         hb = frame.basis @ hess @ frame.basis.T
         r = 1.0 / k
@@ -487,6 +512,13 @@ def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") ->
         gram = -(s1 * hb + s2 * (dh[:, :, None] * dh[:, None, :])) / u
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return 0.5 * (gram + np.swapaxes(gram, 1, 2))
+
+
+def _psi_rows(frame: ChartFrame, values, grads, hessians) -> np.ndarray:
+    """The ``psi_formula`` rows of :func:`chart_metric_rows` from the values,
+    gradients and Hessians of h at the slice points."""
+    gram = np.array([_psi_metric(frame, h, g, b) for h, g, b in zip(values.tolist(), grads, hessians)])
     return 0.5 * (gram + np.swapaxes(gram, 1, 2))
 
 
@@ -581,6 +613,9 @@ def chart_metric_consistency_rows(frame: ChartFrame, coords, tol: float = 1e-6) 
 # -- classification -----------------------------------------------------------
 
 
+KINDS = ("hyperbolic", "elliptic", "indefinite")
+
+
 @dataclass(frozen=True)
 class Classification:
     aggregate: str
@@ -597,33 +632,32 @@ def classify(
     """Signature of the level-set metric at projected chart samples.
 
     The aggregate verdict is unanimous or ``indefinite`` (with per-point
-    witnesses for the disagreeing samples).
+    witnesses for the disagreeing samples).  All samples go through one
+    stacked pass: one evaluation of the Hessians, one of the Gram matrices
+    and one eigenvalue solve, each row rounded as it is alone.
     """
     coords = frame.sample_coords(sample_size, max_frac=0.8, seed=seed)
     points = frame.embed(coords)
     bases = tangent_bases(frame.func.derivative_rows(points, 1))  # tangent_basis_at of every point
-    counts = {"hyperbolic": 0, "elliptic": 0, "indefinite": 0}
-    witnesses = []
-    first_of: dict = {}
-    for c, q, basis in zip(coords, points, bases):
-        form, _ = centroaffine_metric_ambient(frame.func, q, basis)
-        if form.is_definite(1, tol):
-            kind = "hyperbolic"
-        elif form.is_definite(-1, tol):
-            kind = "elliptic"
-        else:
-            kind = "indefinite"
-            witnesses.append((c.tolist(), form.signature(tol)))
-        counts[kind] += 1
-        first_of.setdefault(kind, (c.tolist(), form.signature(tol)))
+    sigs = signature_rows(ambient_metric_rows(frame.func, points, bases), tol)
+    dim = bases.shape[1]
+    kinds = np.where(sigs[:, 0] == dim, 0, np.where(sigs[:, 1] == dim, 1, 2))  # by KINDS
+    counts = {name: int((kinds == i).sum()) for i, name in enumerate(KINDS)}
+
+    def witness(i):
+        return coords[i].tolist(), Signature(*sigs[i].tolist(), tol)
+
+    witnesses = [witness(i) for i in np.flatnonzero(kinds == 2)]
     if counts["hyperbolic"] == len(coords):
         aggregate = "hyperbolic"
     elif counts["elliptic"] == len(coords):
         aggregate = "elliptic"
     else:
         aggregate = "indefinite"
-        # a mixed sample is itself the witness even if every point is definite
-        witnesses.extend(v for k, v in first_of.items() if k != "indefinite")
+        # a mixed sample is itself the witness even if every point is definite:
+        # the first point of each definite kind, in the order the kinds first occur
+        firsts = sorted(np.flatnonzero(kinds == i)[0] for i in (0, 1) if counts[KINDS[i]])
+        witnesses.extend(witness(i) for i in firsts)
     return Classification(aggregate=aggregate, counts=counts, witnesses=witnesses)
 
 

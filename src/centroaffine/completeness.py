@@ -22,6 +22,7 @@ so they are gated on an all-rays-bounded scan of the boundary.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -72,14 +73,27 @@ class SegmentLine:
 
 @dataclass
 class SegmentTestResult:
-    lines: list
+    """Outcome of :func:`cubic_segment_test`.  ``lines`` (a
+    :class:`SegmentLine` per bounded line, in line order) is built from the
+    block's columns when it is first read."""
+
     closedness_failures: list
     tol: float
     passed: bool
+    max_f0: float  # over the bounded lines; -inf if there are none
+    columns: tuple = field(repr=False, compare=False)
 
     @property
-    def max_f0(self) -> float:
-        return max((l.max_f0 for l in self.lines), default=-math.inf)
+    def line_count(self) -> int:
+        return len(self.columns[0])
+
+    @functools.cached_property
+    def lines(self) -> list:
+        bases, directions, lo, hi, *rest = self.columns
+        return [
+            SegmentLine(base, d, (a, b), *values)
+            for base, d, a, b, *values in zip(bases, directions, lo.tolist(), hi.tolist(), *(c.tolist() for c in rest))
+        ]
 
 
 def _critical_points(coeffs, imag_tol=1e-6) -> np.ndarray:
@@ -96,13 +110,15 @@ def _critical_points(coeffs, imag_tol=1e-6) -> np.ndarray:
 _CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
 
 
-def _segment_block(frame: ChartFrame, base, directions, tol) -> list:
-    """The segment test on the lines from one base point, all at once: a
-    :class:`SegmentLine` per direction, None where the positivity interval
-    is unbounded.  With h0 = c0 + c1 t + c2 t^2 + c3 t^3, the quartic
-    f0 = 2 h0 h0'' - h0'^2 is (4 c0 c2 - c1^2, 12 c0 c3, 6 c1 c3, 4 c2 c3, 3 c3^2).
+def _segment_block(frame: ChartFrame, origins, vectors, tol) -> tuple:
+    """The segment test on the lines origins + t vectors (ambient rows), all
+    at once: the columns a, b (the positivity interval, infinite where it is
+    unbounded), max_f0, f0_left, f0_right, the endpoint identity and
+    monotone defects, and passed; each line rounds as it does alone.  With
+    h0 = c0 + c1 t + c2 t^2 + c3 t^3, the quartic f0 = 2 h0 h0'' - h0'^2 is
+    (4 c0 c2 - c1^2, 12 c0 c3, 6 c1 c3, 4 c2 c3, 3 c3^2).
     """
-    h0 = line_coefficients(frame.func, frame.point(base), frame.vectors(directions))
+    h0 = line_coefficients(frame.func, origins, vectors)
     zeros = univariate_zeros_rows(h0)
     a = np.where(zeros < 0.0, zeros, -np.inf).max(axis=1)
     b = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
@@ -121,11 +137,7 @@ def _segment_block(frame: ChartFrame, base, directions, tol) -> list:
         # the endpoint identity f0 = -h0'^2 where h0 vanishes
         defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
     pass_tol = tol if tol is not None else 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
-    columns = (max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol)
-    return [
-        SegmentLine(base, d, (lo, hi), *rest) if math.isfinite(lo) and math.isfinite(hi) else None
-        for d, lo, hi, *rest in zip(directions, a.tolist(), b.tolist(), *(c.tolist() for c in columns))
-    ]
+    return a, b, max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol
 
 
 def cubic_segment_test(
@@ -139,32 +151,30 @@ def cubic_segment_test(
     Each line through a base point of the slice is restricted exactly; the
     quartic f0 is maximized over the positivity interval via its endpoints,
     its interior critical points and a Chebyshev grid.  Lines along which the
-    positivity interval is unbounded are collected as closedness failures.
+    positivity interval is unbounded are collected as closedness failures,
+    in line order.  All lines, across all base points, are one block.
     """
     if not (isinstance(frame.func, HomogeneousPolynomial) and frame.func.degree == 3):
         raise ValueError("the segment test applies to cubic polynomials")
     n = frame.chart_dim
     n_bases = max(1, n_lines // 250)
-    bases = [np.zeros(n)]
+    bases = np.zeros((1, n))
     if n_bases > 1:
-        bases.extend(frame.sample_coords(n_bases - 1, max_frac=0.6, seed=seed))
+        bases = np.vstack([bases, frame.sample_coords(n_bases - 1, max_frac=0.6, seed=seed)])
     directions = sampling.unit_directions(n, math.ceil(n_lines / len(bases)), seed)
     # line i runs along direction i // len(bases) through base i % len(bases)
-    blocks = [
-        _segment_block(frame, base, directions[: len(range(j, n_lines, len(bases)))], tol)
-        for j, base in enumerate(bases)
+    base_of, row_of = np.arange(n_lines) % len(bases), np.arange(n_lines) // len(bases)
+    block = _segment_block(frame, frame.point(bases)[base_of], frame.vectors(directions)[row_of], tol)
+    bounded = np.isfinite(block[0]) & np.isfinite(block[1])
+    failures = [
+        {"base_coords": bases[j].tolist(), "direction": directions[r].tolist()}
+        for j, r in zip(base_of[~bounded], row_of[~bounded])
     ]
-    lines, failures = [], []
-    for i in range(n_lines):
-        row, j = divmod(i, len(bases))
-        line = blocks[j][row]
-        if line is None:
-            failures.append({"base_coords": bases[j].tolist(), "direction": directions[row].tolist()})
-        else:
-            lines.append(line)
-    passed = bool(lines) and all(l.passed for l in lines) and not failures
+    columns = (bases[base_of[bounded]], directions[row_of[bounded]]) + tuple(c[bounded] for c in block)
+    max_f0 = float(block[2][bounded].max()) if bounded.any() else -math.inf
+    passed = bool(bounded.any() and block[-1][bounded].all()) and not failures
     used_tol = tol if tol is not None else 1e-9
-    return SegmentTestResult(lines=lines, closedness_failures=failures, tol=used_tol, passed=passed)
+    return SegmentTestResult(failures, used_tol, passed, max_f0, columns)
 
 
 # -- concavity certificate -------------------------------------------------------
@@ -190,36 +200,44 @@ def concavity_test(
 
     Checks that the Hessian of h^(1/(k-eps)) is negative semidefinite at
     low-discrepancy samples reaching to within a 1e-3 fraction of the
-    boundary along each ray.  A failure returns the witness point and its
-    positive eigenvalue.
+    boundary along each ray.  A failure returns the first failing sample,
+    in sample order, and its positive eigenvalue.  One ``eps`` of
+    :func:`concavity_results`.
+    """
+    return next(concavity_results(frame, (eps,), n_samples, seed, tol))
+
+
+def concavity_results(frame: ChartFrame, grid, n_samples: int = 400, seed: int = 0, tol: float = 1e-9):
+    """:func:`concavity_test` for each ``eps`` of ``grid`` in turn, as a
+    generator.  The jets of h at the samples (value, chart gradient, chart
+    Hessian) do not depend on eps, so they are evaluated once, at the first
+    eps; each eps then costs row arithmetic and one stacked eigenvalue solve,
+    each row rounded as the one-point Hessian of h^(1/(k - eps)).
     """
     k = frame.degree
-    if not (0.0 < eps < k):
-        raise ValueError(f"eps must lie in (0, {k}), got {eps}")
-    m = 1.0 / (k - eps)
-    coords = frame.sample_coords(n_samples, max_frac=1.0 - 1e-3, seed=seed)
-    func = frame.func
-    for c in coords:
-        x = frame.point(c)
-        hx = func(x)
-        if hx <= 0.0:
-            continue
-        grad = frame.basis @ func.gradient(x)
-        hess = frame.basis @ func.hessian(x) @ frame.basis.T
-        hess_f = m * hx ** (m - 1.0) * hess + m * (m - 1.0) * hx ** (m - 2.0) * np.outer(
-            grad, grad
-        )
-        lam = float(np.linalg.eigvalsh(hess_f).max())
-        scale = max(1.0, float(np.abs(hess_f).max()))
-        if lam > tol * scale:
-            return ConcavityResult(
-                eps=eps,
-                passed=False,
-                n_samples=len(coords),
-                witness_coords=c.tolist(),
-                witness_eigenvalue=lam,
-            )
-    return ConcavityResult(eps=eps, passed=True, n_samples=len(coords), witness_coords=None, witness_eigenvalue=None)
+    coords = None
+    for eps in grid:
+        if not (0.0 < eps < k):
+            raise ValueError(f"eps must lie in (0, {k}), got {eps}")
+        if coords is None:
+            coords = frame.sample_coords(n_samples, max_frac=1.0 - 1e-3, seed=seed)
+            x = frame.point(coords)
+            hx = frame.func.derivative_rows(x, 0)
+            rows = np.flatnonzero(~(hx <= 0.0))  # a sample outside the region is skipped
+            x, hx = x[rows], hx[rows].tolist()
+            grads = np.matmul(frame.basis, frame.func.derivative_rows(x, 1)[:, :, None])[:, :, 0]
+            hess = frame.basis @ frame.func.derivative_rows(x, 2) @ frame.basis.T
+        m = 1.0 / (k - eps)
+        s1 = np.array([m * h ** (m - 1.0) for h in hx])[:, None, None]
+        s2 = np.array([m * (m - 1.0) * h ** (m - 2.0) for h in hx])[:, None, None]
+        hess_f = s1 * hess + s2 * (grads[:, :, None] * grads[:, None, :])
+        lam = np.linalg.eigvalsh(hess_f).max(axis=1)
+        scale = np.fmax(1.0, np.abs(hess_f).max(axis=(1, 2)))  # max(1.0, nan) is 1.0
+        bad = np.flatnonzero(lam > tol * scale)
+        if bad.size:
+            yield ConcavityResult(eps, False, len(coords), coords[rows[bad[0]]].tolist(), float(lam[bad[0]]))
+        else:
+            yield ConcavityResult(eps, True, len(coords), None, None)
 
 
 def default_eps_grid(k: float) -> tuple:
@@ -944,7 +962,7 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
 
     if is_poly and k == 3 and bounded and config.segment_lines > 0:
         seg = cubic_segment_test(frame, n_lines=config.segment_lines, seed=config.rng_seed)
-        evidence["segment_lines"] = len(seg.lines)
+        evidence["segment_lines"] = seg.line_count
         evidence["segment_max_f0"] = seg.max_f0
         if seg.closedness_failures:
             bounded = False
@@ -973,14 +991,11 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
 
     if bounded:
         grid = config.eps_grid if config.eps_grid is not None else default_eps_grid(k)
-        for eps in grid:
-            res = concavity_test(
-                frame, eps, n_samples=config.concavity_samples, seed=config.rng_seed
-            )
+        for res in concavity_results(frame, grid, n_samples=config.concavity_samples, seed=config.rng_seed):
             if res.passed:
-                evidence["concavity_eps"] = eps
+                evidence["concavity_eps"] = res.eps
                 evidence["concavity_samples"] = res.n_samples
-                return verdict("numerically-certified", f"concavity({eps:g})")
+                return verdict("numerically-certified", f"concavity({res.eps:g})")
         evidence["concavity_grid_failed"] = list(grid)
 
     # incompleteness evidence: a side of a maximal geodesic through the chart

@@ -111,6 +111,8 @@ def restrict_rows(matrices, bases, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
 def signature_rows(matrices, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """(n_pos, n_neg, n_zero), as in :meth:`SymmetricForm.signature`, of each
     symmetric matrix of a stack: an (r, 3) array."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     scale = np.abs(matrices).max(axis=(-2, -1), initial=0.0)
     return eigen_counts(np.linalg.eigvalsh(matrices), scale, tol)
 

@@ -540,27 +540,35 @@ def restrict_to_line(func, x, v) -> UnivariateRestriction:
 
 def line_coefficients(poly: HomogeneousPolynomial, x, directions) -> np.ndarray:
     """Coefficients of t -> poly(x + t v), lowest order first, one row per
-    row v of ``directions``: per monomial, the binomial expansions of the
-    factors (x_i + t v_i)^e_i multiplied out for all rows at once.  Each row
-    is rounded exactly as its expansion alone through ``numpy.convolve``
+    row v of ``directions``; ``x`` is one origin for every row, or one
+    origin per row.  Per monomial, the binomial expansions of the factors
+    (x_i + t v_i)^e_i are multiplied out for all rows at once.  Each row is
+    rounded exactly as its expansion alone through ``numpy.convolve``
     (:func:`_convolve_rows`), so it does not depend on the rows beside it."""
-    x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(np.asarray(directions, dtype=float))
+    x = np.asarray(x, dtype=float)
     top = poly._exps.max(axis=0)
-    # the C library's pow, as for scalars: numpy's array power may round otherwise
-    powers = [
-        [np.ones(len(rows)), col] + [np.array([v**j for v in col.tolist()]) for j in range(2, e + 1)]
-        for col, e in zip(rows.T, top)
-    ]
+    if x.ndim == 1:  # one origin: its powers are scalars, broadcast over the rows
+        xpow = [[x[i] ** j for j in range(e + 1)] for i, e in enumerate(top)]
+    else:
+        xpow = [_scalar_powers(col, e) for col, e in zip(x.T, top)]
+    vpow = [_scalar_powers(col, e) for col, e in zip(rows.T, top)]
     total = np.zeros((len(rows), poly.degree + 1))
     for exp, coeff in poly._terms.items():
         factor = np.full((len(rows), 1), coeff)
         for i, e in enumerate(exp):
             if e:
-                binom = [math.comb(e, j) * x[i] ** (e - j) * powers[i][j] for j in range(e + 1)]
+                binom = [math.comb(e, j) * xpow[i][e - j] * vpow[i][j] for j in range(e + 1)]
                 factor = _convolve_rows(factor, np.column_stack(binom))
         total[:, : factor.shape[1]] += factor
     return total
+
+
+def _scalar_powers(col, top: int) -> list:
+    """[col^0, col^1, ..., col^top] of a column, a power above 1 by the C
+    library's pow for each entry, as for a scalar: numpy's array power may
+    round otherwise."""
+    return [np.ones(len(col)), col] + [np.array([v**j for v in col.tolist()]) for j in range(2, top + 1)]
 
 
 def _convolve_rows(f, g) -> np.ndarray:
@@ -615,15 +623,16 @@ def polyval_rows(coeffs, t, compensated: bool = False) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     cols = c.T.reshape(c.shape[1:] + c.shape[:1] + (1,) * (t.ndim - 1))
     out = cols[-1] + t * 0
+    if not compensated:
+        for col in cols[-2::-1]:
+            out = col + out * t
+        return out
     err = np.zeros_like(out)
     for col in cols[-2::-1]:
-        if not compensated:
-            out = col + out * t
-            continue
         p, pe = _two_product(out, t)
         out, se = _two_sum(p, col)
         err = err * t + (pe + se)
-    return out + err if compensated else out
+    return out + err
 
 
 def companion_roots(coeffs, degree) -> np.ndarray:

@@ -9,12 +9,11 @@ use central finite differences in chart coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import ChartFrame, chart_metric, chart_metric_rows
+from .chart import ChartFrame, _psi_rows, chart_metric
 from .errors import DegenerateFrameError
 from .forms import SymmetricForm
 from .homogeneous import HomogeneousPolynomial, polarization
@@ -36,15 +35,24 @@ class CubicFormSample:
     method: str
 
 
-def _default_step(frame: ChartFrame, coords, fd_step):
-    if fd_step is not None:
-        return float(fd_step)
+def _default_step(frame: ChartFrame, coords, fd_step) -> float:
+    """One row of :func:`_default_steps`."""
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    axes = np.vstack([np.eye(frame.chart_dim), -np.eye(frame.chart_dim)])
-    dist = float(frame.boundary_distances(coords, axes).min())
-    if not math.isfinite(dist):
-        dist = 1.0 + float(np.abs(coords).max())  # boundaryless slice
-    return 1e-4 * dist
+    return float(_default_steps(frame, coords[None], fd_step)[0])
+
+
+def _default_steps(frame: ChartFrame, coords, fd_step) -> np.ndarray:
+    """The finite-difference step of each row of ``coords``: ``fd_step``, or
+    1e-4 times the row's distance to the boundary along the 2n chart axes
+    (1 + max |c_i| on a boundaryless slice).  The axis rays of all rows are
+    one ray solve, one origin per ray."""
+    if fd_step is not None:
+        return np.full(len(coords), float(fd_step))
+    n = frame.chart_dim
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    dist = frame.boundary_distances(np.repeat(coords, 2 * n, axis=0), np.tile(axes, (len(coords), 1)))
+    dist = dist.reshape(len(coords), 2 * n).min(axis=1)
+    return 1e-4 * np.where(np.isfinite(dist), dist, 1.0 + np.abs(coords).max(axis=1))
 
 
 def gauss_split(frame: ChartFrame, coords, validate: bool = True) -> ConnectionSample:
@@ -63,15 +71,21 @@ def gauss_split_rows(frame: ChartFrame, coords, validate: bool = True):
     """Connection coefficients (m, n, n, n) and metric parts (m, n, n) of
     :func:`gauss_split` at the rows of ``coords``, each row rounded as it
     is alone; raises for the first row that fails a check."""
+    return _split_rows(frame, frame._jets(coords, (1, 2)), validate)
+
+
+def _split_rows(frame: ChartFrame, jets, validate: bool = True):
+    """:func:`gauss_split_rows` from the slice points, values, gradients and
+    Hessians of ``ChartFrame._jets``, each evaluated once."""
+    _, hx, grads, hess = jets
     n = frame.chart_dim
-    jac = frame.embed_jacobian(coords)
-    xi = frame.embed(coords)
-    moving = np.concatenate([jac, xi[:, :, None]], axis=2)  # one moving frame per row
+    # one moving frame per row
+    moving = np.concatenate([frame._jacobian_rows(*jets), frame._embed_rows(*jets)[:, :, None]], axis=2)
     solvable = np.ones(len(moving), dtype=bool)
     if validate:
         cond = np.linalg.cond(moving)
         solvable = np.isfinite(cond) & (cond <= MAX_FRAME_CONDITION)
-    second = frame.embed_second(coords)
+    second = frame._second_rows(*jets)
     rhs = np.swapaxes(second.reshape(len(moving), n * n, frame.dimension), 1, 2)
     sol = np.full(rhs.shape, np.nan)
     sol[solvable] = np.linalg.solve(moving[solvable], rhs[solvable])  # rows of (n + 1, n * n)
@@ -80,7 +94,7 @@ def gauss_split_rows(frame: ChartFrame, coords, validate: bool = True):
     gram = sol[:, n].reshape(-1, n, n)
     gram = 0.5 * (gram + np.swapaxes(gram, 1, 2))
     if validate:
-        direct = chart_metric_rows(frame, coords, "psi_formula")
+        direct = _psi_rows(frame, hx, grads, hess)
         scale = np.maximum(1.0, np.abs(direct).max(axis=(1, 2)))
         disagree = solvable & (np.abs(gram - direct).max(axis=(1, 2)) > 1e-6 * scale)
         failed = np.flatnonzero(~solvable | disagree)
@@ -102,9 +116,12 @@ def volume_form(frame: ChartFrame, coords) -> float:
 
 def volume_form_rows(frame: ChartFrame, coords) -> np.ndarray:
     """:func:`volume_form` at each row of ``coords``."""
-    jac = frame.embed_jacobian(coords)
-    xi = frame.embed(coords)
-    return np.linalg.det(np.concatenate([xi[:, :, None], jac], axis=2))
+    return _volume_rows(frame, frame._jets(coords, (1,)))
+
+
+def _volume_rows(frame: ChartFrame, jets) -> np.ndarray:
+    """:func:`volume_form_rows` at the rows of ``ChartFrame._jets``."""
+    return np.linalg.det(np.concatenate([frame._embed_rows(*jets)[:, :, None], frame._jacobian_rows(*jets)], axis=2))
 
 
 def volume_parallel_residual(frame: ChartFrame, coords, fd_step: float | None = None) -> float:
@@ -131,7 +148,9 @@ def cubic_form(
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     if method == "polarization":
-        return CubicFormSample(coords=coords, tensor=_polarization_rows(frame, coords[None])[0], method=method)
+        if not (isinstance(frame.func, HomogeneousPolynomial) and frame.func.degree == 3):
+            raise ValueError("polarization route requires a cubic polynomial")
+        return CubicFormSample(coords=coords, tensor=_cubic_rows(frame, frame._jets(coords[None], (1,)))[0], method=method)
     if method != "nabla_g":
         raise ValueError(f"unknown method {method!r}")
     step = _default_step(frame, coords, fd_step)
@@ -151,13 +170,10 @@ def cubic_form(
     return CubicFormSample(coords=coords, tensor=tensor, method=method)
 
 
-def _polarization_rows(frame: ChartFrame, coords) -> np.ndarray:
-    """The ``polarization`` cubic form at each row of ``coords``."""
-    if not (isinstance(frame.func, HomogeneousPolynomial) and frame.func.degree == 3):
-        raise ValueError("polarization route requires a cubic polynomial")
+def _cubic_rows(frame: ChartFrame, jets) -> np.ndarray:
+    """The ``polarization`` cubic form at the rows of ``ChartFrame._jets``."""
     tri = polarization(frame.func)
-    jacs = frame.embed_jacobian(coords)
-    return np.array([-2.0 * np.einsum("abc,ai,bj,ck->ijk", tri, jac, jac, jac) for jac in jacs])
+    return np.array([-2.0 * np.einsum("abc,ai,bj,ck->ijk", tri, jac, jac, jac) for jac in frame._jacobian_rows(*jets)])
 
 
 def fund_equation_residual(frame: ChartFrame, coords, fd_step: float | None = None) -> float:
@@ -186,27 +202,30 @@ def structure_residual_rows(frame: ChartFrame, coords, kinds=RESIDUALS, fd_step:
     ``coords``, as arrays by name.  A row's finite-difference step (default
     1e-4 times its distance to the boundary along the chart axes) and its
     Gauss split are shared by the residuals; the stencil points c +- step e_i
-    of all rows are evaluated together.  Each row rounds as it does alone."""
+    of all rows are evaluated together, the jets of h at the rows and at the
+    stencil points once each.  Each row rounds as it does alone."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if "fund_equation" in kinds and not (isinstance(frame.func, HomogeneousPolynomial) and frame.func.degree == 3):
         raise ValueError("the quartic identity applies to cubic polynomials only")
-    steps = np.array([_default_step(frame, c, fd_step) for c in coords])
-    gamma, gram = gauss_split_rows(frame, coords)
+    steps = _default_steps(frame, coords, fd_step)
+    centre = frame._jets(coords, (1, 2))
+    gamma, gram = _split_rows(frame, centre)
     n = frame.chart_dim
     shifts = steps[:, None, None] * np.eye(n)  # row i: step e_i
     stencil = np.stack([coords[:, None, :] + shifts, coords[:, None, :] - shifts], axis=2).reshape(-1, n)
+    around = frame._jets(stencil, (1, 2) if "curvature" in kinds else (1,))
     out = {}
     for kind in kinds:
         if kind == "fund_equation":
-            c0 = _polarization_rows(frame, coords)
-            dc = _central_differences(_polarization_rows(frame, stencil), steps)
+            c0 = _cubic_rows(frame, centre)
+            dc = _central_differences(_cubic_rows(frame, around), steps)
             out[kind] = np.array([_fund_defect(*row) for row in zip(gamma, gram, c0, dc)])
         elif kind == "curvature":
-            dgamma = _central_differences(gauss_split_rows(frame, stencil)[0], steps)
+            dgamma = _central_differences(_split_rows(frame, around)[0], steps)
             out[kind] = np.array([curvature_defect(*row) for row in zip(gamma, dgamma, gram)])
         elif kind == "volume_parallel":
-            nu = volume_form_rows(frame, coords)[:, None]
-            dnu = _central_differences(volume_form_rows(frame, stencil), steps)
+            nu = _volume_rows(frame, centre)[:, None]
+            dnu = _central_differences(_volume_rows(frame, around), steps)
             trace = np.trace(gamma, axis1=1, axis2=2)  # trace(gamma[:, :, i]) for each i
             out[kind] = np.fmax.reduce(np.abs(dnu - trace * nu), axis=1, initial=0.0)
         else:

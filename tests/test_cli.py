@@ -264,11 +264,21 @@ def test_analyze_trace_and_plot_files(tmp_path):
 
 
 def test_analyze_deterministic_bytes(tmp_path):
-    args = ["analyze", "--poly", "x^3 - x*y^2", "--seed", "1,0", "--samples", "150", "--rng-seed", "7"]
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run_cli(args + ["--out", str(out1)]) == 0
-    assert run_cli(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # a curve; x*y*z*w runs the concavity grid on Halton directions; a
+    # 3-variable cubic runs the segment test and the structure block
+    inputs = [
+        ("x^3 - x*y^2", "1,0", "cubic-criterion"),
+        ("x*y*z*w", "1,1,1,1", "concavity(0.5)"),
+        ("x^3 - x*y^2 - x*z^2 + 0.1*y^3", "1,0,0", "cubic-criterion"),
+    ]
+    for poly, seed, route in inputs:
+        args = ["analyze", "--poly", poly, "--seed", seed, "--samples", "150", "--rng-seed", "7"]
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run_cli(args + ["--out", str(out1)]) == 0
+        assert run_cli(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        report = json.loads(out1.read_text())
+        assert report["completeness"]["route"] == route
 
 
 # -- repro -------------------------------------------------------------------------

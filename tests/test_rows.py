@@ -1,8 +1,11 @@
-"""The report's identity and structure residuals, computed row-wise, against
-the one-point formulas they replaced, which are kept here as the reference:
-every row must equal its reference bit for bit (the report is written at 17
-significant digits, so the stacked passes must not move one)."""
+"""The report's identity and structure residuals, the classification, the
+concavity grid, the segment test and the ray solves, computed row-wise,
+against the one-point (or one-block-per-base) code they replaced, which is
+kept here as the reference: every row must equal its reference bit for bit
+(the report is written at 17 significant digits, so the stacked passes must
+not move one)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,10 +14,12 @@ import pytest
 from centroaffine import HomogeneousPolynomial, catalog, make_chart
 from centroaffine.chart import (
     METHODS,
+    ChartFrame,
     chart_metric,
     chart_metric_consistency,
     chart_metric_consistency_rows,
     chart_metric_rows,
+    classify,
     cone_identity_residual,
     cone_identity_residual_rows,
     lorentz_identity_residual_rows,
@@ -22,21 +27,38 @@ from centroaffine.chart import (
     tangent_basis_at,
 )
 from centroaffine.cli import _cone_points
+from centroaffine.completeness import (
+    ConcavityResult,
+    SegmentLine,
+    _critical_points,
+    concavity_results,
+    concavity_test,
+    cubic_segment_test,
+    default_eps_grid,
+)
 from centroaffine.errors import DomainError
 from centroaffine.forms import SymmetricForm
 from centroaffine.homogeneous import (
+    _convolve_rows,
     euler_residual,
     euler_residual_rows,
+    line_coefficients,
     polarization,
+    polyval_rows,
     position_identity_residual,
     position_identity_residual_rows,
+    univariate_zeros_rows,
 )
+from centroaffine.sampling import unit_directions
 from centroaffine.structure import (
     _default_step,
+    _default_steps,
     curvature_defect,
     curvature_residual,
     fund_equation_residual,
+    gauss_split_rows,
     structure_residual_rows,
+    volume_form_rows,
     volume_parallel_residual,
 )
 from conftest import FIXTURES, linear_copies
@@ -216,13 +238,23 @@ def _old_cubic(frame, c):
     return -2.0 * np.einsum("abc,ai,bj,ck->ijk", polarization(frame.func), jac, jac, jac)
 
 
+def _old_default_step(frame, c):
+    """1e-4 times the distance to the boundary along the 2n chart axes, by a
+    one-origin ray solve."""
+    axes = np.vstack([np.eye(frame.chart_dim), -np.eye(frame.chart_dim)])
+    dist = float(frame.boundary_distances(c, axes).min())
+    if not math.isfinite(dist):
+        dist = 1.0 + float(np.abs(c).max())
+    return 1e-4 * dist
+
+
 def _old_structure(frame, c):
     """(fund_equation, curvature, volume_parallel) by the per-residual loops,
     each solving its own step and centre split."""
     n = frame.chart_dim
     out = []
     for kind in ("fund", "curvature", "volume"):
-        step = _default_step(frame, c, None)
+        step = _old_default_step(frame, c)
         gamma, g = _old_gauss_split(frame, c)
         shifts = [step * e for e in np.eye(n)]
         if kind == "fund":
@@ -250,6 +282,129 @@ def _old_structure(frame, c):
                 worst = max(worst, abs(dnu - float(np.trace(gamma[:, :, i])) * nu))
             out.append(worst)
     return out
+
+
+def _old_classify(frame, sample_size, seed, tol=1e-9):
+    """The per-point classification loop: counts and witnesses."""
+    func = frame.func
+    coords = frame.sample_coords(sample_size, max_frac=0.8, seed=seed)
+    counts = {"hyperbolic": 0, "elliptic": 0, "indefinite": 0}
+    witnesses, first_of = [], {}
+    for c, q in zip(coords, frame.embed(coords)):
+        hq = func(q)
+        if abs(hq - 1.0) > 1e-10 * max(1.0, abs(hq)):
+            raise DomainError(f"point is not on the unit level set (value {hq})")
+        basis = tangent_basis_at(func, q)
+        form = SymmetricForm(-(basis @ func.hessian(q) @ basis.T) / func.degree)
+        if form.is_definite(1, tol):
+            kind = "hyperbolic"
+        elif form.is_definite(-1, tol):
+            kind = "elliptic"
+        else:
+            kind = "indefinite"
+            witnesses.append((c.tolist(), form.signature(tol)))
+        counts[kind] += 1
+        first_of.setdefault(kind, (c.tolist(), form.signature(tol)))
+    if counts["hyperbolic"] == len(coords):
+        aggregate = "hyperbolic"
+    elif counts["elliptic"] == len(coords):
+        aggregate = "elliptic"
+    else:
+        aggregate = "indefinite"
+        witnesses.extend(v for k, v in first_of.items() if k != "indefinite")
+    return aggregate, counts, witnesses
+
+
+def _old_concavity(frame, eps, n_samples, seed, tol=1e-9):
+    """The per-point concavity loop, which stops at its first failing sample."""
+    k, func = frame.degree, frame.func
+    m = 1.0 / (k - eps)
+    coords = frame.sample_coords(n_samples, max_frac=1.0 - 1e-3, seed=seed)
+    for c in coords:
+        x = frame.point(c)
+        hx = func(x)
+        if hx <= 0.0:
+            continue
+        grad = frame.basis @ func.gradient(x)
+        hess = frame.basis @ func.hessian(x) @ frame.basis.T
+        hess_f = m * hx ** (m - 1.0) * hess + m * (m - 1.0) * hx ** (m - 2.0) * np.outer(grad, grad)
+        lam = float(np.linalg.eigvalsh(hess_f).max())
+        scale = max(1.0, float(np.abs(hess_f).max()))
+        if lam > tol * scale:
+            return ConcavityResult(eps, False, len(coords), c.tolist(), lam)
+    return ConcavityResult(eps, True, len(coords), None, None)
+
+
+def _old_line_coefficients(poly, x, directions):
+    """The one-origin line restriction, the origin's powers by numpy's scalar pow."""
+    rows = np.atleast_2d(np.asarray(directions, dtype=float))
+    top = poly._exps.max(axis=0)
+    powers = [
+        [np.ones(len(rows)), col] + [np.array([v**j for v in col.tolist()]) for j in range(2, e + 1)]
+        for col, e in zip(rows.T, top)
+    ]
+    total = np.zeros((len(rows), poly.degree + 1))
+    for exp, coeff in poly._terms.items():
+        factor = np.full((len(rows), 1), coeff)
+        for i, e in enumerate(exp):
+            if e:
+                binom = [math.comb(e, j) * x[i] ** (e - j) * powers[i][j] for j in range(e + 1)]
+                factor = _convolve_rows(factor, np.column_stack(binom))
+        total[:, : factor.shape[1]] += factor
+    return total
+
+
+_CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
+
+
+def _old_segment_block(frame, base, directions, tol):
+    """The segment test on the lines from one base point: a SegmentLine per
+    direction, None where the positivity interval is unbounded."""
+    h0 = _old_line_coefficients(frame.func, frame.point(base), frame.vectors(directions))
+    zeros = univariate_zeros_rows(h0)
+    a = np.where(zeros < 0.0, zeros, -np.inf).max(axis=1)
+    b = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
+    c0, c1, c2, c3 = h0.T
+    d1 = np.column_stack([c1, 2.0 * c2, 3.0 * c3])
+    f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
+    f0d = f0[:, 1:] * np.arange(1, 5)
+    mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
+    crit = _critical_points(f0d)
+    with np.errstate(invalid="ignore"):
+        crit = np.where((a[:, None] < crit) & (crit < b[:, None]), crit, np.nan)
+        grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
+        values = polyval_rows(f0, np.column_stack([a, b, crit, grid]))
+        max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
+        defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
+    pass_tol = tol if tol is not None else 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
+    columns = (max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol)
+    return [
+        SegmentLine(base, d, (lo, hi), *rest) if math.isfinite(lo) and math.isfinite(hi) else None
+        for d, lo, hi, *rest in zip(directions, a.tolist(), b.tolist(), *(c.tolist() for c in columns))
+    ]
+
+
+def _old_segment_test(frame, n_lines, seed, tol=None):
+    """The segment test as one block per base point: (lines, failures)."""
+    n = frame.chart_dim
+    n_bases = max(1, n_lines // 250)
+    bases = [np.zeros(n)]
+    if n_bases > 1:
+        bases.extend(frame.sample_coords(n_bases - 1, max_frac=0.6, seed=seed))
+    directions = unit_directions(n, math.ceil(n_lines / len(bases)), seed)
+    blocks = [
+        _old_segment_block(frame, base, directions[: len(range(j, n_lines, len(bases)))], tol)
+        for j, base in enumerate(bases)
+    ]
+    lines, failures = [], []
+    for i in range(n_lines):
+        row, j = divmod(i, len(bases))
+        line = blocks[j][row]
+        if line is None:
+            failures.append({"base_coords": bases[j].tolist(), "direction": directions[row].tolist()})
+        else:
+            lines.append(line)
+    return lines, failures
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -318,3 +473,120 @@ def test_structure_rows_share_one_step_and_equal_the_per_residual_loops():
             for c in coords[:2]
         ]
         assert _same(one, ref[:, :2].T), label
+
+
+def _named_frames():
+    """The elliptic quadric, the non-closed cubic piece and x^2*y*z."""
+    quadric, quartic = HomogeneousPolynomial.parse("x^2+y^2"), HomogeneousPolynomial.parse("x^2*y*z")
+    return [
+        ("x^2+y^2", quadric, make_chart(quadric, [1.0, 0.0])),
+        ("nonclosed-piece", *catalog.nonclosed_example().build()),
+        ("x^2*y*z", quartic, make_chart(quartic, [1.0, 1.0, 1.0])),
+    ]
+
+
+def test_classify_equals_the_per_point_loop():
+    # mixed pieces: elliptic samples before hyperbolic ones, and indefinite samples
+    mixed = [("x^3+y^3", (1.0, 0.0)), ("x^3+y^3+z^3", (1.0, 0.0, 0.0))]
+    mixed = [(e, None, make_chart(HomogeneousPolynomial.parse(e), s)) for e, s in mixed]
+    kinds = set()
+    for label, _, frame in _frames(maps=True) + _named_frames() + mixed:
+        for seed in (0, 3):
+            got = classify(frame, 100, seed=seed)
+            want = _old_classify(frame, 100, seed)
+            assert (got.aggregate, got.counts) == want[:2], (label, seed)
+            assert len(got.witnesses) == len(want[2]), (label, seed)
+            for (c, sig), (c_ref, sig_ref) in zip(got.witnesses, want[2]):
+                assert _same(c, c_ref) and sig == sig_ref and type(sig) is type(sig_ref), (label, seed)
+            kinds.add(got.aggregate)
+    assert kinds == {"hyperbolic", "elliptic", "indefinite"}
+
+
+def test_classify_raises_at_the_first_point_off_the_level_set(monkeypatch):
+    poly = HomogeneousPolynomial.parse("x^3 - x*y^2")
+    frame = make_chart(poly, [1.0, 0.0])
+    coords = frame.sample_coords(20, max_frac=0.8, seed=0)
+    scale = np.ones(len(coords))
+    scale[[3, 7]] = [1.001, 1.1]  # rows 3 and 7 leave the level set
+
+    def embed(c):
+        return ChartFrame.embed(frame, c) * scale[:, None]
+
+    monkeypatch.setattr(frame, "embed", embed)
+    expected = f"point is not on the unit level set (value {poly(embed(coords)[3])})"
+    for run in (lambda: classify(frame, 20), lambda: _old_classify(frame, 20, 0)):
+        with pytest.raises(DomainError) as info:
+            run()
+        assert str(info.value) == expected
+
+
+def test_concavity_grid_equals_the_per_point_loop():
+    maps = [f for f in _frames(maps=True) if f[0].startswith("analytic")]
+    cases = [(f, 100, None) for f in _frames()] + [(f, 400, None) for f in maps]
+    cases.append((_named_frames()[2], 400, (3.9,)))
+    verdicts = set()
+    for (label, _, frame), n_samples, grid in cases:
+        grid = grid or default_eps_grid(frame.degree)
+        want = [_old_concavity(frame, eps, n_samples, 2) for eps in grid]
+        assert list(concavity_results(frame, grid, n_samples, seed=2)) == want, label
+        assert [concavity_test(frame, eps, n_samples, seed=2) for eps in grid] == want, label
+        verdicts.update(r.passed for r in want)
+    assert verdicts == {True, False}
+
+
+def test_concavity_grid_evaluates_the_jets_once(monkeypatch):
+    poly = HomogeneousPolynomial.parse("x^2*y*z")
+    frame = make_chart(poly, [1.0, 1.0, 1.0])
+    orders = []
+    evaluate = poly.derivative_rows
+    monkeypatch.setattr(poly, "derivative_rows", lambda x, order: orders.append(order) or evaluate(x, order))
+    results = list(concavity_results(frame, (3.5, 3.7, 3.9), 100))
+    assert [r.passed for r in results] == [False] * 3
+    assert orders.count(1) == orders.count(2) == 1
+
+
+def test_segment_block_equals_the_per_base_blocks():
+    frames = _frames(cubic_only=True) + [_named_frames()[1]]
+    for (label, _, frame), n_lines in zip(frames, itertools.cycle((2000, 777, 60))):
+        result = cubic_segment_test(frame, n_lines=n_lines, seed=5)
+        lines, failures = _old_segment_test(frame, n_lines, 5)
+        assert result.closedness_failures == failures, label
+        assert len(result.lines) == result.line_count == len(lines), label
+        for got, want in zip(result.lines, lines):
+            for name in SegmentLine.__dataclass_fields__:
+                assert _same(getattr(got, name), getattr(want, name)), (label, name)
+        assert result.max_f0 == max((l.max_f0 for l in lines), default=-math.inf), label
+        assert result.passed == (bool(lines) and all(l.passed for l in lines) and not failures), label
+    assert failures  # the non-closed piece, last
+
+
+def test_multi_origin_line_coefficients_equal_the_one_origin_calls():
+    rng = np.random.default_rng(11)
+    for label, func, frame in _frames():
+        origins = frame.point(frame.sample_coords(40, max_frac=0.9, seed=1))
+        origins[::7] = -origins[::7]
+        origins[1, 0] = -0.0
+        dirs = rng.standard_normal((40, func.dimension)) * rng.choice([1e-3, 1.0, 30.0], (40, 1))
+        block = line_coefficients(func, origins, dirs)
+        for x, v, row in zip(origins, dirs, block):
+            assert _same(row, _old_line_coefficients(func, x, v)[0]), label
+            assert _same(row, line_coefficients(func, x, v[None])[0]), label
+        assert _same(line_coefficients(func, origins[0], dirs), _old_line_coefficients(func, origins[0], dirs)), label
+
+
+def test_batched_structure_steps_equal_the_one_row_steps():
+    for label, _, frame in _frames(maps=True):
+        coords = frame.sample_coords(5, max_frac=0.5, seed=6)
+        steps = _default_steps(frame, coords, None)
+        assert _same(steps, [_old_default_step(frame, c) for c in coords]), label
+        assert _same(steps, [_default_step(frame, c, None) for c in coords]), label
+        assert _same(_default_steps(frame, coords, 1e-3), [1e-3] * len(coords)), label
+
+
+def test_split_and_volume_rows_equal_the_one_point_formulas():
+    for label, _, frame in _frames(maps=True):
+        coords = frame.sample_coords(6, max_frac=0.5, seed=7)
+        gamma, gram = gauss_split_rows(frame, coords)
+        ref = [_old_gauss_split(frame, c) for c in coords]
+        assert _same(gamma, [g for g, _ in ref]) and _same(gram, [m for _, m in ref]), label
+        assert _same(volume_form_rows(frame, coords), [_old_volume(frame, c) for c in coords]), label
