@@ -38,7 +38,27 @@ def positive_root(value: float, k: float) -> float:
 
 def _bisect_rows(coeffs, t0, w):
     """Bisect each row's polynomial over [t0 - w, t0 + w]; returns the
-    midpoints and whether the ends of a row's bracket differ in sign."""
+    midpoints and whether the ends of a row's bracket differ in sign.  A
+    single row runs the same steps on floats, with the arithmetic of
+    :func:`polyval_rows`, which rounds alike at a fraction of the cost."""
+    if len(coeffs) == 1:
+        top, *rest = coeffs[0, ::-1].tolist()
+
+        def value(t):
+            out = top + t * 0
+            for col in rest:
+                out = col + out * t
+            return out
+
+        lo, hi = float(t0[0] - w[0]), float(t0[0] + w[0])
+        vlo, vhi = value(lo), value(hi)
+        ok = vlo != 0.0 and vhi != 0.0 and (vlo < 0.0) != (vhi < 0.0)
+        for _ in range(80 if ok else 0):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            lo, hi = (mid, hi) if (value(mid) < 0.0) == (vlo < 0.0) else (lo, mid)
+        return np.array([0.5 * (lo + hi)]), np.array([ok])
     lo, hi = t0 - w, t0 + w
     vlo, vhi = polyval_rows(coeffs, lo), polyval_rows(coeffs, hi)
     ok = (vlo != 0.0) & (vhi != 0.0) & ((vlo < 0.0) != (vhi < 0.0))
@@ -545,16 +565,19 @@ def chart_metric_with_derivative(frame: ChartFrame, coords):
 
 def contract_indices(t, rows) -> np.ndarray:
     """Tensor t with every index contracted against the columns of ``rows``,
-    so that each index of the result runs over the rows."""
+    so that each index of the result runs over the rows.  Each step is the
+    one product ``np.tensordot(t, rows, axes=([0], [1]))`` makes, on the
+    same operands, without its bookkeeping."""
     for _ in range(np.ndim(t)):
-        t = np.tensordot(t, rows, axes=([0], [1]))
+        lead, t = t.shape[1:], t.transpose(*range(1, t.ndim), 0)
+        t = np.dot(t.reshape(-1, t.shape[-1]), rows.T).reshape(*lead, -1)
     return t
 
 
 def jet_metric(k: float, hx: float, d, b) -> np.ndarray:
     """The ``psi_formula`` Gram matrix from the chart jet of h at a point:
     value ``hx``, chart gradient ``d`` and chart Hessian ``b``."""
-    return -b / (k * hx) + ((k - 1.0) / (k * hx) ** 2) * np.outer(d, d)
+    return -b / (k * hx) + ((k - 1.0) / (k * hx) ** 2) * (d[:, None] * d)
 
 
 def jet_metric_with_derivative(k: float, hx: float, d, b, t):
@@ -562,11 +585,12 @@ def jet_metric_with_derivative(k: float, hx: float, d, b, t):
     (``t`` is the chart third-derivative tensor); see
     :func:`chart_metric_with_derivative`."""
     g = jet_metric(k, hx, d, b)
-    dd = d[:, None, None] * d[None, :, None] * d[None, None, :]
-    sym_bd = b[:, :, None] * d[None, None, :] + b[:, None, :] * d[None, :, None]
+    kh = k * hx
+    dd = (d[:, None] * d)[:, :, None] * d
+    sym_bd = b[:, :, None] * d + b[:, None, :] * d[:, None]
     dg = (
-        -t / (k * hx)
-        + d[:, None, None] * b[None, :, :] / (k * hx * hx)
+        -t / kh
+        + d[:, None, None] * b / (kh * hx)
         + ((k - 1.0) / (k * k)) * (sym_bd / hx**2 - 2.0 * dd / hx**3)
     )
     return g, dg

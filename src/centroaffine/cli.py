@@ -30,7 +30,7 @@ from .completeness import (
     curve_side,
     geodesic_shoot,
 )
-from .errors import DomainError, MixedDegreeError, ParseError, UnboundedRayError
+from .errors import DegenerateFrameError, DomainError, MixedDegreeError, ParseError, UnboundedRayError
 from .homogeneous import HomogeneousPolynomial, euler_residual_rows, position_identity_residual_rows
 from .structure import structure_residual_rows
 
@@ -203,6 +203,8 @@ def _boundary_block(breport) -> dict:
 
 
 def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
+    if config.samples < 0:
+        raise ValueError("--samples: expected non-negative integer")
     func, frame, source = build_frame(config)
     report: dict = {
         "schema": SCHEMA_VERSION,
@@ -231,15 +233,21 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     if isinstance(func, HomogeneousPolynomial) and func.degree == 3:
         report["structure"] = _structure_block(frame, config.rng_seed)
     if config.trace:
-        trace = geodesic_shoot(
-            frame,
-            np.zeros(frame.chart_dim),
-            np.eye(frame.chart_dim)[0],
-            max_len=WITNESS_MAX_LEN,
-        )
-        with open(config.trace, "w") as fh:
-            trace.to_csv(fh)
-        report["trace_file"] = config.trace
+        try:
+            trace = geodesic_shoot(
+                frame,
+                np.zeros(frame.chart_dim),
+                np.eye(frame.chart_dim)[0],
+                max_len=WITNESS_MAX_LEN,
+            )
+        except (DegenerateFrameError, DomainError) as exc:
+            # the geodesic cannot start; the analysis itself stands
+            report["trace_error"] = str(exc)
+            print(f"warning: no trace written: {exc}", file=sys.stderr)
+        else:
+            with open(config.trace, "w") as fh:
+                trace.to_csv(fh)
+            report["trace_file"] = config.trace
     if config.plot:
         svg = render_plot(frame)
         with open(config.plot, "w") as fh:

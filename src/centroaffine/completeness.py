@@ -378,16 +378,17 @@ def _dp_step(connection, c, v, a, step):
     Returns the new position, velocity, acceleration and metric, and the
     local error estimates of the position and velocity blocks.
     """
-    vs, accs = [v], [a]
-    for w in _DP_A:
-        ci = c + step * (w @ np.array(vs))
-        vi = v + step * (w @ np.array(accs))
+    shape = (len(_DP_E), len(v))
+    vs, accs = np.empty(shape), np.empty(shape)  # the stage velocities and accelerations
+    vs[0], accs[0] = v, a
+    for i, w in enumerate(_DP_A, start=1):
+        ci = c + step * (w @ vs[:i])
+        vs[i] = v + step * (w @ accs[:i])
         gamma, g = connection(ci)
-        vs.append(vi)
-        accs.append(-((gamma @ vi) @ vi))
-    err_c = step * (_DP_E @ np.array(vs))
-    err_v = step * (_DP_E @ np.array(accs))
-    return ci, vi, accs[-1], g, err_c, err_v
+        accs[i] = -((gamma @ vs[i]) @ vs[i])
+    err_c = step * (_DP_E @ vs)
+    err_v = step * (_DP_E @ accs)
+    return ci, vs[-1], accs[-1], g, err_c, err_v
 
 
 def _first_positive_zero(coeffs) -> float:
@@ -912,12 +913,31 @@ def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float
     """Length of a witness shot extended to the boundary along its final
     velocity, the tail by quadrature.  Infinite when the shot stopped
     elsewhere than at the boundary or a degenerate metric, or when its tail
-    diverges, so complete geodesics cannot masquerade as witnesses."""
+    diverges, so complete geodesics cannot masquerade as witnesses.
+
+    A ``degenerate_metric`` stop ends the shot only where the collapse is
+    resolved.  The chart point's ambient coordinates x_i = origin_i +
+    sum_j c_j basis_ji are rounded to eps times the sizes of their terms,
+    so h there is uncertain by dh = eps sum_i |d_i h| (|origin_i| + sum_j
+    |c_j basis_ji|), and the metric, whose largest terms go as 1/h^2, by
+    about 2 max|g| dh / h.  That must stay below the fall of the smallest
+    eigenvalue that defines the collapse, half its value at the start;
+    otherwise the collapse is rounding and the shot is extended like a
+    ``drift`` stop."""
     if trace.stop_reason not in _WITNESS_STOPS:
         return math.inf
-    if trace.stop_reason == "degenerate_metric":
-        return trace.length  # integrand vanishes at the degeneracy; truncation suffices
     c_end = trace.coords[-1]
+    if trace.stop_reason == "degenerate_metric":
+        lam_start = float(np.linalg.eigvalsh(chart_metric(frame, trace.coords[0]).matrix).min())
+        try:
+            g = chart_metric(frame, c_end).matrix
+            sizes = np.abs(frame.origin) + np.abs(c_end) @ np.abs(frame.basis)
+            dh = np.finfo(float).eps * float(np.abs(frame.func.gradient(frame.point(c_end))) @ sizes)
+            spread = 2.0 * float(np.abs(g).max()) * dh / trace.hvals[-1]
+        except DomainError:  # the end point rounds out of the region
+            spread = math.inf
+        if spread < 0.5 * lam_start:
+            return trace.length  # integrand vanishes at the degeneracy; truncation suffices
     v = trace.final_velocity
     norm = np.linalg.norm(v)
     if norm == 0.0:

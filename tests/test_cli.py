@@ -143,6 +143,32 @@ def test_analyze_negative_seed_forms_agree(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_trace_that_cannot_start_keeps_the_report(tmp_path, capsys):
+    # the circle x^2 + y^2 = 1 is elliptic: no geodesic of the level-set
+    # metric starts there, but the analysis stands
+    out, csv = tmp_path / "report.json", tmp_path / "trace.csv"
+    args = ["analyze", "--poly", "x^2+y^2", "--seed", "1,0", "--out", str(out)]
+    assert run_cli(args + ["--trace", str(csv)]) == 0
+    report = json.loads(out.read_text())
+    assert not csv.exists()
+    assert "trace_file" not in report
+    assert report["trace_error"] == "metric degenerate along the initial direction"
+    assert "metric degenerate along the initial direction" in capsys.readouterr().err
+    plain = tmp_path / "plain.json"
+    assert run_cli(args[:-1] + [str(plain)]) == 0
+    del report["trace_error"]
+    assert report == json.loads(plain.read_text())
+    assert (report["completeness"]["status"], report["completeness"]["route"]) == ("complete", "quadric")
+
+
+def test_negative_samples_exit_one(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    args = ["analyze", "--poly", "x^3 - x*y^2", "--seed", "1,0", "--samples", "-3", "--out", str(out)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == "error: --samples: expected non-negative integer\n"
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     # exit code 2 is reserved for inconclusive verdicts
     assert run_cli(["analyze", "--bogus"]) == 1

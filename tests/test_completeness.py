@@ -18,7 +18,7 @@ from centroaffine import (
 )
 from centroaffine import completeness
 from centroaffine.catalog import analytic_example, nonclosed_example
-from centroaffine.completeness import monomial_face_check
+from centroaffine.completeness import WITNESS_MAX_LEN, monomial_face_check
 from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -519,7 +519,10 @@ def test_surface_witness_reports_integrator_health(monkeypatch):
     assert 0.0 < evidence["witness_drift"] < 1e-6
 
 
-@pytest.mark.parametrize("expr", ["x^2*y*z", "x^3*y*z"])
+# the axis-1 backward shot of x^2*y*z*w at (1, 1, 1, 1) stops on a collapse
+# of the metric that is rounding: h = 1.4e-8 there, where chart coordinates
+# leave the metric uncertain by far more than its smallest eigenvalue
+@pytest.mark.parametrize("expr", ["x^2*y*z", "x^3*y*z", "x^2*y*z*w"])
 def test_monomial_surfaces_never_get_a_witness(monkeypatch, expr):
     # h = 1 on the positive orthant is an orbit of the diagonal linear maps
     # that preserve h: a homogeneous Riemannian manifold, hence complete.  With
@@ -528,11 +531,26 @@ def test_monomial_surfaces_never_get_a_witness(monkeypatch, expr):
     lengths = []
     shot_length = completeness._shot_length
     monkeypatch.setattr(completeness, "_shot_length", lambda *a: lengths.append(shot_length(*a)) or lengths[-1])
-    for seed in ((1.0, 1.0, 1.0), (2.0, 1.0, 0.5)):
-        frame = make_chart(HomogeneousPolynomial.parse(expr), seed)
+    poly = HomogeneousPolynomial.parse(expr)
+    seeds = [(1.0,) * poly.dimension, (2.0, 1.0, 0.5, 1.5)[: poly.dimension]]
+    for seed in seeds:
+        frame = make_chart(poly, seed)
         verdict = completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
         assert (verdict.status, verdict.route) == ("inconclusive", "none"), seed
-    assert len(lengths) == 8 and all(math.isinf(v) for v in lengths), lengths
+    # two shots per chart axis at each seed, none of them finite
+    assert len(lengths) == 2 * frame.chart_dim * len(seeds), lengths
+    assert all(math.isinf(v) for v in lengths), lengths
+
+
+def test_resolved_metric_collapse_ends_a_witness_shot():
+    # x^3 + y^3 + z^3 at (1.5, -1, -1): the backward axis-0 geodesic reaches
+    # parabolic points, where the metric degenerates, with h near 0.17, far
+    # from the boundary; the collapse is resolved and the shot ends there
+    frame = make_chart(HomogeneousPolynomial.parse("x^3+y^3+z^3"), [1.5, -1.0, -1.0])
+    trace = geodesic_shoot(frame, np.zeros(2), np.array([-1.0, 0.0]), max_len=WITNESS_MAX_LEN)
+    assert trace.stop_reason == "degenerate_metric"
+    assert trace.hvals[-1] > 0.1
+    assert 0.0 < completeness._shot_length(frame, trace, 1e-10) == trace.length < 1.0
 
 
 # -- invariance of the verdict -------------------------------------------------------

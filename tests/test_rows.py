@@ -3,8 +3,10 @@ concavity grid, the segment test and the ray solves, computed row-wise,
 against the one-point (or one-block-per-base) code they replaced, which is
 kept here as the reference: every row must equal its reference bit for bit
 (the report is written at 17 significant digits, so the stacked passes must
-not move one)."""
+not move one).  Likewise the geodesic loop's one-row calls (connection,
+Dormand-Prince step, one-row bisection) against the code they replaced."""
 
+import functools
 import itertools
 import math
 
@@ -15,22 +17,29 @@ from centroaffine import HomogeneousPolynomial, catalog, make_chart
 from centroaffine.chart import (
     METHODS,
     ChartFrame,
+    _bisect_rows,
     chart_metric,
     chart_metric_consistency,
     chart_metric_consistency_rows,
     chart_metric_rows,
+    christoffel,
     classify,
     cone_identity_residual,
     cone_identity_residual_rows,
+    contract_indices,
+    levi_civita_gamma,
     lorentz_identity_residual_rows,
     lorentz_identity_residuals,
     tangent_basis_at,
 )
 from centroaffine.cli import _cone_points
 from centroaffine.completeness import (
+    _DP_A,
+    _DP_E,
     ConcavityResult,
     SegmentLine,
     _critical_points,
+    _dp_step,
     concavity_results,
     concavity_test,
     cubic_segment_test,
@@ -590,3 +599,132 @@ def test_split_and_volume_rows_equal_the_one_point_formulas():
         ref = [_old_gauss_split(frame, c) for c in coords]
         assert _same(gamma, [g for g, _ in ref]) and _same(gram, [m for _, m in ref]), label
         assert _same(volume_form_rows(frame, coords), [_old_volume(frame, c) for c in coords]), label
+
+
+# -- the geodesic loop's one-row calls ------------------------------------------------
+
+
+def _old_contract(t, rows):
+    for _ in range(np.ndim(t)):
+        t = np.tensordot(t, rows, axes=([0], [1]))
+    return t
+
+
+def _old_gamma(frame, c):
+    """levi_civita_gamma through tensordot and the unshared jet formulas."""
+    x = frame.point(c)
+    func, k, bas = frame.func, frame.degree, frame.basis
+    hx = func(x)
+    d = bas @ func.gradient(x)
+    b = bas @ func.hessian(x) @ bas.T
+    t = _old_contract(func.third_tensor(x), bas)
+    g = -b / (k * hx) + ((k - 1.0) / (k * hx) ** 2) * np.outer(d, d)
+    dd = d[:, None, None] * d[None, :, None] * d[None, None, :]
+    sym_bd = b[:, :, None] * d[None, None, :] + b[:, None, :] * d[None, :, None]
+    dg = (
+        -t / (k * hx)
+        + d[:, None, None] * b[None, :, :] / (k * hx * hx)
+        + ((k - 1.0) / (k * k)) * (sym_bd / hx**2 - 2.0 * dd / hx**3)
+    )
+    return christoffel(g, dg), g
+
+
+def _old_dp_step(connection, c, v, a, step):
+    vs, accs = [v], [a]
+    for w in _DP_A:
+        ci = c + step * (w @ np.array(vs))
+        vi = v + step * (w @ np.array(accs))
+        gamma, g = connection(ci)
+        vs.append(vi)
+        accs.append(-((gamma @ vi) @ vi))
+    err_c = step * (_DP_E @ np.array(vs))
+    err_v = step * (_DP_E @ np.array(accs))
+    return ci, vi, accs[-1], g, err_c, err_v
+
+
+def _old_bisect_rows(coeffs, t0, w):
+    lo, hi = t0 - w, t0 + w
+    vlo, vhi = polyval_rows(coeffs, lo), polyval_rows(coeffs, hi)
+    ok = (vlo != 0.0) & (vhi != 0.0) & ((vlo < 0.0) != (vhi < 0.0))
+    active = ok.copy()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
+            break
+        left = (polyval_rows(coeffs, mid) < 0.0) == (vlo < 0.0)
+        lo = np.where(active & left, mid, lo)
+        hi = np.where(active & ~left, mid, hi)
+    return 0.5 * (lo + hi), ok
+
+
+def test_contract_indices_is_the_tensordot_product():
+    rng = np.random.default_rng(12)
+    for label, func, frame in _frames(maps=True):
+        x = frame.point(frame.sample_coords(3, max_frac=0.9, seed=2))
+        rotation = np.linalg.qr(rng.standard_normal((frame.chart_dim,) * 2))[0]
+        jets = (func.gradient, func.hessian, func.third_tensor)
+        if isinstance(func, HomogeneousPolynomial):  # the boundary layer's tensors, up to the degree
+            jets += tuple(functools.partial(func.derivative_tensor, order=m) for m in range(4, func.degree + 1))
+        for order, jet in enumerate(jets, start=1):
+            for t in map(jet, x):
+                basis_t = contract_indices(t, frame.basis)
+                assert _same(basis_t, _old_contract(t, frame.basis)), (label, order)
+                assert _same(contract_indices(basis_t, rotation), _old_contract(basis_t, rotation)), (label, order)
+
+
+def test_connection_equals_the_tensordot_formulas():
+    for label, _, frame in _frames(maps=True):
+        for max_frac in (0.5, 0.999):
+            for c in frame.sample_coords(8, max_frac=max_frac, seed=3):
+                gamma, g = levi_civita_gamma(frame, c)
+                ref_gamma, ref_g = _old_gamma(frame, c)
+                assert _same(gamma, ref_gamma) and _same(g, ref_g), (label, c)
+
+
+def test_dp_step_equals_the_list_built_stages():
+    for label, _, frame in _frames(maps=True):
+        def connection(c):
+            return levi_civita_gamma(frame, c)
+
+        for c in frame.sample_coords(4, max_frac=0.6, seed=4):
+            gamma, g = connection(c)
+            v = np.linalg.solve(np.linalg.cholesky(g).T, np.ones(frame.chart_dim))  # of speed sqrt(n)
+            a = -((gamma @ v) @ v)
+            for step in (1e-3, 0.05):
+                got = _dp_step(connection, c, v, a, step)
+                want = _old_dp_step(connection, c, v, a, step)
+                for name, x, y in zip(("c", "v", "a", "g", "err_c", "err_v"), got, want):
+                    assert _same(x, y), (label, name, step)
+
+
+def _bisect_cases():
+    """(label, coeffs, t0, w): random rows plus the edge cases."""
+    rng = np.random.default_rng(13)
+    cases = [
+        ("no sign change", [1.0, 0.0, 1.0], 0.5, 0.1),
+        ("vlo == 0", [-1.0, 1.0], 1.5, 0.5),  # lo = 1 is the zero
+        ("negative bracket", [6.0, 5.0, 1.0], -2.1, 0.3),  # zeros -2 and -3
+        ("near-double zero", np.polynomial.polynomial.polyfromroots([0.7, 0.7 + 1e-6]), 0.7 - 1e-7, 5e-7),
+        ("double zero", np.polynomial.polynomial.polyfromroots([0.3, 0.3, -1.0]), 0.3, 1e-4),
+        ("tiny bracket", [-1.0, 1.0], 1.0, 3e-16),
+    ]
+    for i in range(40):
+        roots = rng.uniform(-3.0, 3.0, rng.integers(1, 6))
+        coeffs = np.polynomial.polynomial.polyfromroots(roots) * rng.choice([-2.0, 0.5])
+        cases.append((f"random {i}", coeffs, roots[0] + rng.normal(scale=1e-3), 10.0 ** rng.uniform(-8, 0)))
+    return [(label, np.atleast_2d(np.asarray(c, dtype=float)), np.array([t0]), np.array([w])) for label, c, t0, w in cases]
+
+
+def test_one_row_bisection_equals_the_array_path():
+    cases = _bisect_cases()
+    for label, coeffs, t0, w in cases:
+        mid, ok = _bisect_rows(coeffs, t0, w)
+        ref_mid, ref_ok = _old_bisect_rows(coeffs, t0, w)
+        assert _same(mid, ref_mid) and ok.dtype == bool and ok.tolist() == ref_ok.tolist(), label
+    assert [bool(_bisect_rows(c, t, w)[1][0]) for _, c, t, w in cases[:4]] == [False, False, True, True]
+    # two rows of one degree take the array path, which rounds each row alike
+    for (label, c1, t1, w1), (_, c2, t2, w2) in zip(cases[6::2], cases[7::2]):
+        if c1.shape == c2.shape:
+            mid, ok = _bisect_rows(np.vstack([c1, c2]), np.concatenate([t1, t2]), np.concatenate([w1, w2]))
+            assert _same(mid, np.concatenate([_bisect_rows(c1, t1, w1)[0], _bisect_rows(c2, t2, w2)[0]])), label
