@@ -547,19 +547,21 @@ def chart_metric_with_derivative(frame: ChartFrame, coords):
 
     Returns (g, dg) with dg[i, j, k] the i-derivative of g_jk; requires third
     derivatives of the underlying function.  Used for the metric (Levi-Civita)
-    connection, whose geodesics preserve speed.
+    connection, whose geodesics preserve speed.  The third tensor is asked
+    for first: a polynomial evaluates its whole jet there and keeps it for
+    the point, which then serves the value, gradient and Hessian.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     x = frame.point(coords)
     func = frame.func
     k = frame.degree
+    bas = frame.basis
+    t = contract_indices(func.third_tensor(x), bas)
     hx = func(x)
     if hx <= 0.0:
         raise DomainError(f"chart point outside the positivity region (value {hx})")
-    bas = frame.basis
     d = bas @ func.gradient(x)
     b = bas @ func.hessian(x) @ bas.T
-    t = contract_indices(func.third_tensor(x), bas)
     return jet_metric_with_derivative(k, hx, d, b, t)
 
 

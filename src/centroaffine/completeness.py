@@ -395,11 +395,15 @@ def _first_positive_zero(coeffs) -> float:
     """Smallest positive zero of a univariate polynomial with coeffs[0] > 0,
     to full relative precision however small it is (inf when there is none).
 
-    The variable is scaled so that the nearest zeros sit at unit size before
-    the companion solve, then the zero is polished by bisection.
+    The variable is scaled by tau = min (c_0 / |c_m|)^(1/m) over the negative
+    coefficients c_m, the size at which the first of them can balance c_0,
+    so that the positive zeros, not the nearest ones, sit at unit size before
+    the companion solve; then the zero is polished by bisection.  With no
+    negative coefficient there is no sign change, so by Descartes' rule of
+    signs no positive zero.
     """
     cf = np.asarray(coeffs, dtype=float)
-    scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] != 0.0]
+    scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] < 0.0]
     if not scales:
         return math.inf
     tau = min(scales)
@@ -859,7 +863,10 @@ _WITNESS_STOPS = ("boundary", "step_underflow", "drift", "degenerate_metric")
 def _checked_quadrature(frame, start, direction, t0, t1, quad_tol) -> float:
     """Quadrature length that reports infinity when the integral does not
     converge (the reported error stays large for divergent tails, which is
-    exactly the complete-geodesic case that must not produce a witness)."""
+    exactly the complete-geodesic case that must not produce a witness).
+    Polynomial tails into a zero of order below the degree never get here
+    (:func:`_tail_length`); it is left to k-fold zeros, degenerate ends and
+    smooth maps."""
     try:
         value, err = curve_length_with_error(frame, start, direction, t0, t1, quad_tol)
     except DomainError:
@@ -869,32 +876,70 @@ def _checked_quadrature(frame, start, direction, t0, t1, quad_tol) -> float:
     return value
 
 
+def _speed_numerator(h, k: float) -> tuple:
+    """N = (k-1) h'^2 - k h h'' of a line restriction h (coefficients, lowest
+    order first), with g(v, v) = N / (k h)^2 along the line; and the size of
+    its terms, the same expression over |h| with the difference made a sum."""
+
+    def parts(c):
+        dc = _poly.polyder(c)
+        return (k - 1.0) * _poly.polymul(dc, dc), k * _poly.polymul(c, _poly.polyder(c, 2))
+
+    square, product = parts(h)
+    return _poly.polysub(square, product), _poly.polyadd(*parts(np.abs(h)))
+
+
+def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, quad_tol: float) -> float:
+    """Length of the chart segment start + t direction, 0 <= t <= t_end,
+    where t_end is a zero of h of order ``order`` as the ray solve's polish
+    treated it (0 where t_end is no zero of h).
+
+    For a polynomial, with h(t) the line restriction, the speed is
+    sqrt(N) / (k h) (:func:`_speed_numerator`).  At a zero of order m,
+    h ~ a (t_end - t)^m gives N ~ a^2 m (k - m) (t_end - t)^(2m - 2), so the
+    speed goes as sqrt(m (k - m)) / (k (t_end - t)): a tail into a zero of
+    order 1 <= m < k has infinite length, returned without a quadrature.
+    This is the blow-up g ~ dh^2 / h^2 behind the regular-boundary theorem
+    (arXiv:1407.3251).  At a k-fold zero h = a (t_end - t)^k and N vanishes
+    identically.  The polish may report such a zero as of order k - 1, since
+    the companion roots of a k-fold zero are off by about eps^(1/k); so the
+    rule also asks that some coefficient of N exceed 1e-8 of the size of its
+    terms, which rounding alone leaves near k eps.  A k-fold zero, an end
+    that is no zero of h and a smooth map keep the quadrature.
+    """
+    k = frame.degree
+    if isinstance(frame.func, HomogeneousPolynomial) and 1 <= order < k:
+        h = line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0]
+        numer, size = _speed_numerator(h, k)
+        if (np.abs(numer) > 1e-8 * size[: len(numer)]).any():
+            return math.inf
+    return _checked_quadrature(frame, start, direction, 0.0, t_end, quad_tol)
+
+
 def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple[float, str]:
     """Length and end of one side of a curve's chart interval, from the
     chart origin in the direction ``sign``.
 
     On a one-dimensional chart the maximal geodesic through the origin is
-    the chart interval itself, so a side is one quadrature of the metric
-    speed.  It ends at the boundary (``"boundary"``), or, for a polynomial,
-    sooner where the metric degenerates (``"degenerate_metric"``): at the
-    first positive zero of N = (k-1) h'^2 - k h h'', the numerator of
-    g = N / (k h)^2 along the side.  With neither end the side is
-    ``"unbounded"``.  The length is infinite when the side is unbounded or
-    its quadrature diverges (that side is complete).
+    the chart interval itself, so a side is the length of the metric speed
+    along it (:func:`_tail_length`).  It ends at the boundary
+    (``"boundary"``), or, for a polynomial, sooner where the metric
+    degenerates (``"degenerate_metric"``): at the first positive zero of
+    N = (k-1) h'^2 - k h h'', the numerator of g = N / (k h)^2 along the
+    side.  With neither end the side is ``"unbounded"``.  The length is
+    infinite when the side is unbounded, ends at a zero of h of order below
+    the degree, or its quadrature diverges (that side is complete).
     """
     c0 = np.zeros(1)
     direction = np.array([float(sign)])
     if chart_metric(frame, c0).matrix[0, 0] <= 0.0:
         raise DegenerateFrameError("metric degenerate along the initial direction")
-    t_end = float(frame.boundary_distances(c0, direction[None])[0])
+    t_end, order = (float(a[0]) for a in frame.boundary_distances(c0, direction[None], multiplicity=True))
     end = "boundary" if math.isfinite(t_end) else "unbounded"
     if isinstance(frame.func, HomogeneousPolynomial):
         k = frame.func.degree
         h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
-        dh = _poly.polyder(h)
-        numer = _poly.polysub(
-            (k - 1.0) * _poly.polymul(dh, dh), k * _poly.polymul(h, _poly.polyder(h, 2))
-        )
+        numer = _speed_numerator(h, k)[0]
         # the t^(2k-2) terms cancel exactly; their rounding is not a root
         t_flat = _first_positive_zero(numer[: 2 * k - 2])
         # An m-fold zero of h is a zero of N of order 2m - 2, where g blows up
@@ -903,17 +948,19 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
         if t_flat < t_end:
             size = _poly.polyval(t_flat, np.abs(h))
             if abs(_poly.polyval(t_flat, h)) > 1e-6 * size:
-                end, t_end = "degenerate_metric", t_flat
+                end, t_end, order = "degenerate_metric", t_flat, 0
     if end == "unbounded":
         return math.inf, end
-    return _checked_quadrature(frame, c0, direction, 0.0, t_end, quad_tol), end
+    return _tail_length(frame, c0, direction, t_end, int(order), quad_tol), end
 
 
 def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float:
     """Length of a witness shot extended to the boundary along its final
-    velocity, the tail by quadrature.  Infinite when the shot stopped
-    elsewhere than at the boundary or a degenerate metric, or when its tail
-    diverges, so complete geodesics cannot masquerade as witnesses.
+    velocity, the tail by :func:`_tail_length`.  Infinite when the shot
+    stopped elsewhere than at the boundary or a degenerate metric, or when
+    its tail diverges, so complete geodesics cannot masquerade as witnesses.
+    A polynomial tail into a zero of order below the degree is infinite by
+    the exact rule there; other tails are integrated.
 
     A ``degenerate_metric`` stop ends the shot only where the collapse is
     resolved.  The chart point's ambient coordinates x_i = origin_i +
@@ -943,12 +990,12 @@ def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float
     if norm == 0.0:
         return trace.length
     v = v / norm
-    dist = float(frame.boundary_distances(c_end, v[None])[0])
+    dist, order = (float(a[0]) for a in frame.boundary_distances(c_end, v[None], multiplicity=True))
     if math.isinf(dist):
         return math.inf
     if dist <= 0.0:
         return trace.length
-    return trace.length + _checked_quadrature(frame, c_end, v, 0.0, dist, quad_tol)
+    return trace.length + _tail_length(frame, c_end, v, dist, int(order), quad_tol)
 
 
 def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None) -> CompletenessVerdict:

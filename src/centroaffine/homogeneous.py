@@ -92,6 +92,8 @@ class HomogeneousPolynomial:
         self._exps = np.array(list(self._terms.keys()), dtype=np.int64)
         self._coeffs = np.array(list(self._terms.values()), dtype=float)
         self._tables: dict[int, tuple] = {}
+        self._jet_table: tuple | None = None
+        self._jet: tuple | None = None  # (point bytes, value, gradient, Hessian, third tensor)
 
     # -- construction -----------------------------------------------------
 
@@ -131,6 +133,9 @@ class HomogeneousPolynomial:
         """Value at each row of ``points`` (one value for a point): the terms
         c * prod_j x_j^e_j of a row summed by ``math.fsum``, correctly rounded."""
         x = np.asarray(points, dtype=float)
+        kept = self._kept(x)
+        if kept is not None:
+            return np.array([kept[1]])
         terms = self._coeffs * np.prod(x[..., None, :] ** self._exps, axis=-1)
         return np.array([math.fsum(row) for row in terms.reshape(-1, len(self._coeffs)).tolist()])
 
@@ -144,15 +149,66 @@ class HomogeneousPolynomial:
         return self._derivative(x, 2)
 
     def third_tensor(self, x) -> np.ndarray:
-        return self._derivative(x, 3)
+        """Tensor of the third partial derivatives at ``x``.
+
+        The value, gradient, Hessian and third tensor are evaluated together
+        (:meth:`_jet_at`) and kept for this one point.  Until the next
+        ``third_tensor`` call at another point, :meth:`__call__`,
+        :meth:`gradient`, :meth:`hessian`, :meth:`derivative_tensor` and a
+        one-row :meth:`value_rows` at a point equal to it bit for bit return
+        copies of the kept results, which are rounded as their own
+        evaluations round them.
+        """
+        x = np.asarray(x, dtype=float)
+        kept = self._kept(x)
+        if kept is None:
+            kept = self._jet = (x.tobytes(),) + self._jet_at(x)
+        return kept[4].copy()
 
     def derivative_tensor(self, x, order: int) -> np.ndarray:
         """Tensor of all partial derivatives of the given order (zero above the degree)."""
         return self._derivative(x, order)
 
+    def _kept(self, x):
+        """The jet kept by :meth:`third_tensor` if ``x`` is its point, bit for
+        bit (so -0.0 and 0.0 differ), else None."""
+        kept = self._jet
+        if kept is not None and x.size == self.dimension and x.tobytes() == kept[0]:
+            return kept
+        return None
+
+    def _jet_at(self, x) -> tuple:
+        """Value, gradient, Hessian and third tensor at the point ``x`` from one
+        power table x_j^0..x_j^max and one product per table row.  The rows
+        of orders 1-3 are the tables of :meth:`_table`, concatenated with
+        their slots offset, so one ``bincount`` sums each slot in its own
+        table's order; the value rows carry the coefficient 1, so that their
+        products are those of :meth:`value_rows`, which the coefficients
+        then scale before ``math.fsum``."""
+        d, n = self.dimension, len(self._coeffs)
+        if self._jet_table is None:
+            tables = [self._table(order) for order in (1, 2, 3)]
+            exps = np.concatenate([self._exps] + [t[0] for t in tables])
+            coeffs = np.concatenate([np.ones(n)] + [t[1] for t in tables])
+            slots = np.concatenate([t[2] + offset for t, offset in zip(tables, (0, d, d + d * d))])
+            top = int(self._exps.max()) + 1
+            index = exps.T + top * np.arange(d)[:, None]  # row j picks x_j^e from the flat power table
+            self._jet_table = (np.arange(top), index, coeffs, slots)
+        powers, index, vals, slots = self._jet_table
+        # x_j^0..x_j^max by pow over an exponent array, as _derivative and derivative_rows take them
+        table = (x[:, None] ** powers).ravel()
+        for rows in index:
+            vals = vals * table[rows]
+        value = math.fsum((self._coeffs * vals[:n]).tolist())
+        out = np.bincount(slots, weights=vals[n:], minlength=d + d * d + d**3)
+        return value, out[:d], out[d : d + d * d].reshape(d, d), out[d + d * d :].reshape(d, d, d)
+
     def _derivative(self, x, order: int) -> np.ndarray:
-        exps, coeffs, slots = self._table(order)
         x = np.asarray(x, dtype=float)
+        kept = self._kept(x)
+        if kept is not None and 1 <= order <= 3:
+            return kept[1 + order].copy()
+        exps, coeffs, slots = self._table(order)
         size = self.dimension**order
         if not exps.size:
             return np.zeros((self.dimension,) * order)

@@ -15,10 +15,13 @@ from centroaffine import (
     log_length_bound,
     make_chart,
     n1_monomial_test,
+    slice_chart,
 )
 from centroaffine import completeness
 from centroaffine.catalog import analytic_example, nonclosed_example
+from centroaffine.chart import chart_metric_rows
 from centroaffine.completeness import WITNESS_MAX_LEN, monomial_face_check
+from centroaffine.homogeneous import _mul_terms
 from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -551,6 +554,164 @@ def test_resolved_metric_collapse_ends_a_witness_shot():
     assert trace.stop_reason == "degenerate_metric"
     assert trace.hvals[-1] > 0.1
     assert 0.0 < completeness._shot_length(frame, trace, 1e-10) == trace.length < 1.0
+
+
+# -- the exact rule for polynomial tails ------------------------------------------------
+
+
+def _linear_form(a) -> dict:
+    return {tuple(int(i == j) for j in range(len(a))): float(c) for i, c in enumerate(a)}
+
+
+def _line_into_zero(rng, k, m):
+    """l_1^m l_2 ... l_(k-m+1), a product of linear forms on R^3, with a
+    slice chart whose line from the chart origin along the first axis has
+    the restriction h(t) = (1 - t)^m prod_j (1 + s_j t), |s_j| < 1/2: it
+    ends at t = 1 at a zero of order m.  Returns the chart and the s_j."""
+    origin = rng.standard_normal(3)
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0][:2]
+    ends = np.vstack([origin, basis[0]])  # l(origin + t w) = l(origin) + t l(w)
+    free = np.linalg.svd(ends)[2][-1]
+
+    def form(slope):  # l(origin) = 1, l(w) = slope, and a random part that vanishes on the line
+        return np.linalg.lstsq(ends, np.array([1.0, slope]), rcond=None)[0] + rng.standard_normal() * free
+
+    slopes = rng.uniform(-0.5, 0.5, k - m)
+    first = _linear_form(form(-1.0))
+    terms = first
+    for factor in [first] * (m - 1) + [_linear_form(form(s)) for s in slopes]:
+        terms = _mul_terms(terms, factor)
+    poly = HomogeneousPolynomial(terms)
+    return slice_chart(poly, origin, basis), slopes
+
+
+def _mp_tail_growth(mpmath, k, m, slopes, deltas=(1e-4, 1e-8)):
+    """Length of the line of :func:`_line_into_zero` from 1 - deltas[0] to
+    1 - deltas[1], in mpmath: with L = h'/h, the speed sqrt(N) / (k h) is
+    sqrt(-L^2 - k L') / k, free of the cancellation in h near its zero."""
+    s = [mpmath.mpf(float(v)) for v in slopes]
+
+    def speed(t):
+        lead = -m / (1 - t) + sum(v / (1 + v * t) for v in s)
+        slope = -m / (1 - t) ** 2 - sum(v * v / (1 + v * t) ** 2 for v in s)
+        return mpmath.sqrt(-lead * lead - k * slope) / k
+
+    lo, hi = (-round(math.log10(d)) for d in deltas)
+    return mpmath.quad(speed, [1 - mpmath.mpf(10) ** -j for j in range(lo, hi + 1)])
+
+
+def _count_quadratures(monkeypatch) -> list:
+    calls = []
+    quad = completeness.curve_length_with_error
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(completeness, "curve_length_with_error", counting)
+    return calls
+
+
+def _ray_end(frame, start, direction):
+    """(distance, order) of the ray solve, as the witness code asks for it."""
+    return tuple(float(a[0]) for a in frame.boundary_distances(start, direction[None], multiplicity=True))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_tails_into_zeros_of_order_below_the_degree_are_infinite(monkeypatch, k):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    quads = _count_quadratures(monkeypatch)
+    rng = np.random.default_rng(40 + k)
+    start, axis = np.zeros(2), np.array([1.0, 0.0])
+    for m in range(1, k):
+        frame, slopes = _line_into_zero(rng, k, m)
+        assert completeness._tail_length(frame, start, axis, 1.0, m, 1e-10) == math.inf
+        t_end, order = _ray_end(frame, start, axis)
+        if m <= 3:  # the ray solve may move or miss a zero of order 4 and up
+            assert abs(t_end - 1.0) <= 1e-6 and 1 <= order <= m, (m, t_end, order)
+        if math.isfinite(t_end):
+            assert completeness._tail_length(frame, start, axis, t_end, int(order), 1e-10) == math.inf
+        # the reference: the length to 1 - delta grows like sqrt(m (k - m)) / k ln(1 / delta)
+        rate = math.sqrt(m * (k - m)) / k
+        assert abs(float(_mp_tail_growth(mpmath, k, m, slopes)) / math.log(1e4) - rate) <= 1e-3 * rate
+    assert quads == []
+
+
+def _k_fold_line():
+    """x^2 y^3 on the slice z = 1 along the diagonal into the corner x = y = 0:
+    h(t) = (1 - t / sqrt 2)^5, a zero of the degree's order, where
+    N = (k-1) h'^2 - k h h'' vanishes identically and so does the speed."""
+    poly = HomogeneousPolynomial.parse("x^2*y^3", dimension=3)
+    frame = slice_chart(poly, np.ones(3), np.eye(3)[:2])
+    return frame, np.zeros(2), -np.ones(2) / math.sqrt(2.0)
+
+
+def test_a_tail_into_a_zero_of_the_degree_s_order_keeps_the_quadrature(monkeypatch):
+    quads = _count_quadratures(monkeypatch)
+    frame, start, direction = _k_fold_line()
+    t_end, order = _ray_end(frame, start, direction)
+    # the polish takes the 5-fold zero for a lower order: its companion roots
+    # are off by about eps^(1/5)
+    assert abs(t_end - math.sqrt(2.0)) <= 1e-2 and 1 <= order < 5
+    for end, m in [(t_end, int(order)), (math.sqrt(2.0), 5)] + [(math.sqrt(2.0), m) for m in range(1, 5)]:
+        # the integrand is rounding noise; a tolerance above it ends the quadrature at once
+        length = completeness._tail_length(frame, start, direction, end, m, 1e-7)
+        assert 0.0 <= length < 1e-6, (end, m, length)
+    assert len(quads) == 6
+
+
+def test_the_tail_rule_is_invariant_under_scaling_and_linear_maps(monkeypatch):
+    # lambda h and h(A y) carry the same line: the chart (A^-1 origin, basis
+    # A^-T) meets the same values h(t) at the same t.  The decision is what
+    # is compared, so the quadrature is only recorded.
+    quads = []
+    monkeypatch.setattr(completeness, "curve_length_with_error", lambda *args: quads.append(args) or (0.0, 0.0))
+    rng = np.random.default_rng(45)
+    start, axis = np.zeros(2), np.array([1.0, 0.0])
+    lines = [(_line_into_zero(rng, k, m)[0], start, axis, math.inf) for k, m in ((3, 1), (4, 2), (5, 3), (6, 2))]
+    lines.append(_k_fold_line() + (None,))
+    for frame, c, u, expected in lines:
+        a = np.linalg.qr(rng.standard_normal((3, 3)))[0] @ np.diag(rng.uniform(0.6, 1.6, 3))
+        copies = [slice_chart(scaled(frame.func, lam), frame.origin, frame.basis) for lam in (1e-3, 1e3)]
+        origin, basis = np.linalg.solve(a, frame.origin), np.linalg.solve(a, frame.basis.T).T
+        copies.append(slice_chart(frame.func.compose_linear(a), origin, basis))
+        for copy in [frame] + copies:
+            before = len(quads)
+            t_end, order = _ray_end(copy, c, u)
+            length = completeness._tail_length(copy, c, u, t_end, int(order), 1e-10)
+            if expected is None:  # the k-fold zero keeps the quadrature
+                assert len(quads) == before + 1 and length == 0.0
+            else:
+                assert len(quads) == before and length == expected
+
+
+# A random sextic curve; side +1 from its seed runs to a cluster of three
+# zeros of h within 6e-6 of t = 0.93673 with g >= 0.107 on the way, so the
+# metric never degenerates on it.  The first positive zero of N was looked
+# for after scaling t by N's nearest zero, a negative one at -0.0097, which
+# pushed the scaled top coefficients below the solver's cut-off and put a
+# false zero of N at t = 0.6165.
+SEXTIC = (
+    "0.4867558963953898*x^6 - 4.812691756585318*x^5*y + 14.46501294761392*x^4*y^2"
+    " - 8.034555756165176*x^3*y^3 - 14.975239584005966*x^2*y^4"
+    " - 3.3321382922411127*x*y^5 + 1.8600959762936564*y^6"
+)
+
+
+def test_first_positive_zero_scales_by_the_negative_coefficients():
+    frame = make_chart(HomogeneousPolynomial.parse(SEXTIC), [0.8150446704972311, -0.8672524295217184])
+    assert completeness.curve_side(frame, 1.0) == (math.inf, "boundary")
+    t_end = frame.boundary_distance(np.zeros(1), np.ones(1))
+    assert abs(t_end - 0.93673) <= 1e-5
+    g = chart_metric_rows(frame, np.linspace(0.0, t_end, 400, endpoint=False)[:, None])[:, 0, 0]
+    assert g.min() > 0.1
+    # (t + eps)(t - 2)(t - 3): scaled by the negative zero, the solve lost 2
+    poly = np.polynomial.polynomial
+    for eps in (1e-3, 1e-7, 1e-9):
+        assert abs(completeness._first_positive_zero(poly.polyfromroots([-eps, 2.0, 3.0])) - 2.0) <= 1e-14
+    # no negative coefficient, no sign change: no positive zero
+    assert completeness._first_positive_zero([1.0, 2.0, 0.0, 3.0]) == math.inf
 
 
 # -- invariance of the verdict -------------------------------------------------------

@@ -610,14 +610,40 @@ def _old_contract(t, rows):
     return t
 
 
+def _old_derivative(poly, x, order):
+    """HomogeneousPolynomial._derivative before the fused jet: one product
+    per table row, variable by variable, and one bincount per order."""
+    exps, coeffs, slots = poly._table(order)
+    x = np.asarray(x, dtype=float)
+    if not exps.size:
+        return np.zeros((poly.dimension,) * order)
+    vals = coeffs.copy()
+    for j in range(poly.dimension):
+        vals *= x[j] ** exps[:, j]
+    return np.bincount(slots, weights=vals, minlength=poly.dimension**order).reshape((poly.dimension,) * order)
+
+
+def _old_value_rows(poly, points):
+    x = np.asarray(points, dtype=float)
+    terms = poly._coeffs * np.prod(x[..., None, :] ** poly._exps, axis=-1)
+    return np.array([math.fsum(row) for row in terms.reshape(-1, len(poly._coeffs)).tolist()])
+
+
+def _old_jet(func, x):
+    """Value, gradient, Hessian and third tensor, each evaluated on its own."""
+    if isinstance(func, HomogeneousPolynomial):
+        return (float(_old_value_rows(func, x)[0]),) + tuple(_old_derivative(func, x, m) for m in (1, 2, 3))
+    return func(x), func.gradient(x), func.hessian(x), func.third_tensor(x)
+
+
 def _old_gamma(frame, c):
     """levi_civita_gamma through tensordot and the unshared jet formulas."""
     x = frame.point(c)
     func, k, bas = frame.func, frame.degree, frame.basis
-    hx = func(x)
-    d = bas @ func.gradient(x)
-    b = bas @ func.hessian(x) @ bas.T
-    t = _old_contract(func.third_tensor(x), bas)
+    hx, grad, hess, third = _old_jet(func, x)
+    d = bas @ grad
+    b = bas @ hess @ bas.T
+    t = _old_contract(third, bas)
     g = -b / (k * hx) + ((k - 1.0) / (k * hx) ** 2) * np.outer(d, d)
     dd = d[:, None, None] * d[None, :, None] * d[None, None, :]
     sym_bd = b[:, :, None] * d[None, None, :] + b[:, None, :] * d[None, :, None]
@@ -728,3 +754,62 @@ def test_one_row_bisection_equals_the_array_path():
         if c1.shape == c2.shape:
             mid, ok = _bisect_rows(np.vstack([c1, c2]), np.concatenate([t1, t2]), np.concatenate([w1, w2]))
             assert _same(mid, np.concatenate([_bisect_rows(c1, t1, w1)[0], _bisect_rows(c2, t2, w2)[0]])), label
+
+
+# -- the fused polynomial jet ----------------------------------------------------------
+
+
+def _random_polynomial(rng, dim, degree, n_terms=8):
+    terms = {}
+    for _ in range(n_terms):
+        terms[tuple(rng.multinomial(degree, np.ones(dim) / dim))] = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+    return HomogeneousPolynomial(terms, dimension=dim)
+
+
+def _jet_polynomials():
+    rng = np.random.default_rng(21)
+    polys = [func for _, func, _ in _frames() if isinstance(func, HomogeneousPolynomial)]
+    polys += [HomogeneousPolynomial({(2, 0): 1.0}, dimension=2), HomogeneousPolynomial.parse("x^2 + y^2 - z^2")]
+    polys += [_random_polynomial(rng, dim, degree) for dim in (2, 3, 4, 5) for degree in (2, 3, 4, 5, 6)]
+    return polys
+
+
+def test_fused_jet_equals_the_separate_evaluations():
+    # every order bit for bit against the code it replaced, at points with
+    # zero and -0.0 entries and at scales 1e-8 and 1e3
+    rng = np.random.default_rng(22)
+    for poly in _jet_polynomials():
+        for i in range(60):
+            x = rng.standard_normal(poly.dimension) * (1e-8, 1.0, 1e3)[i % 3]
+            x[rng.random(poly.dimension) < 0.2] = 0.0
+            x[rng.random(poly.dimension) < 0.2] = -0.0
+            jet = poly._jet_at(x)
+            assert all(_same(a, b) for a, b in zip(jet, _old_jet(poly, x))), (poly, x)
+            # through the public calls: third_tensor keeps the jet, the others serve it
+            third = poly.third_tensor(x)
+            got = (poly(x), poly.gradient(x), poly.hessian(x), third)
+            assert all(_same(a, b) for a, b in zip(got, jet)), (poly, x)
+            assert _same(poly.value_rows(x[None]), [jet[0]]) and _same(poly.derivative_rows(x, 2)[0], jet[2])
+
+
+def test_kept_jet_serves_only_its_own_point():
+    poly = HomogeneousPolynomial.parse("x^3 - x*y^2 + 0.3*y^2*z + z^3")
+    x = np.array([0.7, -0.0, 0.4])
+    poly.third_tensor(x)
+    # +0.0 is not the kept point -0.0 bit for bit, though the values agree
+    assert poly._kept(np.array([0.7, 0.0, 0.4])) is None and poly._kept(x.copy()) is not None
+    # a caller that changes its array in place after the call gets the new point
+    x[0] = 0.9
+    assert _same(poly(x), _old_value_rows(poly, x)[0]) and poly(x) != _old_value_rows(poly, [0.7, 0.0, 0.4])[0]
+    for order in (1, 2, 3):
+        assert _same(poly.derivative_tensor(x, order), _old_derivative(poly, x, order))
+    # a caller that changes a returned array does not change the kept one
+    y = np.array([0.5, 0.25, -0.125])
+    third = poly.third_tensor(y)
+    grad = poly.gradient(y)
+    grad[:], third[:] = 7.0, 7.0
+    assert _same(poly.gradient(y), _old_derivative(poly, y, 1))
+    assert _same(poly.third_tensor(y), _old_derivative(poly, y, 3))
+    # rows of more than one point are never served from it
+    rows = np.array([y, y])
+    assert _same(poly.value_rows(rows), _old_value_rows(poly, rows))
