@@ -393,9 +393,11 @@ class ChartFrame:
         return 0.5 * (t_lo + t_hi)
 
     def _capped_distances(self, directions) -> np.ndarray:
-        # a non-compact slice is sampled over a capped segment
-        dist = self.boundary_distances(np.zeros(self.chart_dim), directions)
-        cap = 5.0 * (1.0 + float(np.linalg.norm(self.origin)))
+        # each distinct ray is solved once; rays are told apart bit for bit, so -0.0 is not 0.0
+        dirs = np.ascontiguousarray(directions, dtype=float)
+        rays, back = np.unique(dirs.view(f"V{dirs.itemsize * self.chart_dim}"), return_inverse=True)
+        dist = self.boundary_distances(np.zeros(self.chart_dim), rays.view(float).reshape(len(rays), -1))[back.ravel()]
+        cap = 5.0 * (1.0 + float(np.linalg.norm(self.origin)))  # a non-compact slice is sampled over a capped segment
         return np.where(np.isinf(dist), cap, dist)
 
     def diameter(self, n_directions: int = 16, seed: int = 0) -> float:

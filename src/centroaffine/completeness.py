@@ -392,25 +392,30 @@ def _dp_step(connection, c, v, a, step):
 
 
 def _first_positive_zero(coeffs) -> float:
-    """Smallest positive zero of a univariate polynomial with coeffs[0] > 0,
-    to full relative precision however small it is (inf when there is none).
+    """Smallest positive zero of a univariate polynomial p with p(0) =
+    coeffs[0] > 0, to full relative precision however small it is (inf when
+    there is none, as by Descartes' rule with no negative coefficient).
 
     The variable is scaled by tau = min (c_0 / |c_m|)^(1/m) over the negative
     coefficients c_m, the size at which the first of them can balance c_0,
     so that the positive zeros, not the nearest ones, sit at unit size before
-    the companion solve; then the zero is polished by bisection.  With no
-    negative coefficient there is no sign change, so by Descartes' rule of
-    signs no positive zero.
+    the companion solve; the zeros are polished by bisection.  A zero counts
+    where p crosses zero within a relative 1e-6 of it or touches zero there
+    (to 1e-14 of the size of its terms), not at a positive minimum of p, the
+    real part of a close complex pair.  Failing that, as beside a tiny zero
+    of the other sign, which makes tau tiny, the solve is repeated unscaled.
     """
     cf = np.asarray(coeffs, dtype=float)
     scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] < 0.0]
-    if not scales:
-        return math.inf
-    tau = min(scales)
-    scaled = cf * tau ** np.arange(len(cf)) / cf[0]
-    zeros = univariate_zeros_rows(scaled[None])
-    first = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
-    return tau * float(_polish_polynomial_zeros(scaled[None], first)[0][0])
+    for tau in (min(scales), 1.0) if scales else ():
+        scaled = (cf * tau ** np.arange(len(cf)) / cf[0])[None]
+        zeros = univariate_zeros_rows(scaled)[0]
+        for z in zeros[zeros > 0.0]:
+            t = tau * float(_polish_polynomial_zeros(scaled, [z])[0][0])
+            values = _poly.polyval(t * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6]), cf)
+            if len(set(np.sign(values))) > 1 or abs(values[1]) <= 1e-14 * _poly.polyval(t, np.abs(cf)):
+                return t
+    return math.inf
 
 
 class _ChartCoordinates:
@@ -484,11 +489,8 @@ class _BoundaryLayer:
     def entered(cls, frame: ChartFrame, anchor):
         """Layer at the chart point ``anchor``, with the rotation from chart
         axes to its local axes."""
-        x = frame.point(anchor)
-        tensors = [
-            contract_indices(frame.func.derivative_tensor(x, j), frame.basis)
-            for j in range(1, frame.func.degree + 1)
-        ]
+        jet = frame.func._evaluate(frame.point(anchor), tuple(range(1, frame.func.degree + 1)))
+        tensors = [contract_indices(t, frame.basis) for t in jet]
         return cls(frame, anchor, np.eye(frame.chart_dim), tensors)._aligned()
 
     def moved(self, shift):
@@ -889,10 +891,11 @@ def _speed_numerator(h, k: float) -> tuple:
     return _poly.polysub(square, product), _poly.polyadd(*parts(np.abs(h)))
 
 
-def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, quad_tol: float) -> float:
+def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, quad_tol: float, speed=None) -> float:
     """Length of the chart segment start + t direction, 0 <= t <= t_end,
     where t_end is a zero of h of order ``order`` as the ray solve's polish
-    treated it (0 where t_end is no zero of h).
+    treated it (0 where t_end is no zero of h).  ``speed`` is N and its size
+    along the segment's line (:func:`_speed_numerator`), if the caller has them.
 
     For a polynomial, with h(t) the line restriction, the speed is
     sqrt(N) / (k h) (:func:`_speed_numerator`).  At a zero of order m,
@@ -909,8 +912,9 @@ def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, 
     """
     k = frame.degree
     if isinstance(frame.func, HomogeneousPolynomial) and 1 <= order < k:
-        h = line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0]
-        numer, size = _speed_numerator(h, k)
+        if speed is None:
+            speed = _speed_numerator(line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0], k)
+        numer, size = speed
         if (np.abs(numer) > 1e-8 * size[: len(numer)]).any():
             return math.inf
     return _checked_quadrature(frame, start, direction, 0.0, t_end, quad_tol)
@@ -936,12 +940,13 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
         raise DegenerateFrameError("metric degenerate along the initial direction")
     t_end, order = (float(a[0]) for a in frame.boundary_distances(c0, direction[None], multiplicity=True))
     end = "boundary" if math.isfinite(t_end) else "unbounded"
+    speed = None
     if isinstance(frame.func, HomogeneousPolynomial):
         k = frame.func.degree
         h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
-        numer = _speed_numerator(h, k)[0]
+        speed = _speed_numerator(h, k)
         # the t^(2k-2) terms cancel exactly; their rounding is not a root
-        t_flat = _first_positive_zero(numer[: 2 * k - 2])
+        t_flat = _first_positive_zero(speed[0][: 2 * k - 2])
         # An m-fold zero of h is a zero of N of order 2m - 2, where g blows up
         # rather than degenerates.  Rounding splits it into roots of N nearby,
         # at which h is below sqrt(eps) of the size of its terms.
@@ -951,7 +956,7 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
                 end, t_end, order = "degenerate_metric", t_flat, 0
     if end == "unbounded":
         return math.inf, end
-    return _tail_length(frame, c0, direction, t_end, int(order), quad_tol), end
+    return _tail_length(frame, c0, direction, t_end, int(order), quad_tol, speed), end
 
 
 def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float:

@@ -25,12 +25,6 @@ _TOKEN = re.compile(
 )
 
 
-def _sorted_terms(terms):
-    # graded lexicographic; all stored terms share one degree, so plain
-    # reverse-lex on the exponent tuples is a stable total order
-    return dict(sorted(terms.items(), key=lambda kv: kv[0], reverse=True))
-
-
 def _mul_terms(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> dict:
     out: dict[tuple, float] = {}
     for ea, ca in a.items():
@@ -88,11 +82,11 @@ class HomogeneousPolynomial:
             raise ValueError(f"total degree must be >= 2, got {degree}")
         self.dimension = dim
         self.degree = degree
-        self._terms = _sorted_terms(clean)
+        # graded lexicographic: the terms share one degree, so reverse-lex on the exponents
+        self._terms = dict(sorted(clean.items(), reverse=True))
         self._exps = np.array(list(self._terms.keys()), dtype=np.int64)
         self._coeffs = np.array(list(self._terms.values()), dtype=float)
-        self._tables: dict[int, tuple] = {}
-        self._jet_table: tuple | None = None
+        self._jet_tables: dict[tuple, tuple] = {}
         self._jet: tuple | None = None  # (point bytes, value, gradient, Hessian, third tensor)
 
     # -- construction -----------------------------------------------------
@@ -127,150 +121,122 @@ class HomogeneousPolynomial:
     # -- evaluation and derivatives ---------------------------------------
 
     def __call__(self, x) -> float:
-        return float(self.value_rows(x)[0])
+        return float(self._evaluate(x, (0,))[0])
 
     def value_rows(self, points) -> np.ndarray:
         """Value at each row of ``points`` (one value for a point): the terms
         c * prod_j x_j^e_j of a row summed by ``math.fsum``, correctly rounded."""
-        x = np.asarray(points, dtype=float)
-        kept = self._kept(x)
-        if kept is not None:
-            return np.array([kept[1]])
-        terms = self._coeffs * np.prod(x[..., None, :] ** self._exps, axis=-1)
-        return np.array([math.fsum(row) for row in terms.reshape(-1, len(self._coeffs)).tolist()])
+        return self._evaluate(np.atleast_2d(points), (0,))[0]
 
     def contains(self, x) -> bool:
         return True
 
     def gradient(self, x) -> np.ndarray:
-        return self._derivative(x, 1)
+        return self._evaluate(x, (1,))[0]
 
     def hessian(self, x) -> np.ndarray:
-        return self._derivative(x, 2)
+        return self._evaluate(x, (2,))[0]
 
     def third_tensor(self, x) -> np.ndarray:
-        """Tensor of the third partial derivatives at ``x``.
-
-        The value, gradient, Hessian and third tensor are evaluated together
-        (:meth:`_jet_at`) and kept for this one point.  Until the next
-        ``third_tensor`` call at another point, :meth:`__call__`,
-        :meth:`gradient`, :meth:`hessian`, :meth:`derivative_tensor` and a
-        one-row :meth:`value_rows` at a point equal to it bit for bit return
-        copies of the kept results, which are rounded as their own
-        evaluations round them.
-        """
-        x = np.asarray(x, dtype=float)
-        kept = self._kept(x)
-        if kept is None:
-            kept = self._jet = (x.tobytes(),) + self._jet_at(x)
-        return kept[4].copy()
+        """Third derivative tensor at ``x``, evaluated and kept with the
+        value, gradient and Hessian there (:meth:`_evaluate`)."""
+        return self._evaluate(x, (3,))[0]
 
     def derivative_tensor(self, x, order: int) -> np.ndarray:
         """Tensor of all partial derivatives of the given order (zero above the degree)."""
-        return self._derivative(x, order)
-
-    def _kept(self, x):
-        """The jet kept by :meth:`third_tensor` if ``x`` is its point, bit for
-        bit (so -0.0 and 0.0 differ), else None."""
-        kept = self._jet
-        if kept is not None and x.size == self.dimension and x.tobytes() == kept[0]:
-            return kept
-        return None
-
-    def _jet_at(self, x) -> tuple:
-        """Value, gradient, Hessian and third tensor at the point ``x`` from one
-        power table x_j^0..x_j^max and one product per table row.  The rows
-        of orders 1-3 are the tables of :meth:`_table`, concatenated with
-        their slots offset, so one ``bincount`` sums each slot in its own
-        table's order; the value rows carry the coefficient 1, so that their
-        products are those of :meth:`value_rows`, which the coefficients
-        then scale before ``math.fsum``."""
-        d, n = self.dimension, len(self._coeffs)
-        if self._jet_table is None:
-            tables = [self._table(order) for order in (1, 2, 3)]
-            exps = np.concatenate([self._exps] + [t[0] for t in tables])
-            coeffs = np.concatenate([np.ones(n)] + [t[1] for t in tables])
-            slots = np.concatenate([t[2] + offset for t, offset in zip(tables, (0, d, d + d * d))])
-            top = int(self._exps.max()) + 1
-            index = exps.T + top * np.arange(d)[:, None]  # row j picks x_j^e from the flat power table
-            self._jet_table = (np.arange(top), index, coeffs, slots)
-        powers, index, vals, slots = self._jet_table
-        # x_j^0..x_j^max by pow over an exponent array, as _derivative and derivative_rows take them
-        table = (x[:, None] ** powers).ravel()
-        for rows in index:
-            vals = vals * table[rows]
-        value = math.fsum((self._coeffs * vals[:n]).tolist())
-        out = np.bincount(slots, weights=vals[n:], minlength=d + d * d + d**3)
-        return value, out[:d], out[d : d + d * d].reshape(d, d), out[d + d * d :].reshape(d, d, d)
-
-    def _derivative(self, x, order: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        kept = self._kept(x)
-        if kept is not None and 1 <= order <= 3:
-            return kept[1 + order].copy()
-        exps, coeffs, slots = self._table(order)
-        size = self.dimension**order
-        if not exps.size:
-            return np.zeros((self.dimension,) * order)
-        vals = coeffs.copy()
-        for j in range(self.dimension):
-            vals *= x[j] ** exps[:, j]
-        out = np.bincount(slots, weights=vals, minlength=size)
-        return out.reshape((self.dimension,) * order)
+        return self._evaluate(x, (order,))[0]
 
     def derivative_rows(self, points, order: int) -> np.ndarray:
         """Value (order 0, :meth:`value_rows`) or derivative tensor at each row
-        of ``points``, in one evaluation; a derivative row rounds as the
-        one-point call does."""
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        if order == 0:
-            return self.value_rows(x)
-        if len(x) == 1:  # the one-point call, which rounds alike, has less overhead
-            return self._derivative(x[0], order)[None]
-        exps, coeffs, slots = self._table(order)
-        # x_j^0..x_j^max by pow over an exponent array, as the one-point call (numpy squares a lone 2)
-        powers = [x[:, j : j + 1] ** np.arange(exps[:, j].max(initial=0) + 1) for j in range(self.dimension)]
-        out = np.zeros((len(x), self.dimension**order))
-        step = max(1, 2**14 // max(1, len(x)))  # table rows per block, bounding the scratch arrays
-        for rows in (slice(i, i + step) for i in range(0, len(coeffs), step)):
-            vals = np.repeat(coeffs[None, rows], len(x), axis=0)
-            for j, power in enumerate(powers):
-                vals *= power[:, exps[rows, j]]
-            np.add.at(out, (slice(None), slots[rows]), vals)  # in table order, as bincount sums
-        return out.reshape((len(x),) + (self.dimension,) * order)
+        of ``points``, in one evaluation; a row rounds as the one-point call does."""
+        return self._evaluate(np.atleast_2d(points), (order,))[0]
 
-    def _table(self, order: int):
-        # rows: one per (term, ordered index sequence); symmetric slots appear
-        # as separate identical rows, so the assembled tensor is exactly symmetric
-        if order not in self._tables:
-            d = self.dimension
-            rows = [(tuple(e), c, 0) for e, c in self._terms.items()]
-            flat: list[tuple[tuple, float, int]] = []
-            work = [(e, c, ()) for e, c, _ in rows]
-            for _ in range(order):
-                nxt = []
-                for e, c, idx in work:
-                    for i in range(d):
-                        if e[i] > 0:
-                            e2 = list(e)
-                            e2[i] -= 1
-                            nxt.append((tuple(e2), c * e[i], idx + (i,)))
-                work = nxt
-            for e, c, idx in work:
-                slot = 0
-                for i in idx:
-                    slot = slot * d + i
-                flat.append((e, c, slot))
-            if flat:
-                exps = np.array([f[0] for f in flat], dtype=np.int64)
-                coeffs = np.array([f[1] for f in flat], dtype=float)
-                slots = np.array([f[2] for f in flat], dtype=np.int64)
-            else:
-                exps = np.zeros((0, d), dtype=np.int64)
-                coeffs = np.zeros(0)
-                slots = np.zeros(0, dtype=np.int64)
-            self._tables[order] = (exps, coeffs, slots)
-        return self._tables[order]
+    def _evaluate(self, points, orders: tuple) -> list:
+        """Value (order 0) and derivative tensors of the ascending ``orders``
+        at the point ``points``, or at each of its rows (with a row axis).
+
+        One table per tuple of orders (:meth:`_jet_table`) holds the rows of
+        the value and of each derivative order.  One power table
+        x_j^0..x_j^max and one product per table row serve them all.  Each
+        slot sums its rows in table order, so a tensor rounds as its own
+        evaluation rounds it, and no row depends on the rows beside it; a
+        value sums its terms, the products scaled by the coefficients, by
+        ``math.fsum``.  One point takes one ``bincount``; rows take blocks of
+        table rows, which bound the scratch arrays, and ``np.add.at``.
+
+        At one point, a highest order of 3 takes the whole jet of orders 0-3
+        and keeps it: until the jet is taken at another point, orders up to 3
+        at a point equal to it bit for bit (so -0.0 and 0.0 differ) are
+        copies of it.
+        """
+        # loops, not comprehensions, over names of this frame: on Python 3.11
+        # a comprehension makes them closure cells, a cost on every call
+        x, d = np.asarray(points, dtype=float), self.dimension
+        if x.size == d:
+            kept = self._jet
+            if kept is None or orders[-1] > 3 or x.tobytes() != kept[0]:
+                full = (0, 1, 2, 3) if orders[-1] == 3 else orders
+                powers, index, vals, slots, spans = self._jet_table(full)
+                table = (x.ravel()[:, None] ** powers).ravel()
+                for cols in index:
+                    vals = vals * table[cols]
+                out = np.bincount(slots, weights=vals, minlength=spans[-1][2]) if full[-1] else None
+                jet = []
+                for m, lo, hi, shape in spans:
+                    jet.append(out[lo:hi].reshape(shape) if m else np.float64(math.fsum((self._coeffs * vals[lo:hi]).tolist())))
+                if orders[-1] != 3:
+                    return jet if x.ndim == 1 else [a[None] for a in jet]
+                kept = self._jet = (x.tobytes(), *jet)
+            jet = []
+            for m in orders:
+                jet.append(kept[1 + m].copy() if m else kept[1])  # the value, a scalar, is immutable
+            return jet if x.ndim == 1 else [a[None] for a in jet]
+        powers, index, coeffs, slots, spans = self._jet_table(orders)
+        rows = x.reshape(-1, d)
+        table = (rows[:, :, None] ** powers).reshape(len(rows), d * len(powers))
+        out = np.zeros((len(rows), spans[-1][2]))
+        n0 = spans[0][2] if orders[0] == 0 else 0  # the value's rows come first, one slot each
+        step = max(1, 2**14 // max(1, len(rows)))  # table rows per block
+        for lo, hi in ((0, n0), (n0, len(coeffs))):
+            for i in range(lo, hi, step):
+                block = slice(i, min(i + step, hi))
+                vals = np.repeat(coeffs[None, block], len(rows), axis=0)
+                for cols in index[:, block]:
+                    vals *= table[:, cols]
+                if lo < n0:
+                    out[:, block] = vals
+                else:
+                    np.add.at(out, (slice(None), slots[block]), vals)  # in table order, as bincount sums
+        jet = []
+        for m, lo, hi, shape in spans:
+            jet.append(out[:, lo:hi].reshape((len(rows),) + shape) if m else np.array([math.fsum(r) for r in (self._coeffs * out[:, lo:hi]).tolist()]))
+        return jet
+
+    def _jet_table(self, orders: tuple):
+        """The table of ``orders``: (powers, power-table columns per variable,
+        coefficients, slots, and per order its slot span and tensor shape).
+
+        The value (order 0) has one row per term, with the coefficient 1 and
+        the term's own slot.  Order m has one row per term and ordered index
+        sequence i_1..i_m of a nonzero derivative, in the slot sum_r i_r
+        d^(m-r) past the orders before; symmetric slots appear as separate
+        identical rows, so each tensor is exactly symmetric."""
+        if orders not in self._jet_tables:
+            d, n = self.dimension, len(self._coeffs)
+            rows, spans, work = [], [], [(e, c, 0) for e, c in self._terms.items()]
+            for m in range(orders[-1] + 1):
+                if m:
+                    work = [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i], s * d + i) for e, c, s in work for i in range(d) if e[i]]
+                if m in orders:
+                    lo = spans[-1][2] if spans else 0
+                    rows += [(e, 1.0, lo + i) for i, (e, _, _) in enumerate(work)] if m == 0 else [(e, c, lo + s) for e, c, s in work]
+                    spans.append((m, lo, lo + (n if m == 0 else d**m), (d,) * m))
+            exps = np.array([r[0] for r in rows], dtype=np.int64).reshape(len(rows), d)
+            top = int(exps.max(initial=0)) + 1
+            index = exps.T + top * np.arange(d)[:, None]  # row j picks x_j^e from the flat power table
+            coeffs, slots = np.array([r[1] for r in rows]), np.array([r[2] for r in rows], dtype=np.int64)
+            self._jet_tables[orders] = (np.arange(top), index, coeffs, slots, spans)
+        return self._jet_tables[orders]
 
     # -- algebra -----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Shared fixtures and independent finite-difference oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,52 @@ def fd_third(func, x, step=1e-4):
         e[i] = step
         out[i] = (func.hessian(x + e) - func.hessian(x - e)) / (2.0 * step)
     return out
+
+
+def _old_table(poly, order):
+    """Rows (exponents, coefficient, slot) of the derivatives of the given
+    order, one per term and ordered index sequence, as they were built."""
+    d = poly.dimension
+    work = [(e, c, ()) for e, c in poly.terms.items()]
+    for _ in range(order):
+        nxt = []
+        for e, c, idx in work:
+            for i in range(d):
+                if e[i] > 0:
+                    e2 = list(e)
+                    e2[i] -= 1
+                    nxt.append((tuple(e2), c * e[i], idx + (i,)))
+        work = nxt
+    flat = []
+    for e, c, idx in work:
+        slot = 0
+        for i in idx:
+            slot = slot * d + i
+        flat.append((e, c, slot))
+    exps = np.array([f[0] for f in flat], dtype=np.int64).reshape(len(flat), d)
+    return exps, np.array([f[1] for f in flat], dtype=float), np.array([f[2] for f in flat], dtype=np.int64)
+
+
+def _old_derivative(poly, x, order):
+    """Derivative tensor of a polynomial at one point as it was evaluated
+    on its own: one product per table row, variable by variable, and one
+    bincount."""
+    exps, coeffs, slots = _old_table(poly, order)
+    x = np.asarray(x, dtype=float)
+    if not exps.size:
+        return np.zeros((poly.dimension,) * order)
+    vals = coeffs.copy()
+    for j in range(poly.dimension):
+        vals *= x[j] ** exps[:, j]
+    return np.bincount(slots, weights=vals, minlength=poly.dimension**order).reshape((poly.dimension,) * order)
+
+
+def _old_value_rows(poly, points):
+    """Polynomial values at the rows of ``points`` as they were evaluated on
+    their own: each row's terms by numpy's product, summed by fsum."""
+    x = np.asarray(points, dtype=float)
+    terms = poly._coeffs * np.prod(x[..., None, :] ** poly._exps, axis=-1)
+    return np.array([math.fsum(row) for row in terms.reshape(-1, len(poly._coeffs)).tolist()])
 
 
 def cubic_exponents(dim):

@@ -714,6 +714,30 @@ def test_first_positive_zero_scales_by_the_negative_coefficients():
     assert completeness._first_positive_zero([1.0, 2.0, 0.0, 3.0]) == math.inf
 
 
+def test_first_positive_zero_beside_tiny_and_false_zeros():
+    poly = np.polynomial.polynomial
+    # -(t + eps)(t + 1)(t - 2)(t - 3)(t - 4): scaled by the tiny negative
+    # zero, the solve lost the positive zeros (inf) or found a false one
+    for eps in (1e-5, 1e-7, 1e-9, 1e-12):
+        t = completeness._first_positive_zero(-poly.polyfromroots([-eps, -1.0, 2.0, 3.0, 4.0]))
+        assert abs(t - 2.0) <= 2e-14, eps
+    # tiny positive zeros keep full relative precision
+    for t0 in (1e-6, 1e-10, 1e-14):
+        t = completeness._first_positive_zero(-poly.polyfromroots([t0, -1.0, 2.0, 3.0]))
+        assert abs(t - t0) <= 4 * np.finfo(float).eps * t0, t0
+    # Taylor coefficients of rays that pass a boundary layer's zero set at a
+    # grazing angle (x^2*y*z*w); the real part of a close complex pair, a
+    # positive minimum of p, is no zero.  The references are mpmath's
+    # polyroots at 80 digits of these coefficients.
+    grazing = [3.940328067247122e-30, -6.976383253217805e-21, 3.0854005218915664e-12]
+    grazing += [2.244527435649706e-06, 0.407869860398352, 0.019527930734048262]
+    assert completeness._first_positive_zero(grazing) == math.inf  # zeros 1.12916e-9 +- 9.7e-16 i
+    beyond = [3.558959636210667e-31, -9.77987457541532e-25, 9.943635643715648e-19]
+    beyond += [-4.4310317500070113e-13, 7.305770694405531e-08, 1.3070557540022131e-08]
+    t = completeness._first_positive_zero(beyond)  # not 1.21302e-6 +- 8.4e-12 i
+    assert abs(t / 1.819457563156878e-6 - 1.0) <= 1e-9
+
+
 # -- invariance of the verdict -------------------------------------------------------
 
 

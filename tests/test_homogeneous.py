@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +22,7 @@ from centroaffine.homogeneous import (
     univariate_zeros_rows,
 )
 
-from conftest import fd_gradient, fd_hessian, fd_third
+from conftest import _old_derivative, _old_value_rows, fd_gradient, fd_hessian, fd_third
 
 
 # -- parsing -----------------------------------------------------------------
@@ -223,8 +221,8 @@ def test_scaling_covariance(lam, order):
         left, right = p(lam * x), lam**k * p(x)
         assert abs(left - right) <= 1e-10 * (1 + abs(right))
     else:
-        left = p._derivative(lam * x, order)
-        right = lam ** (k - order) * p._derivative(x, order)
+        left = p.derivative_tensor(lam * x, order)
+        right = lam ** (k - order) * p.derivative_tensor(x, order)
         assert np.allclose(left, right, rtol=1e-10, atol=1e-12)
 
 
@@ -345,8 +343,10 @@ def test_batched_rows_equal_one_row_calls():
 
 
 def test_derivative_rows_round_as_one_point_calls():
-    # bit for bit, also over several blocks (5,000 rows) and for a lone
-    # exponent 2, which numpy would square rather than pass to its pow
+    # one-point calls and rows, bit for bit against the evaluators the shared
+    # one replaced: over several blocks (5,000 rows), at 0.0 and -0.0
+    # entries, and for a lone exponent 2, which numpy would square rather
+    # than pass to its pow
     rng = np.random.default_rng(13)
     polys = [HomogeneousPolynomial.parse(e) for e in ("x^2*y*z", "x^6 + x^4*y^2")]
     polys += [HomogeneousPolynomial({(3, 0): 1.0}, dimension=2), _random_polynomial(rng, 4, 4)]
@@ -354,14 +354,16 @@ def test_derivative_rows_round_as_one_point_calls():
         for m in (1, 7, 5000):
             points = rng.standard_normal((m, poly.dimension)) * rng.uniform(0.01, 100.0, (m, 1))
             points[0, 0] = 0.0
-            for order in (1, 2, 3):
+            points[-1, -1] = -0.0
+            for order in range(5):
+                if order == 0:
+                    ref = _old_value_rows(poly, points)
+                    one = np.array([poly(x) for x in points])
+                else:
+                    ref = np.array([_old_derivative(poly, x, order) for x in points])
+                    one = np.array([poly.derivative_tensor(x, order) for x in points])
                 rows = poly.derivative_rows(points, order)
-                one = np.array([poly.derivative_tensor(x, order) for x in points])
-                assert rows.tobytes() == one.tobytes(), (poly, m, order)
-        # values: each row's terms summed by fsum, as the one-point formula kept here sums them
-        ref = [math.fsum((poly._coeffs * np.prod(x**poly._exps, axis=1)).tolist()) for x in points]
-        assert poly.derivative_rows(points, 0).tobytes() == np.array(ref).tobytes(), poly
-        assert np.array([poly(x) for x in points]).tobytes() == np.array(ref).tobytes(), poly
+                assert rows.tobytes() == ref.tobytes() and one.tobytes() == ref.tobytes(), (poly, m, order)
 
 
 def test_row_evaluations():

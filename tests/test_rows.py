@@ -70,7 +70,7 @@ from centroaffine.structure import (
     volume_form_rows,
     volume_parallel_residual,
 )
-from conftest import FIXTURES, linear_copies
+from conftest import FIXTURES, _old_derivative, _old_value_rows, linear_copies
 
 
 def _frames(cubic_only=False, maps=False):
@@ -610,25 +610,6 @@ def _old_contract(t, rows):
     return t
 
 
-def _old_derivative(poly, x, order):
-    """HomogeneousPolynomial._derivative before the fused jet: one product
-    per table row, variable by variable, and one bincount per order."""
-    exps, coeffs, slots = poly._table(order)
-    x = np.asarray(x, dtype=float)
-    if not exps.size:
-        return np.zeros((poly.dimension,) * order)
-    vals = coeffs.copy()
-    for j in range(poly.dimension):
-        vals *= x[j] ** exps[:, j]
-    return np.bincount(slots, weights=vals, minlength=poly.dimension**order).reshape((poly.dimension,) * order)
-
-
-def _old_value_rows(poly, points):
-    x = np.asarray(points, dtype=float)
-    terms = poly._coeffs * np.prod(x[..., None, :] ** poly._exps, axis=-1)
-    return np.array([math.fsum(row) for row in terms.reshape(-1, len(poly._coeffs)).tolist()])
-
-
 def _old_jet(func, x):
     """Value, gradient, Hessian and third tensor, each evaluated on its own."""
     if isinstance(func, HomogeneousPolynomial):
@@ -775,29 +756,44 @@ def _jet_polynomials():
 
 
 def test_fused_jet_equals_the_separate_evaluations():
-    # every order bit for bit against the code it replaced, at points with
-    # zero and -0.0 entries and at scales 1e-8 and 1e3
+    # every order bit for bit against the code the shared evaluator replaced,
+    # at points with zero and -0.0 entries and at scales 1e-8 and 1e3
     rng = np.random.default_rng(22)
     for poly in _jet_polynomials():
         for i in range(60):
             x = rng.standard_normal(poly.dimension) * (1e-8, 1.0, 1e3)[i % 3]
             x[rng.random(poly.dimension) < 0.2] = 0.0
             x[rng.random(poly.dimension) < 0.2] = -0.0
-            jet = poly._jet_at(x)
-            assert all(_same(a, b) for a, b in zip(jet, _old_jet(poly, x))), (poly, x)
-            # through the public calls: third_tensor keeps the jet, the others serve it
+            ref = _old_jet(poly, x) + (_old_derivative(poly, x, 4),)
+            # evaluated afresh (the kept jet is the previous point's; order 3
+            # takes and keeps this point's), then served from the kept jet
+            fresh = (poly(x), poly.gradient(x), poly.hessian(x), poly.derivative_tensor(x, 3))
             third = poly.third_tensor(x)
-            got = (poly(x), poly.gradient(x), poly.hessian(x), third)
-            assert all(_same(a, b) for a, b in zip(got, jet)), (poly, x)
-            assert _same(poly.value_rows(x[None]), [jet[0]]) and _same(poly.derivative_rows(x, 2)[0], jet[2])
+            served = (poly(x), poly.gradient(x), poly.hessian(x), third)
+            for got in (fresh, served):
+                assert all(_same(a, b) for a, b in zip(got, ref)), (poly, x)
+            assert _same(poly.value_rows(x[None]), [ref[0]]) and _same(poly.derivative_rows(x, 2)[0], ref[2])
+            assert _same(poly.derivative_tensor(x, 4), ref[4]), (poly, x)
 
 
-def test_kept_jet_serves_only_its_own_point():
+def test_kept_jet_serves_only_its_own_point(monkeypatch):
     poly = HomogeneousPolynomial.parse("x^3 - x*y^2 + 0.3*y^2*z + z^3")
+    tables = []
+    table = poly._jet_table
+    monkeypatch.setattr(poly, "_jet_table", lambda orders: tables.append(orders) or table(orders))
+
+    def evaluated(call, *args):  # the result, and whether it was evaluated rather than served
+        del tables[:]
+        return call(*args), bool(tables)
+
     x = np.array([0.7, -0.0, 0.4])
     poly.third_tensor(x)
     # +0.0 is not the kept point -0.0 bit for bit, though the values agree
-    assert poly._kept(np.array([0.7, 0.0, 0.4])) is None and poly._kept(x.copy()) is not None
+    zero = np.array([0.7, 0.0, 0.4])
+    value, fresh = evaluated(poly, zero)
+    assert fresh and _same(value, _old_value_rows(poly, zero)[0])
+    value, fresh = evaluated(poly, x.copy())
+    assert not fresh and _same(value, _old_value_rows(poly, x)[0])
     # a caller that changes its array in place after the call gets the new point
     x[0] = 0.9
     assert _same(poly(x), _old_value_rows(poly, x)[0]) and poly(x) != _old_value_rows(poly, [0.7, 0.0, 0.4])[0]
@@ -812,4 +808,5 @@ def test_kept_jet_serves_only_its_own_point():
     assert _same(poly.third_tensor(y), _old_derivative(poly, y, 3))
     # rows of more than one point are never served from it
     rows = np.array([y, y])
-    assert _same(poly.value_rows(rows), _old_value_rows(poly, rows))
+    value, fresh = evaluated(poly.value_rows, rows)
+    assert fresh and _same(value, _old_value_rows(poly, rows))
