@@ -18,13 +18,7 @@ import numpy as np
 from . import sampling
 from .errors import ConsistencyError, DegenerateFrameError, DomainError, UnboundedRayError
 from .forms import Signature, SymmetricForm, signature_rows
-from .homogeneous import (
-    HomogeneousPolynomial,
-    _fma,
-    line_coefficients,
-    polyval_rows,
-    univariate_zeros_rows,
-)
+from .homogeneous import HomogeneousPolynomial, _fma, first_positive_zero_rows, line_coefficients
 
 METHODS = ("pullback", "psi_formula", "u_formula")
 
@@ -34,106 +28,6 @@ def positive_root(value: float, k: float) -> float:
     if value <= 0.0:
         raise DomainError(f"expected a positive value, got {value}")
     return math.exp(math.log(value) / k)
-
-
-def _bisect_rows(coeffs, t0, w):
-    """Bisect each row's polynomial over [t0 - w, t0 + w]; returns the
-    midpoints and whether the ends of a row's bracket differ in sign.  A
-    single row runs the same steps on floats, with the arithmetic of
-    :func:`polyval_rows`, which rounds alike at a fraction of the cost."""
-    if len(coeffs) == 1:
-        top, *rest = coeffs[0, ::-1].tolist()
-
-        def value(t):
-            out = top + t * 0
-            for col in rest:
-                out = col + out * t
-            return out
-
-        lo, hi = float(t0[0] - w[0]), float(t0[0] + w[0])
-        vlo, vhi = value(lo), value(hi)
-        ok = vlo != 0.0 and vhi != 0.0 and (vlo < 0.0) != (vhi < 0.0)
-        for _ in range(80 if ok else 0):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            lo, hi = (mid, hi) if (value(mid) < 0.0) == (vlo < 0.0) else (lo, mid)
-        return np.array([0.5 * (lo + hi)]), np.array([ok])
-    lo, hi = t0 - w, t0 + w
-    vlo, vhi = polyval_rows(coeffs, lo), polyval_rows(coeffs, hi)
-    ok = (vlo != 0.0) & (vhi != 0.0) & ((vlo < 0.0) != (vhi < 0.0))
-    active = ok.copy()
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        active &= (mid != lo) & (mid != hi)
-        if not active.any():
-            break
-        left = (polyval_rows(coeffs, mid) < 0.0) == (vlo < 0.0)
-        lo = np.where(active & left, mid, lo)
-        hi = np.where(active & ~left, mid, hi)
-    return 0.5 * (lo + hi), ok
-
-
-def _polish_polynomial_zeros(coeffs, t0, width: float = 1e-3):
-    """Refine a zero of each row's polynomial p from the matching entry of
-    ``t0``; returns the zeros and the multiplicities they were treated as
-    (inf and 0 where ``t0`` is inf).
-
-    An m-fold zero is a simple zero of the (m-1)-th derivative, which is
-    bisected; m is the order of the first derivative that does not vanish
-    at t0 against the size of its terms there.  Close simple zeros can pass
-    for a multiple one: if p does not vanish to rounding at the point found,
-    p itself is bisected on the widest bracket around t0 (down to a
-    millionth of ``width``) that holds a sign change.  Horner's rule leaves
-    a simple zero uncertain by about 2k eps sum |c_i t^i| / |p'|; where that
-    exceeds 1e-13 |t|, a Newton step on a compensated evaluation of p moves
-    it onto the zero of the rounded coefficients.
-    """
-    zeros = np.array(t0, dtype=float)
-    mults = np.zeros(len(zeros), dtype=int)
-    rows = np.flatnonzero(np.isfinite(zeros))
-    if not len(rows):
-        return zeros, mults
-    t = zeros[rows]
-    chain = [np.asarray(coeffs, dtype=float)[rows]]
-    while chain[-1].shape[1] > 1:
-        chain.append(chain[-1][:, 1:] * np.arange(1, chain[-1].shape[1]))
-    p = chain[0]
-    mult = np.full(len(rows), len(chain) - 1)
-    for m in range(len(chain) - 1, 0, -1):  # the lowest order that does not vanish wins
-        scale = polyval_rows(np.abs(chain[m]), np.abs(t))
-        mult[np.abs(polyval_rows(chain[m], t)) > 1e-4 * np.maximum(scale, 1e-300)] = m
-    w = np.maximum(width * np.abs(t), 1e-9)
-    out = t.copy()
-    done = mult > 1
-    for m in np.unique(mult[done]):
-        sel = np.flatnonzero(mult == m)
-        ps, ts = p[sel], t[sel]
-        t1, ok = _bisect_rows(chain[m - 1][sel], ts, w[sel])
-        rounding = np.maximum(np.abs(polyval_rows(ps, ts)), 1e-13 * polyval_rows(np.abs(ps), np.abs(ts)))
-        rejected = ok & ~(np.abs(polyval_rows(ps, t1)) <= rounding)
-        out[sel] = np.where(ok, t1, ts)
-        done[sel[rejected]] = False
-        mult[sel[rejected]] = 1
-    shrink = w.copy()
-    for _ in range(7):
-        sel = np.flatnonzero(~done)
-        if not len(sel):
-            break
-        t1, ok = _bisect_rows(p[sel], t[sel], shrink[sel])
-        out[sel] = np.where(ok, t1, t[sel])
-        done[sel[ok]] = True
-        shrink[sel] *= 0.1
-    slope = polyval_rows(chain[1], out)
-    size = polyval_rows(np.abs(p), np.abs(out))
-    loose = (mult == 1) & (2 * p.shape[1] * np.finfo(float).eps * size > 1e-13 * np.abs(out * slope))
-    if loose.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = polyval_rows(p[loose], out[loose], compensated=True) / slope[loose]
-        out[loose] -= np.where(np.abs(step) <= w[loose], step, 0.0)  # within the bracket
-    zeros[rows] = out
-    mults[rows] = mult
-    return zeros, mults
 
 
 def radial_projection(func, x) -> np.ndarray:
@@ -347,7 +241,9 @@ class ChartFrame:
         Polynomial restrictions are solved exactly, all rays at once, through
         their univariate coefficients, which also locates zeros of even order
         (where the function touches zero without a sign change, as on
-        non-regular boundary faces).  Each ray rounds as it does alone.  Maps
+        non-regular boundary faces); a zero that p neither crosses nor
+        touches is solved again (:func:`first_positive_zero_rows`).  Each ray
+        rounds as it does alone.  Maps
         are bracketed ray by ray by bisection on "inside the domain with
         positive value" up to ``ray_limit``.  With ``multiplicity``, also
         returns each zero's multiplicity as the polish treated it (0 if
@@ -361,10 +257,7 @@ class ChartFrame:
         if (self.func.derivative_rows(np.atleast_2d(x), 0) <= 0.0).any():
             raise DomainError("ray origin is outside the positivity region")
         if isinstance(self.func, HomogeneousPolynomial):
-            cf = line_coefficients(self.func, x, self.vectors(directions))
-            zeros = univariate_zeros_rows(cf)
-            first = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
-            dist, mult = _polish_polynomial_zeros(cf, first)
+            dist, mult = first_positive_zero_rows(line_coefficients(self.func, x, self.vectors(directions)))
         else:
             origins = np.broadcast_to(np.atleast_1d(coords), directions.shape)
             dist = np.array([self._bisect_ray(c, d) for c, d in zip(origins, directions)])

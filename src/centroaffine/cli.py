@@ -322,15 +322,15 @@ def cmd_repro() -> tuple[dict, int]:
 # -- plotting ---------------------------------------------------------------------------
 
 
-def render_plot(frame, trace=None, size: int = 640, samples: int = 400) -> str:
-    """Static SVG of a planar curve: level set, cone boundary rays, optional trace."""
+def render_plot(frame) -> str:
+    """Static SVG of a planar curve: level set and cone boundary rays."""
     if frame.chart_dim != 1:
         raise ValueError("plotting is available for planar curves only (one chart dimension)")
     ends = boundary_scan(frame, directions=[[1.0], [-1.0]])
     t_plus, t_minus = (bp.ray_distance for bp in ends)
-    margin = 1e-4
-    ts = np.linspace(-t_minus * (1 - margin), t_plus * (1 - margin), samples)
-    pts = np.array([frame.embed(np.array([t])) for t in ts])
+    margin, size = 1e-4, 640  # size in pixels
+    ts = np.linspace(-t_minus * (1 - margin), t_plus * (1 - margin), 400)
+    pts = frame.embed(ts[:, None])
     rays = [bp.point for bp in ends]
     allpts = np.vstack([pts, np.zeros((1, 2))] + [3.0 * r[None, :] for r in rays])
     lo = allpts.min(axis=0) - 0.3
@@ -340,12 +340,6 @@ def render_plot(frame, trace=None, size: int = 640, samples: int = 400) -> str:
     def to_px(p):
         q = (p - lo) / span
         return q[0] * size, size - q[1] * size
-
-    def path_of(points):
-        return " ".join(
-            ("M" if i == 0 else "L") + f"{x:.4f},{y:.4f}"
-            for i, (x, y) in enumerate(to_px(p) for p in points)
-        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -359,12 +353,8 @@ def render_plot(frame, trace=None, size: int = 640, samples: int = 400) -> str:
             f'<line x1="{x0:.4f}" y1="{y0:.4f}" x2="{x1:.4f}" y2="{y1:.4f}" '
             'stroke="#888888" stroke-dasharray="6,4" stroke-width="1"/>'
         )
-    parts.append(f'<path d="{path_of(pts)}" fill="none" stroke="#1a468c" stroke-width="2"/>')
-    if trace is not None:
-        parts.append(
-            f'<path d="{path_of(np.atleast_2d(trace.ambient))}" fill="none" '
-            'stroke="#c03420" stroke-width="1.5"/>'
-        )
+    path = " ".join(("M" if i == 0 else "L") + f"{x:.4f},{y:.4f}" for i, (x, y) in enumerate(map(to_px, pts)))
+    parts.append(f'<path d="{path}" fill="none" stroke="#1a468c" stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

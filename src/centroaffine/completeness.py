@@ -34,7 +34,6 @@ from . import sampling
 from .boundary import RegularityReport, boundary_scan, regularity_report
 from .chart import (
     ChartFrame,
-    _polish_polynomial_zeros,
     chart_metric,
     christoffel,
     contract_indices,
@@ -45,7 +44,8 @@ from .chart import (
 from .errors import DegenerateFrameError, DomainError, UnboundedRayError
 from .homogeneous import (
     HomogeneousPolynomial,
-    companion_roots,
+    critical_points,
+    first_positive_zero,
     line_coefficients,
     polyval_rows,
     restrict_to_line,
@@ -96,17 +96,6 @@ class SegmentTestResult:
         ]
 
 
-def _critical_points(coeffs, imag_tol=1e-6) -> np.ndarray:
-    """Real parts of each row's roots within ``imag_tol`` (relative to the
-    row's largest root, at least 1) of the axis, padded with nan."""
-    c = np.atleast_2d(coeffs)
-    degree = c.shape[1] - 1 - np.argmax(c[:, ::-1] != 0.0, axis=1)
-    degree[~c.any(axis=1)] = 0
-    roots = companion_roots(c, degree)
-    scale = np.maximum(1.0, np.where(np.isnan(roots), 0.0, np.abs(roots)).max(axis=1))
-    return np.where(np.abs(roots.imag) <= imag_tol * scale[:, None], roots.real, np.nan)
-
-
 _CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
 
 
@@ -128,7 +117,7 @@ def _segment_block(frame: ChartFrame, origins, vectors, tol) -> tuple:
     f0d = f0[:, 1:] * np.arange(1, 5)
     # structural identity f0' = 2 h0 h0''' (exact coefficient algebra)
     mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
-    crit = _critical_points(f0d)
+    crit = critical_points(f0d)
     with np.errstate(invalid="ignore"):  # unbounded lines give inf and nan; they are dropped
         crit = np.where((a[:, None] < crit) & (crit < b[:, None]), crit, np.nan)
         grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
@@ -391,33 +380,6 @@ def _dp_step(connection, c, v, a, step):
     return ci, vs[-1], accs[-1], g, err_c, err_v
 
 
-def _first_positive_zero(coeffs) -> float:
-    """Smallest positive zero of a univariate polynomial p with p(0) =
-    coeffs[0] > 0, to full relative precision however small it is (inf when
-    there is none, as by Descartes' rule with no negative coefficient).
-
-    The variable is scaled by tau = min (c_0 / |c_m|)^(1/m) over the negative
-    coefficients c_m, the size at which the first of them can balance c_0,
-    so that the positive zeros, not the nearest ones, sit at unit size before
-    the companion solve; the zeros are polished by bisection.  A zero counts
-    where p crosses zero within a relative 1e-6 of it or touches zero there
-    (to 1e-14 of the size of its terms), not at a positive minimum of p, the
-    real part of a close complex pair.  Failing that, as beside a tiny zero
-    of the other sign, which makes tau tiny, the solve is repeated unscaled.
-    """
-    cf = np.asarray(coeffs, dtype=float)
-    scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] < 0.0]
-    for tau in (min(scales), 1.0) if scales else ():
-        scaled = (cf * tau ** np.arange(len(cf)) / cf[0])[None]
-        zeros = univariate_zeros_rows(scaled)[0]
-        for z in zeros[zeros > 0.0]:
-            t = tau * float(_polish_polynomial_zeros(scaled, [z])[0][0])
-            values = _poly.polyval(t * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6]), cf)
-            if len(set(np.sign(values))) > 1 or abs(values[1]) <= 1e-14 * _poly.polyval(t, np.abs(cf)):
-                return t
-    return math.inf
-
-
 class _ChartCoordinates:
     """Geodesic state in plain chart coordinates."""
 
@@ -543,7 +505,7 @@ class _BoundaryLayer:
             for _ in range(m):
                 t = t @ u
             coeffs.append(float(t) / math.factorial(m))
-        return _first_positive_zero(coeffs)
+        return first_positive_zero(coeffs)[0]
 
     def chart_coords(self, y):
         return self.anchor + y @ self.rotation
@@ -862,22 +824,6 @@ WITNESS_MAX_LEN = 12.0
 _WITNESS_STOPS = ("boundary", "step_underflow", "drift", "degenerate_metric")
 
 
-def _checked_quadrature(frame, start, direction, t0, t1, quad_tol) -> float:
-    """Quadrature length that reports infinity when the integral does not
-    converge (the reported error stays large for divergent tails, which is
-    exactly the complete-geodesic case that must not produce a witness).
-    Polynomial tails into a zero of order below the degree never get here
-    (:func:`_tail_length`); it is left to k-fold zeros, degenerate ends and
-    smooth maps."""
-    try:
-        value, err = curve_length_with_error(frame, start, direction, t0, t1, quad_tol)
-    except DomainError:
-        return math.inf
-    if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
-        return math.inf
-    return value
-
-
 def _speed_numerator(h, k: float) -> tuple:
     """N = (k-1) h'^2 - k h h'' of a line restriction h (coefficients, lowest
     order first), with g(v, v) = N / (k h)^2 along the line; and the size of
@@ -908,7 +854,8 @@ def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, 
     the companion roots of a k-fold zero are off by about eps^(1/k); so the
     rule also asks that some coefficient of N exceed 1e-8 of the size of its
     terms, which rounding alone leaves near k eps.  A k-fold zero, an end
-    that is no zero of h and a smooth map keep the quadrature.
+    that is no zero of h and a smooth map keep the quadrature; a divergent
+    tail, the complete case that must give no witness, keeps a large error.
     """
     k = frame.degree
     if isinstance(frame.func, HomogeneousPolynomial) and 1 <= order < k:
@@ -917,7 +864,11 @@ def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, 
         numer, size = speed
         if (np.abs(numer) > 1e-8 * size[: len(numer)]).any():
             return math.inf
-    return _checked_quadrature(frame, start, direction, 0.0, t_end, quad_tol)
+    try:
+        value, err = curve_length_with_error(frame, start, direction, 0.0, t_end, quad_tol)
+    except DomainError:
+        return math.inf
+    return math.inf if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)) else value
 
 
 def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple[float, str]:
@@ -946,7 +897,7 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
         h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
         speed = _speed_numerator(h, k)
         # the t^(2k-2) terms cancel exactly; their rounding is not a root
-        t_flat = _first_positive_zero(speed[0][: 2 * k - 2])
+        t_flat = first_positive_zero(speed[0][: 2 * k - 2])[0]
         # An m-fold zero of h is a zero of N of order 2m - 2, where g blows up
         # rather than degenerates.  Rounding splits it into roots of N nearby,
         # at which h is below sqrt(eps) of the size of its terms.

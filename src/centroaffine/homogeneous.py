@@ -657,6 +657,9 @@ def polyval_rows(coeffs, t, compensated: bool = False) -> np.ndarray:
     return out + err
 
 
+# -- real zeros of univariate polynomials -------------------------------------
+
+
 def companion_roots(coeffs, degree) -> np.ndarray:
     """Complex roots of each row of ``coeffs`` taken to its own ``degree``
     (whose coefficient must be nonzero), padded with nan: rows of one degree
@@ -677,21 +680,21 @@ def companion_roots(coeffs, degree) -> np.ndarray:
     return out
 
 
-def univariate_zeros(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
+def univariate_zeros(coeffs) -> np.ndarray:
     """Real zeros of a univariate polynomial, robust to even-order roots
     (one row of :func:`univariate_zeros_rows`)."""
-    zeros = univariate_zeros_rows(np.asarray(coeffs, dtype=float)[None], loose_imag_tol)[0]
+    zeros = univariate_zeros_rows(np.asarray(coeffs, dtype=float)[None])[0]
     return zeros[~np.isnan(zeros)]
 
 
-def univariate_zeros_rows(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
+def univariate_zeros_rows(coeffs) -> np.ndarray:
     """Sorted real zeros of each row's polynomial, padded with nan.
 
     Leading coefficients below 1e-13 of a row's largest are dropped: they
     inject spurious huge roots.  Even-order roots split under rounding into
-    complex pairs with imaginary parts of order sqrt(eps); such a candidate
-    counts only if the polynomial vanishes at its real part to numerical
-    precision.  Zeros closer than 1e-7 (relative) merge into the first.
+    complex pairs with imaginary parts of order sqrt(eps); a candidate within
+    1e-5 (relative) of the axis counts only if the polynomial vanishes at its
+    real part to numerical precision.  Zeros closer than 1e-7 merge.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
     if c.shape[1] < 2:
@@ -704,7 +707,7 @@ def univariate_zeros_rows(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
     local = np.maximum(1.0, np.abs(roots))
     imag = np.abs(roots.imag)
     accept = imag <= 1e-12 * local
-    loose = ~accept & (imag <= loose_imag_tol * local)
+    loose = ~accept & (imag <= 1e-5 * local)
     if loose.any():
         trimmed = np.where(np.arange(c.shape[1]) <= degree[:, None], c, 0.0)
         value = np.abs(polyval_rows(trimmed, roots.real))
@@ -718,3 +721,166 @@ def univariate_zeros_rows(coeffs, loose_imag_tol: float = 1e-5) -> np.ndarray:
         last = np.where(new, col, last)
         z[:, j] = np.where(new, col, np.nan)
     return np.sort(z, axis=1)
+
+
+def critical_points(coeffs) -> np.ndarray:
+    """Real parts of each row's roots within 1e-6 (relative to the row's
+    largest root, at least 1) of the axis, padded with nan."""
+    c = np.atleast_2d(coeffs)
+    degree = c.shape[1] - 1 - np.argmax(c[:, ::-1] != 0.0, axis=1)
+    degree[~c.any(axis=1)] = 0
+    roots = companion_roots(c, degree)
+    scale = np.maximum(1.0, np.where(np.isnan(roots), 0.0, np.abs(roots)).max(axis=1))
+    return np.where(np.abs(roots.imag) <= 1e-6 * scale[:, None], roots.real, np.nan)
+
+
+def first_positive_zero_rows(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """First positive zero of each row's polynomial p, with p(0) > 0, and
+    the multiplicity the polish treated it as (inf and 0 where there is
+    none).  The rows are solved together, unscaled: the smallest positive
+    companion root, polished.  A row whose zero p neither crosses nor
+    touches (:func:`_crosses_or_touches`) is solved again by
+    :func:`first_positive_zero`, which scales first; scaling every row
+    would move zeros by rounding, and with them the reports' numbers.
+    """
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    zeros = univariate_zeros_rows(c)
+    dist, mult = _polish_polynomial_zeros(c, np.where(zeros > 0.0, zeros, np.inf).min(axis=1))
+    rows = np.flatnonzero(np.isfinite(dist))
+    for i in rows[~_crosses_or_touches(c[rows], dist[rows])]:
+        dist[i], mult[i] = first_positive_zero(c[i])
+    return dist, mult
+
+
+def first_positive_zero(coeffs) -> tuple[float, int]:
+    """Smallest positive zero of a univariate polynomial p with p(0) =
+    coeffs[0] > 0, to full relative precision however small it is, and the
+    multiplicity the polish treated it as; (inf, 0) when there is none.
+
+    The variable is scaled by tau = min (c_0 / |c_m|)^(1/m) over the negative
+    coefficients c_m, the size at which the first of them can balance c_0,
+    so that the positive zeros, not the nearest ones, sit at unit size before
+    the companion solve.  The zeros are polished in order; the first that p
+    crosses or touches is returned.  Failing that, as beside a tiny zero of
+    the other sign, which makes tau tiny, the solve is repeated unscaled.
+    """
+    cf = np.asarray(coeffs, dtype=float)
+    scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] < 0.0]
+    for tau in (min(scales), 1.0) if scales else ():
+        scaled = (cf * tau ** np.arange(len(cf)) / cf[0])[None]
+        zeros = univariate_zeros_rows(scaled)[0]
+        for z in zeros[zeros > 0.0]:
+            s, mult = _polish_polynomial_zeros(scaled, [z])
+            if _crosses_or_touches(cf[None], tau * s)[0]:
+                return float(tau * s[0]), int(mult[0])
+    return math.inf, 0
+
+
+def _bisect_rows(coeffs, t0, w):
+    """Bisect each row's polynomial over [t0 - w, t0 + w]; returns the
+    midpoints and whether the ends of a row's bracket differ in sign.  A
+    single row runs the same steps on floats, with the arithmetic of
+    :func:`polyval_rows`, which rounds alike at a fraction of the cost."""
+    if len(coeffs) == 1:
+        top, *rest = coeffs[0, ::-1].tolist()
+
+        def value(t):
+            out = top + t * 0
+            for col in rest:
+                out = col + out * t
+            return out
+
+        lo, hi = float(t0[0] - w[0]), float(t0[0] + w[0])
+        vlo, vhi = value(lo), value(hi)
+        ok = vlo != 0.0 and vhi != 0.0 and (vlo < 0.0) != (vhi < 0.0)
+        for _ in range(80 if ok else 0):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            lo, hi = (mid, hi) if (value(mid) < 0.0) == (vlo < 0.0) else (lo, mid)
+        return np.array([0.5 * (lo + hi)]), np.array([ok])
+    lo, hi = t0 - w, t0 + w
+    vlo, vhi = polyval_rows(coeffs, lo), polyval_rows(coeffs, hi)
+    ok = (vlo != 0.0) & (vhi != 0.0) & ((vlo < 0.0) != (vhi < 0.0))
+    active = ok.copy()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
+            break
+        left = (polyval_rows(coeffs, mid) < 0.0) == (vlo < 0.0)
+        lo = np.where(active & left, mid, lo)
+        hi = np.where(active & ~left, mid, hi)
+    return 0.5 * (lo + hi), ok
+
+
+def _polish_polynomial_zeros(coeffs, t0):
+    """Refine a zero of each row's polynomial p from the matching entry of
+    ``t0``; returns the zeros and the multiplicities they were treated as
+    (inf and 0 where ``t0`` is inf).
+
+    An m-fold zero is a simple zero of the (m-1)-th derivative, which is
+    bisected; m is the order of the first derivative that does not vanish
+    at t0 against the size of its terms there.  Close simple zeros can pass
+    for a multiple one: if p does not vanish to rounding at the point found,
+    p itself is bisected on the widest bracket around t0, from 1e-3 |t0|
+    down to a millionth of it, that holds a sign change.  Horner's rule leaves
+    a simple zero uncertain by about 2k eps sum |c_i t^i| / |p'|; where that
+    exceeds 1e-13 |t|, a Newton step on a compensated evaluation of p moves
+    it onto the zero of the rounded coefficients.
+    """
+    zeros = np.array(t0, dtype=float)
+    mults = np.zeros(len(zeros), dtype=int)
+    rows = np.flatnonzero(np.isfinite(zeros))
+    if not len(rows):
+        return zeros, mults
+    t = zeros[rows]
+    chain = [np.asarray(coeffs, dtype=float)[rows]]
+    while chain[-1].shape[1] > 1:
+        chain.append(chain[-1][:, 1:] * np.arange(1, chain[-1].shape[1]))
+    p = chain[0]
+    mult = np.full(len(rows), len(chain) - 1)
+    for m in range(len(chain) - 1, 0, -1):  # the lowest order that does not vanish wins
+        scale = polyval_rows(np.abs(chain[m]), np.abs(t))
+        mult[np.abs(polyval_rows(chain[m], t)) > 1e-4 * np.maximum(scale, 1e-300)] = m
+    w = np.maximum(1e-3 * np.abs(t), 1e-9)
+    out = t.copy()
+    done = mult > 1
+    for m in np.unique(mult[done]):
+        sel = np.flatnonzero(mult == m)
+        ps, ts = p[sel], t[sel]
+        t1, ok = _bisect_rows(chain[m - 1][sel], ts, w[sel])
+        rounding = np.maximum(np.abs(polyval_rows(ps, ts)), 1e-13 * polyval_rows(np.abs(ps), np.abs(ts)))
+        rejected = ok & ~(np.abs(polyval_rows(ps, t1)) <= rounding)
+        out[sel] = np.where(ok, t1, ts)
+        done[sel[rejected]] = False
+        mult[sel[rejected]] = 1
+    shrink = w.copy()
+    for _ in range(7):
+        sel = np.flatnonzero(~done)
+        if not len(sel):
+            break
+        t1, ok = _bisect_rows(p[sel], t[sel], shrink[sel])
+        out[sel] = np.where(ok, t1, t[sel])
+        done[sel[ok]] = True
+        shrink[sel] *= 0.1
+    slope = polyval_rows(chain[1], out)
+    size = polyval_rows(np.abs(p), np.abs(out))
+    loose = (mult == 1) & (2 * p.shape[1] * np.finfo(float).eps * size > 1e-13 * np.abs(out * slope))
+    if loose.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = polyval_rows(p[loose], out[loose], compensated=True) / slope[loose]
+        out[loose] -= np.where(np.abs(step) <= w[loose], step, 0.0)  # within the bracket
+    zeros[rows] = out
+    mults[rows] = mult
+    return zeros, mults
+
+
+def _crosses_or_touches(coeffs, t) -> np.ndarray:
+    """Whether each row's p changes sign within a relative 1e-6 of the finite
+    entry of ``t``, or |p| there is at most 1e-14 of the size of its terms;
+    a positive minimum of p, the real part of a close complex pair, is not."""
+    values = polyval_rows(coeffs, t[:, None] * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
+    sign = np.sign(values)
+    touch = np.abs(values[:, 1]) <= 1e-14 * polyval_rows(np.abs(coeffs), t)
+    return (sign != sign[:, :1]).any(axis=1) | touch

@@ -273,6 +273,7 @@ def test_cone_identity_negative_control():
 # -- boundary distances -------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distance_exact_for_polynomials():
     frame = make_chart(CURVE, [1, 0])
     assert abs(frame.boundary_distance([0.0], [1.0]) - 1.0) < 1e-12
@@ -281,6 +282,7 @@ def test_boundary_distance_exact_for_polynomials():
     assert abs(frame2.boundary_distance([0.0], [-1.0]) - math.sqrt(5)) < 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distance_simple_zero_among_close_zeros():
     # The restriction of this quartic to the chart ray has simple zeros at
     # 12.18025485, 12.18957636 and 12.20644543 (mpmath, 50 digits, on the
@@ -303,11 +305,13 @@ def test_boundary_distance_simple_zero_among_close_zeros():
     assert frame.hval([t - 1e-6]) > 0.0 > frame.hval([t + 1e-6])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distance_map_bisection():
     _, frame = analytic_example(2.0)
     assert abs(frame.boundary_distance([0.0], [1.0]) - 0.5) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distance_unbounded_ray():
     piece = HomogeneousPolynomial.parse("x^3 + y^3")
     frame = make_chart(piece, [2 ** (1 / 3), -1.0])
@@ -317,6 +321,29 @@ def test_boundary_distance_unbounded_ray():
     assert frame.boundary_distance([0.0], [1.0]) < 10.0  # the other side exits
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_distances_reject_false_zeros_of_the_unscaled_solve():
+    # Slice charts of y^5 p(x/y) through (0, 1) along (1, 0), whose ray from
+    # the origin restricts to p, the Taylor rows of boundary-layer rays of
+    # x^2*y*z*w.  The unscaled solve takes the real part of a close complex
+    # pair, a positive minimum of p, for a zero; references are mpmath's
+    # polyroots at 80 digits.
+    grazing = [3.940328067247122e-30, -6.976383253217805e-21, 3.0854005218915664e-12]
+    grazing += [2.244527435649706e-06, 0.407869860398352, 0.019527930734048262]
+    beyond = [3.558959636210667e-31, -9.77987457541532e-25, 9.943635643715648e-19]
+    beyond += [-4.4310317500070113e-13, 7.305770694405531e-08, 1.3070557540022131e-08]
+
+    def solve(p):
+        frame = slice_chart(HomogeneousPolynomial({(i, 5 - i): c for i, c in enumerate(p)}), [0.0, 1.0], [[1.0, 0.0]])
+        t, m = frame.boundary_distances(np.zeros(1), np.ones((1, 1)), multiplicity=True)
+        return float(t[0]), int(m[0])
+
+    assert solve(grazing) == (math.inf, 0)  # zeros 1.12916e-9 +- 9.7e-16 i, not 1.1291557751213815e-9
+    t, m = solve(beyond)
+    assert abs(t / 1.819457563156878e-6 - 1.0) <= 1e-9 and m == 1  # not 1.2130213269381133e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distances_rows_equal_one_row_calls():
     rng = np.random.default_rng(8)
     cases = [
@@ -373,6 +400,7 @@ def _exact_restriction(poly, x, v, dps=60):
     return total
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distances_match_mpmath_roots():
     rng = np.random.default_rng(21)
     # random binary and ternary quartics and cubics with a positive value at
@@ -428,6 +456,7 @@ def _exponents(dim, degree):
     return sorted(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distances_of_a_map():
     _, frame = analytic_example(2.0)
     dists = frame.boundary_distances([0.0], [[1.0], [-1.0]])

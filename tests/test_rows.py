@@ -17,7 +17,6 @@ from centroaffine import HomogeneousPolynomial, catalog, make_chart
 from centroaffine.chart import (
     METHODS,
     ChartFrame,
-    _bisect_rows,
     chart_metric,
     chart_metric_consistency,
     chart_metric_consistency_rows,
@@ -38,7 +37,6 @@ from centroaffine.completeness import (
     _DP_E,
     ConcavityResult,
     SegmentLine,
-    _critical_points,
     _dp_step,
     concavity_results,
     concavity_test,
@@ -48,7 +46,9 @@ from centroaffine.completeness import (
 from centroaffine.errors import DomainError
 from centroaffine.forms import SymmetricForm
 from centroaffine.homogeneous import (
+    _bisect_rows,
     _convolve_rows,
+    critical_points,
     euler_residual,
     euler_residual_rows,
     line_coefficients,
@@ -378,7 +378,7 @@ def _old_segment_block(frame, base, directions, tol):
     f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
     f0d = f0[:, 1:] * np.arange(1, 5)
     mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
-    crit = _critical_points(f0d)
+    crit = critical_points(f0d)
     with np.errstate(invalid="ignore"):
         crit = np.where((a[:, None] < crit) & (crit < b[:, None]), crit, np.nan)
         grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
