@@ -10,10 +10,12 @@ tangent plane.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import sampling
 from .errors import ConsistencyError, DegenerateFrameError, DomainError, UnboundedRayError
@@ -442,22 +444,23 @@ def chart_metric_with_derivative(frame: ChartFrame, coords):
 
     Returns (g, dg) with dg[i, j, k] the i-derivative of g_jk; requires third
     derivatives of the underlying function.  Used for the metric (Levi-Civita)
-    connection, whose geodesics preserve speed.  The third tensor is asked
-    for first: a polynomial evaluates its whole jet there and keeps it for
-    the point, which then serves the value, gradient and Hessian.
+    connection, whose geodesics preserve speed.
     """
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
+    return jet_metric_with_derivative(*_chart_jet(frame, coords))
+
+
+def _chart_jet(frame: ChartFrame, coords) -> tuple:
+    """(k, h, d, b, t): the degree, and the value, chart gradient, chart
+    Hessian and chart third tensor of h at chart coordinates.  The third
+    tensor is asked for first: a polynomial evaluates its whole jet there
+    and keeps it, and the value, gradient and Hessian are read from it."""
     x = frame.point(coords)
-    func = frame.func
-    k = frame.degree
-    bas = frame.basis
+    func, bas = frame.func, frame.basis
     t = contract_indices(func.third_tensor(x), bas)
-    hx = func(x)
+    hx, grad, hess = func.lower_jet(x)
     if hx <= 0.0:
         raise DomainError(f"chart point outside the positivity region (value {hx})")
-    d = bas @ func.gradient(x)
-    b = bas @ func.hessian(x) @ bas.T
-    return jet_metric_with_derivative(k, hx, d, b, t)
+    return frame.degree, hx, bas @ grad, bas @ hess @ bas.T, t
 
 
 def contract_indices(t, rows) -> np.ndarray:
@@ -465,9 +468,10 @@ def contract_indices(t, rows) -> np.ndarray:
     so that each index of the result runs over the rows.  Each step is the
     one product ``np.tensordot(t, rows, axes=([0], [1]))`` makes, on the
     same operands, without its bookkeeping."""
+    axes, cols = (*range(1, np.ndim(t)), 0), rows.T
     for _ in range(np.ndim(t)):
-        lead, t = t.shape[1:], t.transpose(*range(1, t.ndim), 0)
-        t = np.dot(t.reshape(-1, t.shape[-1]), rows.T).reshape(*lead, -1)
+        lead = t.shape[1:]
+        t = np.dot(t.transpose(axes).reshape(-1, len(cols)), cols).reshape(*lead, -1)
     return t
 
 
@@ -481,31 +485,92 @@ def jet_metric_with_derivative(k: float, hx: float, d, b, t):
     """Chart metric and its coordinate derivative from the chart jet of h
     (``t`` is the chart third-derivative tensor); see
     :func:`chart_metric_with_derivative`."""
-    g = jet_metric(k, hx, d, b)
+    n = len(d)
+    g, dg = _metric_lists(k, hx, d, b, t)
+    return np.array(g).reshape(n, n), np.array(dg).reshape(n, n, n)
+
+
+def _metric_lists(k: float, hx: float, d, b, t) -> tuple:
+    """g and dg of :func:`jet_metric_with_derivative` as flat lists in C
+    order, entry by entry on Python floats:
+
+        g[i, j]     = -b_ij / kh + ((k - 1) / kh^2) (d_i d_j)
+        dg[i, j, l] = -t_ijl / kh + d_i b_jl / (kh h)
+                      + ((k - 1) / k^2) ((b_ij d_l + b_il d_j) / h^2 - 2 d_i d_j d_l / h^3)
+
+    with kh = k h.  Each entry is the expression tree that the broadcast
+    arrays of :func:`jet_metric` and its derivative evaluate for it, and an
+    elementwise ufunc rounds as float arithmetic does, so the entries are
+    theirs bit for bit; none is mirrored from another, since neither t nor
+    b is bitwise symmetric.  Where a power of h underflows to zero, the
+    divisions by it give inf and nan, as the arrays' do, instead of raising."""
+    d, b, t = d.tolist(), b.tolist(), t.tolist()
+    hx = float(hx)
     kh = k * hx
-    dd = (d[:, None] * d)[:, :, None] * d
-    sym_bd = b[:, :, None] * d + b[:, None, :] * d[:, None]
-    dg = (
-        -t / kh
-        + d[:, None, None] * b / (kh * hx)
-        + ((k - 1.0) / (k * k)) * (sym_bd / hx**2 - 2.0 * dd / hx**3)
-    )
+    scales = (kh, kh * hx, hx**2, hx**3, kh**2)
+    if 0.0 in scales:
+        scales = tuple(map(np.float64, scales))
+    kh, khh, h2, h3, kh2 = scales
+    c0, c2 = (k - 1.0) / kh2, (k - 1.0) / (k * k)
+    g, dg = [], []
+    for di, bi, ti in zip(d, b, t):
+        for dj, bij, bj, tij in zip(d, bi, b, ti):
+            g.append(-bij / kh + c0 * (di * dj))
+            dij = di * dj
+            for dl, bil, bjl, tijl in zip(d, bi, bj, tij):
+                dg.append(-tijl / kh + di * bjl / khh + c2 * ((bij * dl + bil * dj) / h2 - 2.0 * (dij * dl) / h3))
     return g, dg
 
 
 def christoffel(g, dg) -> np.ndarray:
     """Levi-Civita coefficients (upper index first) of a metric ``g`` with
     coordinate derivative ``dg[i, j, k] = d_i g_jk``."""
-    n = g.shape[0]
-    # bracket[m, i, j] = dg[i, m, j] + dg[j, m, i] - dg[m, i, j]
-    bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    return 0.5 * np.linalg.solve(g, bracket.reshape(n, n * n)).reshape(n, n, n)
+    return _christoffel(np.asarray(g, dtype=float), np.asarray(dg, dtype=float).ravel().tolist())
+
+
+def _christoffel(g, dg) -> np.ndarray:
+    """:func:`christoffel` of the array ``g`` and ``dg`` as a flat list."""
+    n = len(g)
+    bracket = [dg[a] + dg[b] - dg[c] for a, b, c in _bracket_index(n)]
+    return 0.5 * _solve(g, np.array(bracket).reshape(n, n * n)).reshape(n, n, n)
+
+
+@functools.cache
+def _bracket_index(n: int) -> tuple:
+    """For each entry [m, i, j] of the bracket dg[i, m, j] + dg[j, m, i] -
+    dg[m, i, j], in C order, the flat positions of its three terms in dg."""
+    return tuple(
+        ((i * n + m) * n + j, (j * n + m) * n + i, (m * n + i) * n + j)
+        for m in range(n)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a, b) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` of a float matrix ``a`` (n, n) and float
+    columns ``b`` (n, m): the same LAPACK gufunc under the same error state,
+    without the input checks and conversions."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def jet_connection(k: float, hx: float, d, b, t):
+    """Connection coefficients (upper index first) and metric from the chart
+    jet of h: :func:`christoffel` of :func:`jet_metric_with_derivative`."""
+    n = len(d)
+    g, dg = _metric_lists(k, hx, d, b, t)
+    g = np.array(g).reshape(n, n)
+    return _christoffel(g, dg), g
 
 
 def levi_civita_gamma(frame: ChartFrame, coords):
     """Connection coefficients of the chart metric (upper index first)."""
-    g, dg = chart_metric_with_derivative(frame, coords)
-    return christoffel(g, dg), g
+    return jet_connection(*_chart_jet(frame, coords))
 
 
 def chart_metric_consistency(frame: ChartFrame, coords, tol: float = 1e-6) -> float:

@@ -234,12 +234,14 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
         report["structure"] = _structure_block(frame, config.rng_seed)
     if config.trace:
         try:
-            trace = geodesic_shoot(
-                frame,
-                np.zeros(frame.chart_dim),
-                np.eye(frame.chart_dim)[0],
-                max_len=WITNESS_MAX_LEN,
-            )
+            trace = verdict.axis_shot  # the same geodesic, if the witness search shot it
+            if trace is None:
+                trace = geodesic_shoot(
+                    frame,
+                    np.zeros(frame.chart_dim),
+                    np.eye(frame.chart_dim)[0],
+                    max_len=WITNESS_MAX_LEN,
+                )
         except (DegenerateFrameError, DomainError) as exc:
             # the geodesic cannot start; the analysis itself stands
             report["trace_error"] = str(exc)

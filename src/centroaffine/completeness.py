@@ -35,9 +35,8 @@ from .boundary import RegularityReport, boundary_scan, regularity_report
 from .chart import (
     ChartFrame,
     chart_metric,
-    christoffel,
     contract_indices,
-    jet_metric_with_derivative,
+    jet_connection,
     levi_civita_gamma,
     positive_root,
 )
@@ -485,8 +484,7 @@ class _BoundaryLayer:
         h, d, b, t = self.derivatives(y, 3)
         if not h > 0.0:
             raise DomainError("left the positivity region")
-        g, dg = jet_metric_with_derivative(self.degree, h, d, b, t)
-        return christoffel(g, dg), g
+        return jet_connection(self.degree, h, d, b, t)
 
     def value(self, y) -> float:
         h = self.derivatives(y, 0)[0]
@@ -812,6 +810,8 @@ class CompletenessVerdict:
     evidence: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     boundary: RegularityReport | None = None  # the one boundary scan of the analysis
+    # the witness search's forward shot along the first chart axis, if it ran one
+    axis_shot: CurveTrace | None = None
 
 
 # chart length of the witness geodesics, and of the ``analyze --trace`` geodesic
@@ -967,9 +967,10 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
     notes: list = []
 
     report = regularity_report(frame, count=config.boundary_dirs, seed=config.rng_seed)
+    axis_shot = None
 
     def verdict(status: str, route: str) -> CompletenessVerdict:
-        return CompletenessVerdict(status, route, evidence, notes, report)
+        return CompletenessVerdict(status, route, evidence, notes, report, axis_shot)
 
     bounded = not report.closedness_failures
     if bounded:
@@ -1036,6 +1037,8 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
                 geodesic_shoot(frame, origin, sign * axis, max_len=WITNESS_MAX_LEN)
                 for sign in (1.0, -1.0)
             ]
+            if axis_shot is None:
+                axis_shot = shots[0]
             sides = [(_shot_length(frame, t, config.quad_tol), t.stop_reason) for t in shots]
             probes = [
                 {

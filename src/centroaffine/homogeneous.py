@@ -142,6 +142,16 @@ class HomogeneousPolynomial:
         value, gradient and Hessian there (:meth:`_evaluate`)."""
         return self._evaluate(x, (3,))[0]
 
+    def lower_jet(self, x) -> tuple:
+        """Value, gradient and Hessian at the point ``x``: after
+        :meth:`third_tensor` at ``x``, the kept jet itself, not copies of it,
+        so a caller must not write to them."""
+        kept = self._jet
+        if kept is None or np.asarray(x, dtype=float).tobytes() != kept[0]:
+            self._evaluate(x, (3,))
+            kept = self._jet
+        return kept[1:4]
+
     def derivative_tensor(self, x, order: int) -> np.ndarray:
         """Tensor of all partial derivatives of the given order (zero above the degree)."""
         return self._evaluate(x, (order,))[0]
@@ -481,6 +491,10 @@ class SmoothHomogeneousMap:
         if self._third is None:
             raise DomainError("this map does not supply third derivatives")
         return np.asarray(self._third(self._check(x)), dtype=float)
+
+    def lower_jet(self, x) -> tuple:
+        """Value, gradient and Hessian at ``x``."""
+        return self(x), self.gradient(x), self.hessian(x)
 
     def derivative_rows(self, points, order: int) -> np.ndarray:
         """Value (order 0), gradient or Hessian at each row of ``points``."""

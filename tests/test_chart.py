@@ -22,7 +22,7 @@ from centroaffine import (
     slice_chart,
 )
 from centroaffine.catalog import analytic_example, analytic_map
-from centroaffine.chart import chart_metric_with_derivative, tangent_bases
+from centroaffine.chart import chart_metric_with_derivative, christoffel, jet_connection, tangent_bases
 from centroaffine.homogeneous import restrict_to_line
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -170,6 +170,24 @@ def test_metric_derivative_matches_finite_differences(catalog_frames):
                 - chart_metric(frame, c0 - e, "psi_formula").matrix
             ) / (2 * eps)
             assert np.allclose(dg[i], fd, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_christoffel_raises_on_a_singular_metric(n):
+    # a zero metric, and a rank-one metric whose elimination is exact (n > 1),
+    # raise LinAlgError, as np.linalg.solve does, and not a nan connection
+    rng = np.random.default_rng(n)
+    dg = rng.standard_normal((n, n, n))
+    u = np.array([1.0, -2.0, 0.5])[:n]
+    singular = [np.zeros((n, n))] + ([np.outer(u, u)] if n > 1 else [])
+    for g in singular:
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(g, dg.reshape(n, n * n))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            christoffel(g, dg)
+    # the chart jet of a vanishing metric: zero gradient and Hessian
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        jet_connection(3.0, 1.0, np.zeros(n), np.zeros((n, n)), dg)
 
 
 # -- classification ------------------------------------------------------------------

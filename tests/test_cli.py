@@ -161,6 +161,29 @@ def test_trace_that_cannot_start_keeps_the_report(tmp_path, capsys):
     assert (report["completeness"]["status"], report["completeness"]["route"]) == ("complete", "quadric")
 
 
+def test_analyze_trace_reuses_the_witness_shot(tmp_path, monkeypatch):
+    # the trace geodesic is the witness search's forward shot along the
+    # first axis: it is written from that shot, not integrated again
+    from centroaffine import cli, completeness
+
+    shoot, calls = completeness.geodesic_shoot, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", counted)
+    monkeypatch.setattr(cli, "geodesic_shoot", counted)
+    csv = tmp_path / "trace.csv"
+    config = RunConfig(poly="x^2*y*z", seed=(1.0, 1.0, 1.0), eps_grid=(3.9,), trace=str(csv))
+    report, code = cmd_analyze(config)
+    assert code == 2 and report["trace_file"] == str(csv)
+    assert len(calls) == 4  # two shots along each chart axis, none for the trace
+    _, frame, _ = build_frame(config)
+    fresh = shoot(frame, np.zeros(2), np.eye(2)[0], max_len=completeness.WITNESS_MAX_LEN)
+    assert csv.read_text() == fresh.to_csv()
+
+
 def test_negative_samples_exit_one(tmp_path, capsys):
     out = tmp_path / "report.json"
     args = ["analyze", "--poly", "x^3 - x*y^2", "--seed", "1,0", "--samples", "-3", "--out", str(out)]

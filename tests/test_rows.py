@@ -21,11 +21,11 @@ from centroaffine.chart import (
     chart_metric_consistency,
     chart_metric_consistency_rows,
     chart_metric_rows,
-    christoffel,
     classify,
     cone_identity_residual,
     cone_identity_residual_rows,
     contract_indices,
+    jet_connection,
     levi_civita_gamma,
     lorentz_identity_residual_rows,
     lorentz_identity_residuals,
@@ -35,6 +35,8 @@ from centroaffine.cli import _cone_points
 from centroaffine.completeness import (
     _DP_A,
     _DP_E,
+    WITNESS_MAX_LEN,
+    _BoundaryLayer,
     ConcavityResult,
     SegmentLine,
     _dp_step,
@@ -42,6 +44,7 @@ from centroaffine.completeness import (
     concavity_test,
     cubic_segment_test,
     default_eps_grid,
+    geodesic_shoot,
 )
 from centroaffine.errors import DomainError
 from centroaffine.forms import SymmetricForm
@@ -622,9 +625,12 @@ def _old_gamma(frame, c):
     x = frame.point(c)
     func, k, bas = frame.func, frame.degree, frame.basis
     hx, grad, hess, third = _old_jet(func, x)
-    d = bas @ grad
-    b = bas @ hess @ bas.T
-    t = _old_contract(third, bas)
+    return _old_jet_gamma(k, hx, bas @ grad, bas @ hess @ bas.T, _old_contract(third, bas))
+
+
+def _old_jet_gamma(k, hx, d, b, t):
+    """The connection and metric of a chart jet through the broadcast array
+    formulas and np.linalg.solve."""
     g = -b / (k * hx) + ((k - 1.0) / (k * hx) ** 2) * np.outer(d, d)
     dd = d[:, None, None] * d[None, :, None] * d[None, None, :]
     sym_bd = b[:, :, None] * d[None, None, :] + b[:, None, :] * d[None, :, None]
@@ -633,7 +639,9 @@ def _old_gamma(frame, c):
         + d[:, None, None] * b[None, :, :] / (k * hx * hx)
         + ((k - 1.0) / (k * k)) * (sym_bd / hx**2 - 2.0 * dd / hx**3)
     )
-    return christoffel(g, dg), g
+    n = len(d)
+    bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    return 0.5 * np.linalg.solve(g, bracket.reshape(n, n * n)).reshape(n, n, n), g
 
 
 def _old_dp_step(connection, c, v, a, step):
@@ -687,6 +695,63 @@ def test_connection_equals_the_tensordot_formulas():
                 gamma, g = levi_civita_gamma(frame, c)
                 ref_gamma, ref_g = _old_gamma(frame, c)
                 assert _same(gamma, ref_gamma) and _same(g, ref_g), (label, c)
+
+
+def _entered_layers(expr):
+    """The boundary layers that the shots along the first chart axis of
+    ``expr`` at (1, ..., 1) enter or move to."""
+    layers = []
+    aligned = _BoundaryLayer._aligned
+
+    def recording(self):
+        layer, r = aligned(self)
+        layers.append(layer)
+        return layer, r
+
+    frame = make_chart(HomogeneousPolynomial.parse(expr), np.ones(3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BoundaryLayer, "_aligned", recording)
+        for sign in (1.0, -1.0):
+            geodesic_shoot(frame, np.zeros(2), sign * np.eye(2)[0], max_len=WITNESS_MAX_LEN)
+    return layers
+
+
+@pytest.mark.parametrize("expr", ["x^2*y*z", "x*y*z", "x^3*y*z"])
+def test_boundary_layer_connection_equals_the_array_formulas(expr):
+    layers = _entered_layers(expr)
+    assert layers, expr
+    for layer in layers:
+        checked = 0
+        # offsets into the region along either normal, with a tangential part
+        for sign, s in itertools.product((1.0, -1.0), 10.0 ** -np.arange(1.0, 24.0, 0.25)):
+            y = s * np.array([sign, 0.3])
+            h, d, b, t = layer.derivatives(y, 3)
+            if not 1e-21 <= h <= 2e-3:
+                continue
+            gamma, g = layer.connection(y)
+            ref_gamma, ref_g = _old_jet_gamma(layer.degree, h, d, b, t)
+            assert _same(gamma, ref_gamma) and _same(g, ref_g), (expr, y)
+            checked += 1
+        assert checked >= 10, (expr, checked)
+
+
+def test_connection_of_an_underflowing_jet_equals_the_array_formulas():
+    # where a power of h underflows to zero, the divisions by it give inf and
+    # nan as the arrays' do (or both solves raise), instead of raising
+    rng = np.random.default_rng(14)
+    for n, k, hx in itertools.product((1, 2, 3), (1.5, 3.0), (1e-105, 1e-110, 1e-160, 1e-170, 1e-320)):
+        d, b, t = rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal((n, n, n))
+        outcomes = []
+        for connection in (jet_connection, _old_jet_gamma):
+            with np.errstate(all="ignore"):
+                try:
+                    outcomes.append(connection(k, np.float64(hx), d, b, t))
+                except np.linalg.LinAlgError:
+                    outcomes.append(None)
+        got, want = outcomes
+        assert (got is None) == (want is None), (n, k, hx)
+        if got is not None:
+            assert _same(got[0], want[0]) and _same(got[1], want[1]), (n, k, hx)
 
 
 def test_dp_step_equals_the_list_built_stages():
