@@ -55,13 +55,18 @@ def _require_positive(values, message: str) -> None:
         raise DomainError(message.format(float(values[bad][0])))
 
 
+def _power_rows(values, r: float) -> np.ndarray:
+    """(m, 3) rows (h^r, r h^(r-1), r (r-1) h^(r-2)): the power h^r of each
+    positive value h and its first two derivatives, on Python floats."""
+    return np.array([(h**r, r * h ** (r - 1.0), r * (r - 1.0) * h ** (r - 2.0)) for h in np.asarray(values).tolist()])
+
+
 def _differential_images(k: float, points, values, grads, vectors) -> np.ndarray:
     """Images a w + b <grad h(x), w> x of the vectors w (rows (r, d), or
     (m, r, d) per point) under the differential of x -> x / h(x)^(1/k) at
     each row x of ``points``, a = h^(-1/k), b = -(1/k) h^(-1/k-1): an
     (m, r, d) array, each image rounded as the one-point expression."""
-    a = np.array([h ** (-1.0 / k) for h in values.tolist()])
-    b = np.array([-(1.0 / k) * h ** (-1.0 / k - 1.0) for h in values.tolist()])
+    a, b, _ = _power_rows(values, -1.0 / k).T
     slopes = b[:, None] * dot_rows(grads[:, None, :], vectors)
     return a[:, None, None] * vectors + slopes[..., None] * points[:, None, :]
 
@@ -200,15 +205,13 @@ class ChartFrame:
     def _second_rows(self, x, hx, grads, hess) -> np.ndarray:
         """(m, n, n, d) second derivatives of the embedding at the rows of
         :meth:`_jets`."""
-        k = self.degree
-        c1 = np.array([-(1.0 / k) * h ** (-1.0 / k - 1.0) for h in hx.tolist()])[:, None, None, None]
-        c2 = np.array([(1.0 / k) * (1.0 / k + 1.0) * h ** (-1.0 / k - 2.0) for h in hx.tolist()])[:, None, None]
+        _, c1, c2 = _power_rows(hx, -1.0 / self.degree).T
         dh = np.matmul(self.basis, grads[:, :, None])[:, :, 0]
         hb = self.basis @ hess @ self.basis.T
         u, v, xs = self.basis[None, :, None, :], self.basis[None, None, :, :], x[:, None, None, :]
         # out[i, j] for j >= i as c1 (dh_j u_i + dh_i u_j + hb_ij x) + c2 dh_i dh_j x, mirrored below
-        out = c1 * (dh[:, None, :, None] * u + dh[:, :, None, None] * v + hb[..., None] * xs)
-        out = out + ((c2 * dh[:, :, None]) * dh[:, None, :])[..., None] * xs
+        out = c1[:, None, None, None] * (dh[:, None, :, None] * u + dh[:, :, None, None] * v + hb[..., None] * xs)
+        out = out + ((c2[:, None, None] * dh[:, :, None]) * dh[:, None, :])[..., None] * xs
         upper = np.triu_indices(self.chart_dim)
         out[:, upper[1], upper[0]] = out[:, upper[0], upper[1]]
         return out
@@ -401,7 +404,9 @@ def chart_metric(frame: ChartFrame, coords, method: str = "psi_formula") -> Symm
 def _psi_metric(frame: ChartFrame, hx: float, grad, hess) -> np.ndarray:
     """The ``psi_formula`` Gram matrix at a slice point from h, its gradient
     and its Hessian there."""
-    return jet_metric(frame.degree, hx, frame.basis @ grad, frame.basis @ hess @ frame.basis.T)
+    n = frame.chart_dim
+    g, _ = _metric_lists(frame.degree, hx, frame.basis @ grad, frame.basis @ hess @ frame.basis.T, None)
+    return np.array(g).reshape(n, n)
 
 
 def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") -> np.ndarray:
@@ -410,22 +415,18 @@ def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") ->
     rounds as it does alone.  Raises at the first row outside the region."""
     x = frame.point(coords)
     func = frame.func
-    k = frame.degree
     hx = func.derivative_rows(x, 0)
     _require_positive(hx, "chart point outside the positivity region (value {})")
+    grads = func.derivative_rows(x, 1)
     if method == "pullback":
-        jac = frame.embed_jacobian(coords)
-        gram = -(np.swapaxes(jac, 1, 2) @ func.derivative_rows(frame.embed(coords), 2) @ jac) / k
-        return 0.5 * (gram + np.swapaxes(gram, 1, 2))
-    grads, hess = func.derivative_rows(x, 1), func.derivative_rows(x, 2)
-    if method == "psi_formula":
-        return _psi_rows(frame, hx, grads, hess)
-    if method == "u_formula":
+        jac = frame._jacobian_rows(x, hx, grads)
+        gram = -(np.swapaxes(jac, 1, 2) @ func.derivative_rows(frame._embed_rows(x, hx), 2) @ jac) / frame.degree
+    elif method == "psi_formula":
+        return _psi_rows(frame, hx, grads, func.derivative_rows(x, 2))
+    elif method == "u_formula":
         dh = np.matmul(frame.basis, grads[:, :, None])[:, :, 0]
-        hb = frame.basis @ hess @ frame.basis.T
-        r = 1.0 / k
-        coefs = np.array([(h**r, r * h ** (r - 1.0), r * (r - 1.0) * h ** (r - 2.0)) for h in hx.tolist()])
-        u, s1, s2 = coefs.T[:, :, None, None]  # u = h^(1/k); Hess u = s1 hb + s2 dh dh^T
+        hb = frame.basis @ func.derivative_rows(x, 2) @ frame.basis.T
+        u, s1, s2 = _power_rows(hx, 1.0 / frame.degree).T[:, :, None, None]  # u = h^(1/k); Hess u = s1 hb + s2 dh dh^T
         gram = -(s1 * hb + s2 * (dh[:, :, None] * dh[:, None, :])) / u
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -446,7 +447,10 @@ def chart_metric_with_derivative(frame: ChartFrame, coords):
     derivatives of the underlying function.  Used for the metric (Levi-Civita)
     connection, whose geodesics preserve speed.
     """
-    return jet_metric_with_derivative(*_chart_jet(frame, coords))
+    k, hx, d, b, t = _chart_jet(frame, coords)
+    n = len(d)
+    g, dg = _metric_lists(k, hx, d, b, t)
+    return np.array(g).reshape(n, n), np.array(dg).reshape(n, n, n)
 
 
 def _chart_jet(frame: ChartFrame, coords) -> tuple:
@@ -475,36 +479,22 @@ def contract_indices(t, rows) -> np.ndarray:
     return t
 
 
-def jet_metric(k: float, hx: float, d, b) -> np.ndarray:
-    """The ``psi_formula`` Gram matrix from the chart jet of h at a point:
-    value ``hx``, chart gradient ``d`` and chart Hessian ``b``."""
-    return -b / (k * hx) + ((k - 1.0) / (k * hx) ** 2) * (d[:, None] * d)
-
-
-def jet_metric_with_derivative(k: float, hx: float, d, b, t):
-    """Chart metric and its coordinate derivative from the chart jet of h
-    (``t`` is the chart third-derivative tensor); see
-    :func:`chart_metric_with_derivative`."""
-    n = len(d)
-    g, dg = _metric_lists(k, hx, d, b, t)
-    return np.array(g).reshape(n, n), np.array(dg).reshape(n, n, n)
-
-
 def _metric_lists(k: float, hx: float, d, b, t) -> tuple:
-    """g and dg of :func:`jet_metric_with_derivative` as flat lists in C
-    order, entry by entry on Python floats:
+    """The chart metric g from the chart jet of h at a point (value ``hx``,
+    chart gradient ``d``, chart Hessian ``b``) and, unless the chart third
+    tensor ``t`` is None, its coordinate derivative dg (else empty), as flat
+    lists in C order, entry by entry on Python floats:
 
         g[i, j]     = -b_ij / kh + ((k - 1) / kh^2) (d_i d_j)
         dg[i, j, l] = -t_ijl / kh + d_i b_jl / (kh h)
                       + ((k - 1) / k^2) ((b_ij d_l + b_il d_j) / h^2 - 2 d_i d_j d_l / h^3)
 
-    with kh = k h.  Each entry is the expression tree that the broadcast
-    arrays of :func:`jet_metric` and its derivative evaluate for it, and an
-    elementwise ufunc rounds as float arithmetic does, so the entries are
-    theirs bit for bit; none is mirrored from another, since neither t nor
-    b is bitwise symmetric.  Where a power of h underflows to zero, the
-    divisions by it give inf and nan, as the arrays' do, instead of raising."""
-    d, b, t = d.tolist(), b.tolist(), t.tolist()
+    with kh = k h.  No entry is mirrored from another, since neither t nor b
+    is bitwise symmetric.  Where a power of h underflows to zero, the
+    divisions by it give inf and nan, as numpy's would, instead of raising."""
+    n = len(d)
+    d, b = d.tolist(), b.tolist()
+    t = [[()] * n] * n if t is None else t.tolist()  # no t: every innermost loop is empty
     hx = float(hx)
     kh = k * hx
     scales = (kh, kh * hx, hx**2, hx**3, kh**2)
@@ -561,7 +551,8 @@ def _solve(a, b) -> np.ndarray:
 
 def jet_connection(k: float, hx: float, d, b, t):
     """Connection coefficients (upper index first) and metric from the chart
-    jet of h: :func:`christoffel` of :func:`jet_metric_with_derivative`."""
+    jet of h: :func:`christoffel` of the metric and derivative of
+    :func:`_metric_lists`."""
     n = len(d)
     g, dg = _metric_lists(k, hx, d, b, t)
     g = np.array(g).reshape(n, n)
@@ -725,7 +716,7 @@ def cone_identity_residual_rows(frame: ChartFrame, points, fd_step: float | None
     radii = np.array([s0 * math.sqrt(h) for h in func.derivative_rows(probes.reshape(-1, frame.dimension), 0).tolist()])
     radii = radii.reshape(probes.shape[:3])
     ds = (radii[..., 0] - radii[..., 1]) / (2.0 * steps[:, None])
-    q = radial_projection(func, points)
+    q = _project_rows(k, points, hx)
     images = _differential_images(k, points, hx, grads, vectors)
     lhs = -_bilinear_rows(vectors, func.derivative_rows(points, 2)) / k
     cross = -_bilinear_rows(images, func.derivative_rows(q, 2)) / k

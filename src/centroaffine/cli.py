@@ -103,13 +103,33 @@ class RunConfig:
         )
 
 
+def _checked_seed(func, seed) -> np.ndarray:
+    """The seed as an array, refused unless it has one finite coordinate per
+    variable and a finite value there."""
+    seed = np.array(seed, dtype=float)
+    if seed.size != func.dimension:
+        raise ValueError(f"seed has {seed.size} coordinates, polynomial has {func.dimension}")
+    if not np.isfinite(seed).all():
+        raise ValueError(f"--seed: coordinates must be finite, got {seed.tolist()}")
+    try:
+        with np.errstate(all="ignore"):
+            value = func(seed)
+    except (OverflowError, ValueError):  # math.fsum of terms that overflow
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"--seed: the value at {seed.tolist()} is not finite")
+    return seed
+
+
 def build_frame(config: RunConfig):
     """Instantiate (function, frame, source description) from a run config."""
+    if not math.isfinite(config.example_k):
+        raise ValueError(f"--k: expected a finite number, got {config.example_k}")
     if config.example:
         entry = catalog.get(config.example, k=config.example_k)
         func, frame = entry.build(k=config.example_k if entry.kind == "map" else None)
         if config.seed is not None and entry.kind == "polynomial":
-            frame = make_chart(func, np.array(config.seed, dtype=float))
+            frame = make_chart(func, _checked_seed(func, config.seed))
         return func, frame, entry.identifier
     if not config.poly:
         raise ValueError("either a polynomial or an example identifier is required")
@@ -120,12 +140,11 @@ def build_frame(config: RunConfig):
         poly = HomogeneousPolynomial.from_json(_json.loads(text))
     else:
         poly = HomogeneousPolynomial.parse(text)
+    if poly.dimension < 2:
+        raise ValueError(f"--poly: expected at least two variables, got {poly.dimension}")
     if config.seed is None:
         raise ValueError("a seed point is required for polynomial input")
-    seed = np.array(config.seed, dtype=float)
-    if seed.size != poly.dimension:
-        raise ValueError(f"seed has {seed.size} coordinates, polynomial has {poly.dimension}")
-    return poly, make_chart(poly, seed), poly.serialize()
+    return poly, make_chart(poly, _checked_seed(poly, config.seed)), poly.serialize()
 
 
 # -- analyze -------------------------------------------------------------------------
@@ -205,7 +224,14 @@ def _boundary_block(breport) -> dict:
 def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     if config.samples < 0:
         raise ValueError("--samples: expected non-negative integer")
+    if not (math.isfinite(config.tol_def) and config.tol_def > 0.0):
+        raise ValueError(f"--tol-def: expected a finite positive number, got {config.tol_def}")
+    if not (math.isfinite(config.tol_quad) and config.tol_quad >= 0.0):
+        raise ValueError(f"--tol-quad: expected a finite non-negative number, got {config.tol_quad}")
     func, frame, source = build_frame(config)
+    for eps in config.eps_grid or ():
+        if not 0.0 < eps < func.degree:
+            raise ValueError(f"--eps-grid: {eps} is not in (0, {func.degree})")
     report: dict = {
         "schema": SCHEMA_VERSION,
         "input": {
@@ -363,11 +389,7 @@ def render_plot(frame) -> str:
 
 def cmd_plot(config: RunConfig) -> tuple[str, int]:
     func, frame, _ = build_frame(config)
-    svg = render_plot(frame)
-    if config.plot or config.out:
-        with open(config.plot or config.out, "w") as fh:
-            fh.write(svg)
-    return svg, 0
+    return render_plot(frame), 0
 
 
 # -- entry point ----------------------------------------------------------------------
@@ -465,7 +487,8 @@ def main(argv=None) -> int:
             _emit(dumps(report) + "\n", args.out)
             return code
         if args.command == "plot":
-            _, code = cmd_plot(_config_from_args(args))
+            svg, code = cmd_plot(_config_from_args(args))
+            _emit(svg, args.plot or args.out)
             return code
         if args.command == "list":
             for entry in catalog.entries():

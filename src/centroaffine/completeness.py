@@ -34,11 +34,12 @@ from . import sampling
 from .boundary import RegularityReport, boundary_scan, regularity_report
 from .chart import (
     ChartFrame,
+    _power_rows,
+    _project_rows,
     chart_metric,
     contract_indices,
     jet_connection,
     levi_civita_gamma,
-    positive_root,
 )
 from .errors import DegenerateFrameError, DomainError, UnboundedRayError
 from .homogeneous import (
@@ -212,12 +213,10 @@ def concavity_results(frame: ChartFrame, grid, n_samples: int = 400, seed: int =
             x = frame.point(coords)
             hx = frame.func.derivative_rows(x, 0)
             rows = np.flatnonzero(~(hx <= 0.0))  # a sample outside the region is skipped
-            x, hx = x[rows], hx[rows].tolist()
+            x, hx = x[rows], hx[rows]
             grads = np.matmul(frame.basis, frame.func.derivative_rows(x, 1)[:, :, None])[:, :, 0]
             hess = frame.basis @ frame.func.derivative_rows(x, 2) @ frame.basis.T
-        m = 1.0 / (k - eps)
-        s1 = np.array([m * h ** (m - 1.0) for h in hx])[:, None, None]
-        s2 = np.array([m * (m - 1.0) * h ** (m - 2.0) for h in hx])[:, None, None]
+        _, s1, s2 = _power_rows(hx, 1.0 / (k - eps)).T[:, :, None, None]
         hess_f = s1 * hess + s2 * (grads[:, :, None] * grads[:, None, :])
         lam = np.linalg.eigvalsh(hess_f).max(axis=1)
         scale = np.fmax(1.0, np.abs(hess_f).max(axis=(1, 2)))  # max(1.0, nan) is 1.0
@@ -406,9 +405,6 @@ class _ChartCoordinates:
     def chart_velocity(self, v):
         return v.copy()
 
-    def embed(self, c, h):
-        return self.frame.embed(c)
-
 
 def _normal_rotation(d) -> np.ndarray:
     """Orthogonal (Householder) matrix whose first row is +-d/|d|."""
@@ -511,9 +507,6 @@ class _BoundaryLayer:
     def chart_velocity(self, v):
         return v @ self.rotation
 
-    def embed(self, y, h):
-        return self.frame.point(self.chart_coords(y)) / positive_root(h, self.degree)
-
 
 def geodesic_shoot(
     frame: ChartFrame,
@@ -605,7 +598,6 @@ def geodesic_shoot(
     speed_prev = 1.0
     params = [0.0]
     coords = [c.copy()]
-    ambient = [frame.embed(c)]
     hvals = [h_start]
     cum = [0.0]
     drift = 0.0
@@ -663,7 +655,6 @@ def geodesic_shoot(
         speed_prev = speed
         params.append(param)
         coords.append(geo.chart_coords(c))
-        ambient.append(geo.embed(c, h_next))
         hvals.append(h_next)
         cum.append(length)
         if min_h > 0.0 and h_next <= min_h:
@@ -702,11 +693,12 @@ def geodesic_shoot(
     else:
         if steps >= _MAX_STEPS:
             reason = "max_steps"
+    coords, hvals = np.array(coords), np.array(hvals)
     return CurveTrace(
         params=np.array(params),
-        coords=np.array(coords),
-        ambient=np.array(ambient),
-        hvals=np.array(hvals),
+        coords=coords,
+        ambient=_project_rows(frame.degree, frame.point(coords), hvals),
+        hvals=hvals,
         cumulative_length=np.array(cum),
         stop_reason=reason,
         unit_speed_drift=drift,

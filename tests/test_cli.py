@@ -109,11 +109,33 @@ def test_analyze_inconclusive_exit_code(tmp_path):
     assert json.loads(out.read_text())["completeness"]["status"] == "inconclusive"
 
 
+# (argv after `analyze`, the option the error names): each is refused before any route runs
+BAD_NUMBERS = (
+    (["--poly", "x^2*y", "--seed", "1,1", "--tol-def", "nan"], "--tol-def"),
+    (["--poly", "x^2*y", "--seed", "1,1", "--tol-def", "0"], "--tol-def"),
+    (["--poly", "x^2*y", "--seed", "1,1", "--tol-quad", "-1"], "--tol-quad"),
+    (["--poly", "x^2*y", "--seed", "1,1", "--tol-quad", "inf"], "--tol-quad"),
+    (["--poly", "x^2*y", "--seed", "1,1", "--eps-grid", "5"], "--eps-grid"),
+    (["--poly", "x^2*y*z", "--seed", "1,1,1", "--eps-grid", "nan"], "--eps-grid"),
+    (["--poly", "x^2*y", "--seed", "inf,1"], "--seed"),
+    (["--poly", "x^2*y", "--seed", "1e200,1"], "--seed"),
+    (["--poly", "x^2", "--seed", "1"], "--poly"),
+    (["--example", "analytic", "--k", "nan"], "--k"),
+    (["--example", "curve-regular", "--seed", "nan,1"], "--seed"),
+)
+
+
 def test_analyze_input_errors_exit_one(capsys):
     assert run_cli(["analyze", "--poly", "x^3 + x^2", "--seed", "1,0"]) == 1
     assert run_cli(["analyze", "--poly", "x^3 - x*y^2"]) == 1  # missing seed
     assert run_cli(["analyze", "--poly", "x^3 - x*y^2", "--seed", "1,0,0"]) == 1
     assert run_cli(["analyze", "--example", "no-such-entry"]) == 1
+    capsys.readouterr()
+    for args, flag in BAD_NUMBERS:
+        # no route runs, so no RuntimeWarning (an error under the test filter) either
+        assert run_cli(["analyze", *args]) == 1, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {flag}:"), (args, captured.err)
 
 
 def test_analyze_degenerate_initial_direction_exits_one(capsys):
@@ -355,6 +377,14 @@ def test_plot_deterministic_and_valid(tmp_path):
     assert svg1.read_bytes() == svg2.read_bytes()
     body = svg1.read_text()
     assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
+
+
+def test_plot_writes_to_stdout_without_a_path(tmp_path, capsys):
+    svg = tmp_path / "a.svg"
+    assert run_cli(["plot", "--example", "curve-regular", "--out", str(svg)]) == 0
+    capsys.readouterr()
+    assert run_cli(["plot", "--example", "curve-regular"]) == 0
+    assert capsys.readouterr().out == svg.read_text()
 
 
 def test_plot_rejects_higher_dimensions():

@@ -29,6 +29,7 @@ from centroaffine.chart import (
     levi_civita_gamma,
     lorentz_identity_residual_rows,
     lorentz_identity_residuals,
+    positive_root,
     tangent_basis_at,
 )
 from centroaffine.cli import _cone_points
@@ -695,6 +696,19 @@ def test_connection_equals_the_tensordot_formulas():
                 gamma, g = levi_civita_gamma(frame, c)
                 ref_gamma, ref_g = _old_gamma(frame, c)
                 assert _same(gamma, ref_gamma) and _same(g, ref_g), (label, c)
+
+
+def test_trace_embedding_is_the_projection_of_its_points():
+    # each ambient row is point(coords) / h^(1/k) of the h beside it, in chart
+    # coordinates and inside the boundary layer alike
+    shots = 0
+    for label, _, frame in _frames():
+        for axis in np.eye(frame.chart_dim):
+            trace = geodesic_shoot(frame, np.zeros(frame.chart_dim), axis, max_len=WITNESS_MAX_LEN)
+            ref = [frame.point(c) / positive_root(h, frame.degree) for c, h in zip(trace.coords, trace.hvals)]
+            assert _same(trace.ambient, ref), (label, axis)
+            shots += 1
+    assert shots == 26
 
 
 def _entered_layers(expr):
