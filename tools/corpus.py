@@ -102,7 +102,8 @@ def write(directory: Path) -> None:
 def diff(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
-    differing = sorted(p for p in files_a | files_b if p not in files_a or p not in files_b or (a / p).read_bytes() != (b / p).read_bytes())
+    both = files_a & files_b
+    differing = sorted((files_a | files_b) - both) + sorted(p for p in both if (a / p).read_bytes() != (b / p).read_bytes())
     for p in differing:
         print(p)
     print(f"{len(differing)} of {len(files_a | files_b)} files differ")
@@ -115,7 +116,7 @@ def main(argv) -> int:
     if len(argv) == 1 and not argv[0].startswith("-"):
         write(Path(argv[0]))
         return 0
-    print(__doc__.strip().splitlines()[0], "\nusage: corpus.py DIR | corpus.py --diff A B", file=sys.stderr)
+    print("usage: corpus.py DIR | corpus.py --diff A B", file=sys.stderr)
     return 2
 
 
