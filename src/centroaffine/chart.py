@@ -331,6 +331,10 @@ def make_chart(func, seed) -> ChartFrame:
     """
     seed = np.asarray(seed, dtype=float)
     hs = func(seed)
+    if 0.0 <= hs < np.finfo(float).tiny and seed.any():
+        # h underflowed; by homogeneity the ray is the seed's, scaled to a largest coordinate of 1
+        seed = seed / np.abs(seed).max()
+        hs = func(seed)
     if hs <= 0.0:
         raise DomainError(f"seed value must be positive, got {hs}")
     p = seed / positive_root(hs, func.degree)
@@ -388,25 +392,10 @@ def chart_metric(frame: ChartFrame, coords, method: str = "psi_formula") -> Symm
     - ``psi_formula``: Hessian and differential at the slice point itself;
     - ``u_formula``: Hessian of the k-th root of the slice restriction.
 
-    One row of :func:`chart_metric_rows`; the ``psi_formula`` route, which
-    geodesics and curve lengths evaluate point by point, skips the stacking.
+    One row of :func:`chart_metric_rows`.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    if method != "psi_formula":
-        return SymmetricForm(chart_metric_rows(frame, coords[None], method)[0])
-    x = frame.point(coords)
-    hx = frame.func(x)
-    if hx <= 0.0:
-        raise DomainError(f"chart point outside the positivity region (value {hx})")
-    return SymmetricForm(_psi_metric(frame, hx, frame.func.gradient(x), frame.func.hessian(x)))
-
-
-def _psi_metric(frame: ChartFrame, hx: float, grad, hess) -> np.ndarray:
-    """The ``psi_formula`` Gram matrix at a slice point from h, its gradient
-    and its Hessian there."""
-    n = frame.chart_dim
-    g, _ = _metric_lists(frame.degree, hx, frame.basis @ grad, frame.basis @ hess @ frame.basis.T, None)
-    return np.array(g).reshape(n, n)
+    return SymmetricForm(chart_metric_rows(frame, coords[None], method)[0])
 
 
 def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") -> np.ndarray:
@@ -436,7 +425,10 @@ def chart_metric_rows(frame: ChartFrame, coords, method: str = "psi_formula") ->
 def _psi_rows(frame: ChartFrame, values, grads, hessians) -> np.ndarray:
     """The ``psi_formula`` rows of :func:`chart_metric_rows` from the values,
     gradients and Hessians of h at the slice points."""
-    gram = np.array([_psi_metric(frame, h, g, b) for h, g, b in zip(values.tolist(), grads, hessians)])
+    k, n, bas = frame.degree, frame.chart_dim, frame.basis
+    gram = np.array(
+        [_metric_lists(k, h, bas @ g, bas @ b @ bas.T, None)[0] for h, g, b in zip(values.tolist(), grads, hessians)]
+    ).reshape(-1, n, n)
     return 0.5 * (gram + np.swapaxes(gram, 1, 2))
 
 

@@ -127,7 +127,10 @@ def build_frame(config: RunConfig):
         raise ValueError(f"--k: expected a finite number, got {config.example_k}")
     if config.example:
         entry = catalog.get(config.example, k=config.example_k)
-        func, frame = entry.build(k=config.example_k if entry.kind == "map" else None)
+        try:
+            func, frame = entry.build(k=config.example_k if entry.kind == "map" else None)
+        except DomainError as exc:  # only the map's value (1/4)^k at its slice origin, underflowing
+            raise ValueError(f"--k: the value at the slice origin underflows to 0 at degree {config.example_k:g}") from exc
         if config.seed is not None and entry.kind == "polynomial":
             frame = make_chart(func, _checked_seed(func, config.seed))
         return func, frame, entry.identifier

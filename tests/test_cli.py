@@ -121,6 +121,7 @@ BAD_NUMBERS = (
     (["--poly", "x^2*y", "--seed", "1e200,1"], "--seed"),
     (["--poly", "x^2", "--seed", "1"], "--poly"),
     (["--example", "analytic", "--k", "nan"], "--k"),
+    (["--example", "analytic", "--k", "1e6"], "--k"),  # (1/4)^k at the slice origin underflows
     (["--example", "curve-regular", "--seed", "nan,1"], "--seed"),
 )
 
@@ -136,6 +137,15 @@ def test_analyze_input_errors_exit_one(capsys):
         assert run_cli(["analyze", *args]) == 1, args
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {flag}:"), (args, captured.err)
+
+
+def test_analyze_seed_whose_value_underflows(tmp_path):
+    # h(1e-200, 1e-200) = 1e-600 underflows to 0, though the ray lies in the cone
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    args = ["analyze", "--poly", "x^2*y", "--samples", "150"]
+    assert run_cli(args + ["--seed", "1e-200,1e-200", "--out", str(out1)]) == 0
+    assert run_cli(args + ["--seed", "1,1", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_analyze_degenerate_initial_direction_exits_one(capsys):
@@ -278,8 +288,8 @@ def test_report_boundary_block_is_the_regularity_report(config):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.integrate (which loads scipy.optimize) and scipy.stats load only
-    # where a quadrature or a Halton direction set is needed
+    # scipy.stats loads only where a Halton direction set is needed; no
+    # length needs scipy.integrate (which loads scipy.optimize)
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, centroaffine.cli; "
@@ -293,6 +303,37 @@ def test_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_analytic_analysis_and_repro_leave_scipy_integrate_unloaded():
+    # every length, the analytic witness and repro's total length among them,
+    # is the in-repo Gauss-Legendre rule
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from centroaffine.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [main(['analyze', '--example', 'analytic']), main(['repro'])]",
+            "print(codes, 'scipy.integrate' in sys.modules)",
+        ]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[0, 0] False"
+
+
+def test_analytic_witness_at_zero_quadrature_tolerance(tmp_path):
+    # with --tol-quad 0 the rule stops on its relative floor, 1e-10 of the length
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--example", "analytic", "--tol-quad", "0", "--out", str(out)]) == 0
+    evidence = json.loads(out.read_text())["completeness"]["evidence"]
+    assert abs(evidence["witness_length"] - math.sqrt(2.0) * math.pi) <= 1e-5
 
 
 def test_halton_directions_unchanged():

@@ -6,6 +6,7 @@ import pytest
 from centroaffine import (
     AnalysisConfig,
     CurveTrace,
+    DomainError,
     HomogeneousPolynomial,
     completeness_verdict,
     concavity_test,
@@ -21,7 +22,7 @@ from centroaffine import completeness
 from centroaffine.catalog import analytic_example, nonclosed_example
 from centroaffine.chart import chart_metric_rows
 from centroaffine.completeness import WITNESS_MAX_LEN, monomial_face_check
-from centroaffine.homogeneous import _mul_terms, first_positive_zero
+from centroaffine.homogeneous import _mul_terms, first_positive_zero, restrict_to_line
 from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -439,6 +440,30 @@ def test_curve_witness_sides_of_the_analytic_curve(monkeypatch):
     for side in verdict.evidence["witness_sides"]:
         assert abs(side - math.sqrt(2) * math.pi / 2) <= 1e-9
     assert shots == []
+
+
+def test_curve_length_refuses_a_segment_across_a_zero_of_the_metric():
+    # nonclosed-piece's witness side ends at the first zero of
+    # N = (k-1) h'^2 - k h h''; beyond it g(v, v) = N / (k h)^2 is negative
+    frame = nonclosed_example().build()[1]
+    direction = np.array([-1.0])
+    h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
+    t_end = float(first_positive_zero(completeness._speed_numerator(h, 3)[0][:4])[0])
+    length, _ = curve_length_with_error(frame, [0.0], direction, 0.0, t_end)
+    assert abs(length - NONCLOSED_ARC) <= 1e-10
+    with pytest.raises(DomainError):
+        curve_length_with_error(frame, [0.0], direction, 0.0, 2.0 * t_end)
+
+
+def test_curve_length_of_a_divergent_side_is_infinite():
+    # x^4 + x^2 y^2 = x^2 (x^2 + y^2): the side from (-1, 5) along +1 runs into
+    # the double zero x = 0, where the speed goes as 1 / (t_end - t)
+    frame = make_chart(HomogeneousPolynomial.parse("x^4 + x^2*y^2"), [-1.0, 5.0])
+    direction = np.array([1.0])
+    t_end, order = _ray_end(frame, np.zeros(1), direction)
+    assert order == 2
+    length, err = curve_length_with_error(frame, [0.0], direction, 0.0, t_end)
+    assert length == math.inf and err > 1e-10
 
 
 # -- work counts of the witness probes ------------------------------------------------
