@@ -200,7 +200,7 @@ def lorentz_extension_check(frame: ChartFrame, bp: BoundaryPoint, tol: float = 1
     (gradient, ray direction, boundary tangents); negative determinant and
     signature (d-1, 1, 0) certify the Lorentzian extension across the
     boundary.  One row of :func:`_boundary_rows`."""
-    if np.linalg.norm(bp.gradient) <= 1e-12:  # the floor of tangent_basis_at
+    if np.linalg.norm(bp.gradient) <= 1e-12:
         raise DegenerateFrameError("adapted frame undefined where the gradient vanishes")
     _, gram, det, signature = _boundary_rows(frame, bp.point[None], bp.gradient[None], 1e-12, lorentz_tol=tol)
     if np.isnan(det[0]):

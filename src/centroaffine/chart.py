@@ -57,8 +57,15 @@ def _require_positive(values, message: str) -> None:
 
 def _power_rows(values, r: float) -> np.ndarray:
     """(m, 3) rows (h^r, r h^(r-1), r (r-1) h^(r-2)): the power h^r of each
-    positive value h and its first two derivatives, on Python floats."""
-    return np.array([(h**r, r * h ** (r - 1.0), r * (r - 1.0) * h ** (r - 2.0)) for h in np.asarray(values).tolist()])
+    positive value h and its first two derivatives, on Python floats.
+    Raises ValueError at the first h where one of them overflows."""
+    rows = []
+    for h in np.asarray(values).tolist():
+        try:
+            rows.append((h**r, r * h ** (r - 1.0), r * (r - 1.0) * h ** (r - 2.0)))
+        except OverflowError:
+            raise ValueError(f"the derivatives of h^{r:.6g} overflow at the value h = {h:.6g}") from None
+    return np.array(rows)
 
 
 def _differential_images(k: float, points, values, grads, vectors) -> np.ndarray:
@@ -71,19 +78,22 @@ def _differential_images(k: float, points, values, grads, vectors) -> np.ndarray
     return a[:, None, None] * vectors + slopes[..., None] * points[:, None, :]
 
 
-def tangent_basis_at(func, q, tol: float = 1e-12) -> np.ndarray:
+def tangent_basis_at(func, q) -> np.ndarray:
     """Deterministic orthonormal basis of ker(dh) at q: one row of
     :func:`tangent_bases_at`."""
     q = np.asarray(q, dtype=float)
-    return tangent_bases_at(q[None], func.gradient(q)[None], tol)[0]
+    return tangent_bases_at(q[None], func.gradient(q)[None])[0]
 
 
-def tangent_bases_at(points, grads, tol: float = 1e-12) -> np.ndarray:
+def tangent_bases_at(points, grads) -> np.ndarray:
     """:func:`tangent_bases` of the gradients ``grads`` at ``points``;
-    raises at the first point whose gradient norm is at most ``tol``."""
-    small = np.flatnonzero(np.sqrt(dot_rows(grads, grads)) <= tol)
-    if small.size:
-        raise DegenerateFrameError(f"gradient vanishes at {points[small[0]].tolist()}")
+    raises at the first point whose gradient norm is zero or not finite.
+    No floor above zero: inside the cone Euler's identity gives
+    |grad h(x)| |x| >= k h(x) > 0, however small h is."""
+    norms = np.sqrt(dot_rows(grads, grads))
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        raise DegenerateFrameError(f"gradient vanishes or is not finite at {points[bad[0]].tolist()}")
     return tangent_bases(grads)
 
 
@@ -286,8 +296,6 @@ class ChartFrame:
             if mid == t_lo or mid == t_hi:
                 break
             t_lo, t_hi = (mid, t_hi) if inside(mid) else (t_lo, mid)
-            if t_hi - t_lo < 1e-14 * max(1.0, t_hi):
-                break
         return 0.5 * (t_lo + t_hi)
 
     def _capped_distances(self, directions) -> np.ndarray:

@@ -14,14 +14,12 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def van_der_corput(count: int, base: int = 2) -> np.ndarray:
-    out = np.empty(count)
-    for i in range(count):
-        n, denom, x = i + 1, 1.0, 0.0
-        while n:
-            n, rem = divmod(n, base)
-            denom *= base
-            x += rem / denom
-        out[i] = x
+    """Radical inverses of 1..count in `base`, summed digit by digit from the lowest."""
+    n, out, denom = np.arange(1, count + 1), np.zeros(count), 1.0
+    while n.any():
+        n, rem = np.divmod(n, base)
+        denom *= base
+        out += rem / denom
     return out
 
 
@@ -43,17 +41,18 @@ def unit_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = 2.0 * np.pi * ((i * GOLDEN) % 1.0)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    # scipy.stats costs most of the package's import time, and only
-    # directions in 4 or more dimensions need it
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    u = sampler.random(count)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    return g / norms[:, None]
+    # Halton points in an even number of coordinates (the j-th in the j-th
+    # prime; Bertrand: a prime lies in (p, 2p]) under one seeded
+    # Cranley-Patterson shift, made Gaussian by Box-Muller on coordinate pairs
+    primes = [2]
+    while len(primes) < dim + dim % 2:
+        primes.append(next(p for p in range(primes[-1] + 1, 2 * primes[-1] + 1) if all(p % q for q in primes)))
+    shift = np.random.default_rng(seed).random(len(primes))
+    u = (np.column_stack([van_der_corput(count, p) for p in primes]) + shift) % 1.0
+    r, angle = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])), 2.0 * np.pi * u[:, 1::2]
+    g = np.hstack([r * np.cos(angle), r * np.sin(angle)])[:, :dim]
+    g[~g.any(axis=1), 0] = 1.0  # all radii zero (u = 0 in every even coordinate): e_0
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 def radial_fractions(count: int) -> np.ndarray:

@@ -330,6 +330,15 @@ def test_boundary_distance_map_bisection():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1.5, 2.0])
+def test_map_bisection_ends_at_adjacent_floats(k):
+    # the analytic chart ends at exactly +-1/2; the bisection runs until its
+    # bracket is two adjacent floats, so the witness lacks no end piece
+    _, frame = analytic_example(k)
+    assert frame.boundary_distances([0.0], [[1.0], [-1.0]]).tolist() == [0.5, 0.5]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distance_unbounded_ray():
     piece = HomogeneousPolynomial.parse("x^3 + y^3")
     frame = make_chart(piece, [2 ** (1 / 3), -1.0])

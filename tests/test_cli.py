@@ -148,6 +148,26 @@ def test_analyze_seed_whose_value_underflows(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_analytic_witness_where_h_is_tiny_on_the_identity_slice(tmp_path):
+    # the cone identity is checked at points where h ~ 4e-15; Euler's identity
+    # keeps the gradient off zero there, however small h is
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--example", "analytic", "--k", "20", "--out", str(out)]) == 0
+    completeness = json.loads(out.read_text())["completeness"]
+    assert (completeness["status"], completeness["route"]) == ("incomplete", "finite-length-witness")
+    assert abs(completeness["evidence"]["witness_length"] - math.sqrt(2.0) * math.pi) <= 1e-8
+
+
+@pytest.mark.parametrize("k", ["50", "100", "200", "300"])
+def test_analytic_power_overflow_exits_one(capsys, k):
+    # near the boundary h underflows so far that the derivatives of
+    # h^(1/(k - eps)) in the concavity grid overflow a float
+    assert run_cli(["analyze", "--example", "analytic", "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the derivatives of h^") and "overflow at the value h = " in captured.err
+
+
 def test_analyze_degenerate_initial_direction_exits_one(capsys):
     # the Hessian of x^3 + y^3 is positive definite at (1, 0.5), so the metric -hess/3 is negative
     assert run_cli(["analyze", "--poly", "x^3+y^3", "--seed", "1,0.5"]) == 1
@@ -328,6 +348,28 @@ def test_analytic_analysis_and_repro_leave_scipy_integrate_unloaded():
     assert out.stdout.strip() == "[0, 0] False"
 
 
+def test_five_variable_analysis_loads_no_scipy():
+    # a 4-dimensional chart draws its directions from the in-repo Halton points
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from centroaffine.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = main(['analyze', '--poly', 'x0*x1*x2*x3*x4', '--seed', '1,1,1,1,1'])",
+            "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "0 []"
+
+
 def test_analytic_witness_at_zero_quadrature_tolerance(tmp_path):
     # with --tol-quad 0 the rule stops on its relative floor, 1e-10 of the length
     out = tmp_path / "report.json"
@@ -338,9 +380,9 @@ def test_analytic_witness_at_zero_quadrature_tolerance(tmp_path):
 
 def test_halton_directions_unchanged():
     expected = [
-        [-0.5753250182551591, -0.7190758427416465, -0.2335019705753011, 0.3097347085385526, -0.03837050715173262],
-        [0.28257834578120355, 0.6579155383716548, 0.5927141388143828, -0.08465919870373619, -0.35891418555005566],
-        [-0.17530247794333015, -0.1295469511096888, -0.577483320782928, -0.7841165459643566, 0.06450492421173096],
+        [-0.18424981979127897, 0.17043533155372292, 0.9201343390091138, -0.13946444479699244, 0.2662823097368315],
+        [0.5069787728097486, -0.09162331028637657, 0.7851368722148373, -0.21391416880256894, 0.269032550459412],
+        [-0.41197639176909573, -0.7654798785040973, 0.149466438890581, 0.382521112955851, 0.2750516133722072],
     ]
     assert np.array_equal(unit_directions(5, 3, 0), np.array(expected))
 
@@ -376,11 +418,13 @@ def test_analyze_trace_and_plot_files(tmp_path):
 
 
 def test_analyze_deterministic_bytes(tmp_path):
-    # a curve; x*y*z*w runs the concavity grid on Halton directions; a
-    # 3-variable cubic runs the segment test and the structure block
+    # a curve; x*y*z*w runs the concavity grid on a Fibonacci sphere and
+    # x0*x1*x2*x3*x4 on Halton directions; a 3-variable cubic runs the
+    # segment test and the structure block
     inputs = [
         ("x^3 - x*y^2", "1,0", "cubic-criterion"),
         ("x*y*z*w", "1,1,1,1", "concavity(0.5)"),
+        ("x0*x1*x2*x3*x4", "1,1,1,1,1", "concavity(0.625)"),
         ("x^3 - x*y^2 - x*z^2 + 0.1*y^3", "1,0,0", "cubic-criterion"),
     ]
     for poly, seed, route in inputs:
