@@ -3,7 +3,8 @@ and the genericity perturbation."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +38,6 @@ class RegularityEntry:
     kernel_dim: int | None
     regular: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RegularityReport:
@@ -50,12 +48,15 @@ class RegularityReport:
     multiple_zero_rays: int = 0  # scan rays whose zero was polished as multiple
 
     def to_json(self) -> dict:
+        """The analysis report's ``boundary`` block: verdict and failure counts."""
         return {
             "regular": self.regular,
             "n_points": len(self.entries),
             "closedness_failures": self.closedness_failures,
-            "entries": [e.to_json() for e in self.entries],
-            "lorentz_determinants": self.lorentz_determinants,
+            "condition_i_failures": sum(1 for e in self.entries if not e.condition_i),
+            "condition_ii_failures": sum(1 for e in self.entries if e.condition_i and not e.condition_ii),
+            "lorentz_det_all_negative": bool(self.lorentz_determinants)
+            and all(d < 0.0 for d in self.lorentz_determinants if not math.isnan(d)),
             "multiple_zero_rays": self.multiple_zero_rays,
         }
 
@@ -70,7 +71,6 @@ def boundary_scan(
     frame: ChartFrame,
     count: int | None = None,
     directions=None,
-    seed: int = 0,
     unbounded_ok: bool = False,
 ) -> list:
     """Locate boundary points of the cone along chart rays from the origin,
@@ -80,7 +80,7 @@ def boundary_scan(
     ``unbounded_ok`` gives None in its place."""
     if directions is None:
         n = count if count is not None else default_direction_count(frame.chart_dim)
-        directions = sampling.unit_directions(frame.chart_dim, n, seed)
+        directions = sampling.unit_directions(frame.chart_dim, n, 0)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     dists, mults, points = _scan_rows(frame, directions, unbounded_ok)
     jets = zip(points, frame.func.derivative_rows(points, 1), frame.func.derivative_rows(points, 0).tolist())
@@ -124,7 +124,11 @@ def _boundary_tangent_bases(frame: ChartFrame, grads):
     return full, null @ frame.basis
 
 
-def _boundary_rows(frame: ChartFrame, points, grads, floor: float, tol=1e-6, lorentz_tol=1e-9):
+_REGULAR_TOL = 1e-6  # relative zero of an eigenvalue in the regularity conditions
+_LORENTZ_TOL = 1e-9  # and in the Lorentz extension's slice block and signature
+
+
+def _boundary_rows(frame: ChartFrame, points, grads, floor: float):
     """Regularity and Lorentz extension at boundary points (the rows of
     ``points``, with gradients ``grads``), all rows in one stacked pass.
 
@@ -132,14 +136,14 @@ def _boundary_rows(frame: ChartFrame, points, grads, floor: float, tol=1e-6, lor
     minus the Hessian is positive definite on the boundary tangent directions
     inside the slice (equivalent to positive semidefiniteness with
     one-dimensional kernel on the full boundary tangent space, the kernel
-    being the ray direction).  An eigenvalue counts as zero within tol of
+    being the ray direction).  An eigenvalue counts as zero within 1e-6 of
     its restricted form's size (:meth:`SymmetricForm.signature`).  The
     extension is the Gram data of minus the Hessian in the adapted frame
     (gradient, ray direction, slice tangents orthonormalized for the slice
     block); negative determinant and signature (d-1, 1, 0) certify it.
     Returns the entries and the Gram matrices, determinants and signatures,
     the determinant nan where (i) fails or the slice block is not positive
-    definite at max(lorentz_tol, 1e-9) or has no Cholesky factor.
+    definite at 1e-9 or has no Cholesky factor.
     """
     k, gnorm = frame.chart_dim - 1, np.sqrt(dot_rows(grads, grads))
     rows = np.flatnonzero(gnorm > floor)
@@ -148,9 +152,9 @@ def _boundary_rows(frame: ChartFrame, points, grads, floor: float, tol=1e-6, lor
     full, slice_vecs = _boundary_tangent_bases(frame, grads[rows])
     block = restrict_rows(beta, slice_vecs)
     eigs, scale = np.linalg.eigvalsh(block), np.abs(block).max(axis=(1, 2), initial=0.0)
-    cond_ii = eigen_counts(eigs, scale, tol)[:, 0] == k
-    psd = signature_rows(restrict_rows(beta, full), tol)
-    ok = eigen_counts(eigs, scale, max(lorentz_tol, 1e-9))[:, 0] == k
+    cond_ii = eigen_counts(eigs, scale, _REGULAR_TOL)[:, 0] == k
+    psd = signature_rows(restrict_rows(beta, full), _REGULAR_TOL)
+    ok = eigen_counts(eigs, scale, _LORENTZ_TOL)[:, 0] == k
     chol = _cholesky_rows(block[ok])
     factored = ~np.isnan(chol).any(axis=(1, 2))
     ok[ok] = factored
@@ -161,7 +165,7 @@ def _boundary_rows(frame: ChartFrame, points, grads, floor: float, tol=1e-6, lor
     gram[ext] = adapted @ beta[ok] @ np.swapaxes(adapted, 1, 2)
     sym = 0.5 * (gram[ext] + np.swapaxes(gram[ext], 1, 2))
     det, signature = np.full(len(points), np.nan), np.zeros((len(points), 3), dtype=int)
-    det[ext], signature[ext] = np.linalg.det(sym), signature_rows(sym, max(lorentz_tol, 1e-12))
+    det[ext], signature[ext] = np.linalg.det(sym), signature_rows(sym, _LORENTZ_TOL)
     points, gnorm = points.tolist(), gnorm.tolist()
     entries = [RegularityEntry(x, False, g, None, None, None, None, False) for x, g in zip(points, gnorm)]
     for i, ii, (_, n_neg, n_zero) in zip(rows.tolist(), cond_ii.tolist(), psd.tolist()):
@@ -177,11 +181,11 @@ def _cholesky_rows(mats) -> np.ndarray:
         return np.concatenate([_cholesky_rows(m[None]) for m in mats]) if len(mats) > 1 else mats * np.nan
 
 
-def regular_boundary_check(frame: ChartFrame, bp: BoundaryPoint, tol: float = 1e-6) -> RegularityEntry:
+def regular_boundary_check(frame: ChartFrame, bp: BoundaryPoint) -> RegularityEntry:
     """Check the two regularity conditions at one boundary point, condition
     (i) relative to |grad h| at the unit point of the origin ray, so that it
     scales with h: one row of :func:`_boundary_rows`."""
-    return _boundary_rows(frame, bp.point[None], bp.gradient[None], tol * _gradient_scale(frame), tol)[0][0]
+    return _boundary_rows(frame, bp.point[None], bp.gradient[None], _REGULAR_TOL * _gradient_scale(frame))[0][0]
 
 
 @dataclass(frozen=True)
@@ -195,25 +199,20 @@ class LorentzExtension:
         return self.determinant < 0.0
 
 
-def lorentz_extension_check(frame: ChartFrame, bp: BoundaryPoint, tol: float = 1e-9) -> LorentzExtension:
+def lorentz_extension_check(frame: ChartFrame, bp: BoundaryPoint) -> LorentzExtension:
     """Gram data of minus the Hessian in the adapted boundary frame
     (gradient, ray direction, boundary tangents); negative determinant and
     signature (d-1, 1, 0) certify the Lorentzian extension across the
     boundary.  One row of :func:`_boundary_rows`."""
     if np.linalg.norm(bp.gradient) <= 1e-12:
         raise DegenerateFrameError("adapted frame undefined where the gradient vanishes")
-    _, gram, det, signature = _boundary_rows(frame, bp.point[None], bp.gradient[None], 1e-12, lorentz_tol=tol)
+    _, gram, det, signature = _boundary_rows(frame, bp.point[None], bp.gradient[None], 1e-12)
     if np.isnan(det[0]):
         raise DegenerateFrameError("boundary tangent block is not positive definite")
     return LorentzExtension(gram=gram[0], determinant=float(det[0]), signature=tuple(signature[0].tolist()))
 
 
-def regularity_report(
-    frame: ChartFrame,
-    count: int | None = None,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> RegularityReport:
+def regularity_report(frame: ChartFrame, count: int | None = None, seed: int = 0) -> RegularityReport:
     """Scan the boundary and check :func:`regular_boundary_check` and, where
     both conditions hold, :func:`lorentz_extension_check` (nan where it
     raises) at every scanned point, in one stacked pass."""
@@ -221,7 +220,7 @@ def regularity_report(
     directions = sampling.unit_directions(frame.chart_dim, n, seed)
     dists, mults, points = _scan_rows(frame, directions, unbounded_ok=True)
     grads = frame.func.derivative_rows(points, 1)
-    entries, _, det, _ = _boundary_rows(frame, points, grads, tol * _gradient_scale(frame), tol)
+    entries, _, det, _ = _boundary_rows(frame, points, grads, _REGULAR_TOL * _gradient_scale(frame))
     failures = [{"direction": d.tolist(), "radius": frame.ray_limit} for d in directions[np.isinf(dists)]]
     return RegularityReport(
         entries=entries,

@@ -306,9 +306,9 @@ class ChartFrame:
         cap = 5.0 * (1.0 + float(np.linalg.norm(self.origin)))  # a non-compact slice is sampled over a capped segment
         return np.where(np.isinf(dist), cap, dist)
 
-    def diameter(self, n_directions: int = 16, seed: int = 0) -> float:
+    def diameter(self) -> float:
         if self._diameter is None:
-            dirs = sampling.unit_directions(self.chart_dim, max(2, n_directions), seed)
+            dirs = sampling.unit_directions(self.chart_dim, 16, 0)
             self._diameter = 2.0 * max(0.0, float(self._capped_distances(dirs).max()))
         return self._diameter
 
@@ -359,7 +359,7 @@ def slice_chart(func, origin, basis) -> ChartFrame:
 # -- metric formulas ----------------------------------------------------------
 
 
-def centroaffine_metric_ambient(frame_or_func, q, basis=None, tol: float = 1e-10):
+def centroaffine_metric_ambient(frame_or_func, q, basis=None):
     """Gram matrix of -(1/k) * Hessian on tangent vectors at a level-set point.
 
     Returns (form, basis).  ``basis`` defaults to the deterministic tangent
@@ -371,17 +371,17 @@ def centroaffine_metric_ambient(frame_or_func, q, basis=None, tol: float = 1e-10
     if basis is None:
         basis = tangent_basis_at(func, q)
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    return SymmetricForm(ambient_metric_rows(func, q[None], basis[None], tol)[0]), basis
+    return SymmetricForm(ambient_metric_rows(func, q[None], basis[None])[0]), basis
 
 
-def ambient_metric_rows(func, points, bases, tol: float = 1e-10) -> np.ndarray:
+def ambient_metric_rows(func, points, bases) -> np.ndarray:
     """Gram matrices -(B H B^T)/k of the Hessians H at the rows of ``points``
     on the vectors B (r, d) of the matching row of ``bases``, symmetrized as
     :class:`SymmetricForm` stores them; each row rounds as it does alone.
-    Raises at the first row off the unit level set by more than ``tol``
+    Raises at the first row off the unit level set by more than 1e-10
     (relative to the value, if that exceeds 1)."""
     hq = func.derivative_rows(points, 0)
-    bad = np.flatnonzero(np.abs(hq - 1.0) > tol * np.maximum(1.0, np.abs(hq)))
+    bad = np.flatnonzero(np.abs(hq - 1.0) > 1e-10 * np.maximum(1.0, np.abs(hq)))
     if bad.size:
         raise DomainError(f"point is not on the unit level set (value {float(hq[bad[0]])})")
     gram = -(bases @ func.derivative_rows(points, 2) @ np.swapaxes(bases, 1, 2)) / func.degree
@@ -641,7 +641,7 @@ def classify(
 # -- cone metric ---------------------------------------------------------------
 
 
-def lorentz_metric(func, x, tol: float = 1e-9, validate: bool = True) -> SymmetricForm:
+def lorentz_metric(func, x, validate: bool = True) -> SymmetricForm:
     """The form -(1/k) * Hessian at a cone point, as a metric on the cone.
 
     On a hyperbolic cone this has signature (d-1, 1, 0); with ``validate`` a
@@ -650,7 +650,7 @@ def lorentz_metric(func, x, tol: float = 1e-9, validate: bool = True) -> Symmetr
     x = np.asarray(x, dtype=float)
     form = SymmetricForm(-func.hessian(x) / func.degree)
     if validate:
-        sig = form.signature(tol)
+        sig = form.signature()
         if not (sig.n_pos == func.dimension - 1 and sig.n_neg == 1):
             raise ValueError(
                 f"form is not Lorentzian at {x.tolist()}: signature {sig}, "
@@ -682,32 +682,29 @@ def lorentz_identity_residual_rows(k: float, points, values, grads, hessians):
     return radial, np.abs(lowered + ((k - 1.0) / k) * grads).max(axis=1)
 
 
-def cone_identity_residual(frame: ChartFrame, x, fd_step: float | None = None) -> float:
+def cone_identity_residual(frame: ChartFrame, x) -> float:
     """Residual of the warped-product splitting of the cone metric.
 
     With s = s0 * sqrt(h), s0 = 2 sqrt(k-1) / k, the cone metric equals
     -ds^2 + (s/s0)^2 * (projected level-set metric), the exact radius
     normalization of the metric-cone structure.  The radial differential ds
-    is taken by central differences (step ``fd_step``), the level-set metric
+    is taken by central differences (step 1e-5 (1 + |x|)), the level-set metric
     at the projected point, so both sides are computed along distinct routes.
     One row of :func:`cone_identity_residual_rows`.
     """
     x = np.asarray(x, dtype=float)
-    return float(cone_identity_residual_rows(frame, x[None], fd_step)[0])
+    return float(cone_identity_residual_rows(frame, x[None])[0])
 
 
-def cone_identity_residual_rows(frame: ChartFrame, points, fd_step: float | None = None) -> np.ndarray:
+def cone_identity_residual_rows(frame: ChartFrame, points) -> np.ndarray:
     """:func:`cone_identity_residual` at each row of ``points``, compared on
-    the point itself and its tangent basis; the default step of a row is
-    1e-5 (1 + |x|).  Raises at the first row that fails a check."""
+    the point itself and its tangent basis.  Raises at the first row that
+    fails a check."""
     func = frame.func
     k = frame.degree
     hx = func.derivative_rows(points, 0)
     _require_positive(hx, "cone point has nonpositive value {}")
-    if fd_step is None:
-        steps = 1e-5 * (1.0 + np.sqrt(dot_rows(points, points)))
-    else:
-        steps = np.full(len(points), float(fd_step))
+    steps = 1e-5 * (1.0 + np.sqrt(dot_rows(points, points)))
     grads = func.derivative_rows(points, 1)
     vectors = np.concatenate([points[:, None, :], tangent_bases_at(points, grads)], axis=1)
     shifts = steps[:, None, None] * vectors

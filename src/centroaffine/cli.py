@@ -182,8 +182,8 @@ def _cone_points(func, frame, rng, count: int):
     return np.concatenate(points), np.concatenate(values)
 
 
-def _identity_block(func, frame, rng_seed: int, n_points: int = 200) -> dict:
-    x, hx = _cone_points(func, frame, np.random.default_rng(rng_seed), n_points)
+def _identity_block(func, frame, rng_seed: int) -> dict:
+    x, hx = _cone_points(func, frame, np.random.default_rng(rng_seed), 200)
     k = func.degree
     grads, hessians = func.derivative_rows(x, 1), func.derivative_rows(x, 2)
     scale = 1.0 + np.abs(grads).max(axis=1) * (k - 1.0)
@@ -206,21 +206,6 @@ def _structure_block(frame, rng_seed: int) -> dict:
         "fund_equation_max_abs": _largest(res["fund_equation"]),
         "curvature_max_abs": _largest(res["curvature"]),
         "volume_parallel_max_abs": _largest(res["volume_parallel"]),
-    }
-
-
-def _boundary_block(breport) -> dict:
-    return {
-        "regular": breport.regular,
-        "n_points": len(breport.entries),
-        "closedness_failures": breport.closedness_failures,
-        "condition_i_failures": sum(1 for e in breport.entries if not e.condition_i),
-        "condition_ii_failures": sum(
-            1 for e in breport.entries if e.condition_i and not e.condition_ii
-        ),
-        "lorentz_det_all_negative": bool(breport.lorentz_determinants)
-        and all(d < 0.0 for d in breport.lorentz_determinants if not math.isnan(d)),
-        "multiple_zero_rays": breport.multiple_zero_rays,
     }
 
 
@@ -251,7 +236,7 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     cls = classify(frame, sample_size=100, seed=config.rng_seed, tol=config.tol_def)
     report["classification"] = {"aggregate": cls.aggregate, "counts": cls.counts}
     verdict = completeness_verdict(frame, config.analysis_config())
-    report["boundary"] = _boundary_block(verdict.boundary)
+    report["boundary"] = verdict.boundary.to_json()
     report["completeness"] = {
         "status": verdict.status,
         "route": verdict.route,

@@ -47,7 +47,6 @@ from .homogeneous import (
     first_positive_zero,
     line_coefficients,
     polyval_rows,
-    restrict_to_line,
     univariate_zeros_rows,
 )
 
@@ -77,7 +76,6 @@ class SegmentTestResult:
     block's columns when it is first read."""
 
     closedness_failures: list
-    tol: float
     passed: bool
     max_f0: float  # over the bounded lines; -inf if there are none
     columns: tuple = field(repr=False, compare=False)
@@ -98,12 +96,13 @@ class SegmentTestResult:
 _CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
 
 
-def _segment_block(frame: ChartFrame, origins, vectors, tol) -> tuple:
+def _segment_block(frame: ChartFrame, origins, vectors) -> tuple:
     """The segment test on the lines origins + t vectors (ambient rows), all
     at once: the columns a, b (the positivity interval, infinite where it is
     unbounded), max_f0, f0_left, f0_right, the endpoint identity and
-    monotone defects, and passed; each line rounds as it does alone.  With
-    h0 = c0 + c1 t + c2 t^2 + c3 t^3, the quartic f0 = 2 h0 h0'' - h0'^2 is
+    monotone defects, and passed (max_f0 <= 1e-9 max(1, max_i |c_i|)^4);
+    each line rounds as it does alone.  With h0 = c0 + c1 t + c2 t^2 +
+    c3 t^3, the quartic f0 = 2 h0 h0'' - h0'^2 is
     (4 c0 c2 - c1^2, 12 c0 c3, 6 c1 c3, 4 c2 c3, 3 c3^2).
     """
     h0 = line_coefficients(frame.func, origins, vectors)
@@ -124,16 +123,11 @@ def _segment_block(frame: ChartFrame, origins, vectors, tol) -> tuple:
         max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
         # the endpoint identity f0 = -h0'^2 where h0 vanishes
         defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
-    pass_tol = tol if tol is not None else 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
+    pass_tol = 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
     return a, b, max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol
 
 
-def cubic_segment_test(
-    frame: ChartFrame,
-    n_lines: int = 2000,
-    seed: int = 0,
-    tol: float | None = None,
-) -> SegmentTestResult:
+def cubic_segment_test(frame: ChartFrame, n_lines: int = 2000, seed: int = 0) -> SegmentTestResult:
     """Run the line-restriction test over sampled slice lines.
 
     Each line through a base point of the slice is restricted exactly; the
@@ -152,7 +146,7 @@ def cubic_segment_test(
     directions = sampling.unit_directions(n, math.ceil(n_lines / len(bases)), seed)
     # line i runs along direction i // len(bases) through base i % len(bases)
     base_of, row_of = np.arange(n_lines) % len(bases), np.arange(n_lines) // len(bases)
-    block = _segment_block(frame, frame.point(bases)[base_of], frame.vectors(directions)[row_of], tol)
+    block = _segment_block(frame, frame.point(bases)[base_of], frame.vectors(directions)[row_of])
     bounded = np.isfinite(block[0]) & np.isfinite(block[1])
     failures = [
         {"base_coords": bases[j].tolist(), "direction": directions[r].tolist()}
@@ -161,8 +155,7 @@ def cubic_segment_test(
     columns = (bases[base_of[bounded]], directions[row_of[bounded]]) + tuple(c[bounded] for c in block)
     max_f0 = float(block[2][bounded].max()) if bounded.any() else -math.inf
     passed = bool(bounded.any() and block[-1][bounded].all()) and not failures
-    used_tol = tol if tol is not None else 1e-9
-    return SegmentTestResult(failures, used_tol, passed, max_f0, columns)
+    return SegmentTestResult(failures, passed, max_f0, columns)
 
 
 # -- concavity certificate -------------------------------------------------------
@@ -177,25 +170,19 @@ class ConcavityResult:
     witness_eigenvalue: float | None
 
 
-def concavity_test(
-    frame: ChartFrame,
-    eps: float,
-    n_samples: int = 400,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> ConcavityResult:
+def concavity_test(frame: ChartFrame, eps: float, n_samples: int = 400, seed: int = 0) -> ConcavityResult:
     """Sampled concavity of the (k - eps)-th root of the slice restriction.
 
-    Checks that the Hessian of h^(1/(k-eps)) is negative semidefinite at
-    low-discrepancy samples reaching to within a 1e-3 fraction of the
-    boundary along each ray.  A failure returns the first failing sample,
-    in sample order, and its positive eigenvalue.  One ``eps`` of
-    :func:`concavity_results`.
+    Checks that the Hessian of h^(1/(k-eps)) has no eigenvalue above 1e-9
+    max(1, max |entry|) at low-discrepancy samples reaching to within a
+    1e-3 fraction of the boundary along each ray.  A failure returns the
+    first failing sample, in sample order, and its positive eigenvalue.
+    One ``eps`` of :func:`concavity_results`.
     """
-    return next(concavity_results(frame, (eps,), n_samples, seed, tol))
+    return next(concavity_results(frame, (eps,), n_samples, seed))
 
 
-def concavity_results(frame: ChartFrame, grid, n_samples: int = 400, seed: int = 0, tol: float = 1e-9):
+def concavity_results(frame: ChartFrame, grid, n_samples: int = 400, seed: int = 0):
     """:func:`concavity_test` for each ``eps`` of ``grid`` in turn, as a
     generator.  The jets of h at the samples (value, chart gradient, chart
     Hessian) do not depend on eps, so they are evaluated once, at the first
@@ -219,7 +206,7 @@ def concavity_results(frame: ChartFrame, grid, n_samples: int = 400, seed: int =
         hess_f = s1 * hess + s2 * (grads[:, :, None] * grads[:, None, :])
         lam = np.linalg.eigvalsh(hess_f).max(axis=1)
         scale = np.fmax(1.0, np.abs(hess_f).max(axis=(1, 2)))  # max(1.0, nan) is 1.0
-        bad = np.flatnonzero(lam > tol * scale)
+        bad = np.flatnonzero(lam > 1e-9 * scale)
         if bad.size:
             yield ConcavityResult(eps, False, len(coords), coords[rows[bad[0]]].tolist(), float(lam[bad[0]]))
         else:
@@ -839,11 +826,10 @@ def _speed_numerator(h, k: float) -> tuple:
     return _poly.polysub(square, product), _poly.polyadd(*parts(np.abs(h)))
 
 
-def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, quad_tol: float, speed=None) -> float:
+def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, quad_tol: float) -> float:
     """Length of the chart segment start + t direction, 0 <= t <= t_end,
     where t_end is a zero of h of order ``order`` as the ray solve's polish
-    treated it (0 where t_end is no zero of h).  ``speed`` is N and its size
-    along the segment's line (:func:`_speed_numerator`), if the caller has them.
+    treated it (0 where t_end is no zero of h).
 
     For a polynomial, with h(t) the line restriction, the speed is
     sqrt(N) / (k h) (:func:`_speed_numerator`).  At a zero of order m,
@@ -859,11 +845,9 @@ def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, 
     that is no zero of h and a smooth map keep the quadrature; a divergent
     tail, the complete case that must give no witness, gets an infinite one.
     """
-    k = frame.degree
-    if isinstance(frame.func, HomogeneousPolynomial) and 1 <= order < k:
-        if speed is None:
-            speed = _speed_numerator(line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0], k)
-        numer, size = speed
+    if isinstance(frame.func, HomogeneousPolynomial) and 1 <= order < frame.degree:
+        h = line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0]
+        numer, size = _speed_numerator(h, frame.degree)
         if (np.abs(numer) > 1e-8 * size[: len(numer)]).any():
             return math.inf
     try:
@@ -872,33 +856,21 @@ def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, 
         return math.inf
 
 
-def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple[float, str]:
-    """Length and end of one side of a curve's chart interval, from the
-    chart origin in the direction ``sign``.
-
-    On a one-dimensional chart the maximal geodesic through the origin is
-    the chart interval itself, so a side is the length of the metric speed
-    along it (:func:`_tail_length`).  It ends at the boundary
-    (``"boundary"``), or, for a polynomial, sooner where the metric
-    degenerates (``"degenerate_metric"``): at the first positive zero of
-    N = (k-1) h'^2 - k h h'', the numerator of g = N / (k h)^2 along the
-    side.  With neither end the side is ``"unbounded"``.  The length is
-    infinite when the side is unbounded, ends at a zero of h of order below
-    the degree, or its quadrature diverges (that side is complete).
-    """
-    c0 = np.zeros(1)
-    direction = np.array([float(sign)])
-    if chart_metric(frame, c0).matrix[0, 0] <= 0.0:
-        raise DegenerateFrameError("metric degenerate along the initial direction")
-    t_end, order = (float(a[0]) for a in frame.boundary_distances(c0, direction[None], multiplicity=True))
+def _side(frame: ChartFrame, start, direction, quad_tol: float) -> tuple[float, str]:
+    """Length and end of the chart ray start + t direction, t >= 0, as a
+    curve: to the boundary (``"boundary"``), or, for a polynomial, sooner
+    where the metric degenerates (``"degenerate_metric"``): at the first
+    positive zero of N = (k-1) h'^2 - k h h'', the numerator of
+    g = N / (k h)^2 along the ray.  With neither end the ray is
+    ``"unbounded"`` and its length infinite; otherwise the length is
+    :func:`_tail_length`'s."""
+    t_end, order = (float(a[0]) for a in frame.boundary_distances(start, direction[None], multiplicity=True))
     end = "boundary" if math.isfinite(t_end) else "unbounded"
-    speed = None
     if isinstance(frame.func, HomogeneousPolynomial):
         k = frame.func.degree
-        h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
-        speed = _speed_numerator(h, k)
+        h = line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0]
         # the t^(2k-2) terms cancel exactly; their rounding is not a root
-        t_flat = first_positive_zero(speed[0][: 2 * k - 2])[0]
+        t_flat = first_positive_zero(_speed_numerator(h, k)[0][: 2 * k - 2])[0]
         # An m-fold zero of h is a zero of N of order 2m - 2, where g blows up
         # rather than degenerates.  Rounding splits it into roots of N nearby,
         # at which h is below sqrt(eps) of the size of its terms.
@@ -908,16 +880,33 @@ def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple
                 end, t_end, order = "degenerate_metric", t_flat, 0
     if end == "unbounded":
         return math.inf, end
-    return _tail_length(frame, c0, direction, t_end, int(order), quad_tol, speed), end
+    return _tail_length(frame, start, direction, t_end, int(order), quad_tol), end
+
+
+def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple[float, str]:
+    """Length and end of one side of a curve's chart interval, from the
+    chart origin in the direction ``sign``.
+
+    On a one-dimensional chart the maximal geodesic through the origin is
+    the chart interval itself, so a side is the length of the metric speed
+    along it, to its end (:func:`_side`).  The length is infinite when the
+    side is unbounded, ends at a zero of h of order below the degree, or its
+    quadrature diverges (that side is complete).
+    """
+    c0 = np.zeros(1)
+    if chart_metric(frame, c0).matrix[0, 0] <= 0.0:
+        raise DegenerateFrameError("metric degenerate along the initial direction")
+    return _side(frame, c0, np.array([float(sign)]), quad_tol)
 
 
 def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float:
-    """Length of a witness shot extended to the boundary along its final
-    velocity, the tail by :func:`_tail_length`.  Infinite when the shot
-    stopped elsewhere than at the boundary or a degenerate metric, or when
-    its tail diverges, so complete geodesics cannot masquerade as witnesses.
-    A polynomial tail into a zero of order below the degree is infinite by
-    the exact rule there; other tails are integrated.
+    """Length of a witness shot extended along its final velocity to the
+    ray's end (:func:`_side`: the boundary, or a zero of the metric on the
+    ray).  Infinite when the shot stopped elsewhere than at the boundary or
+    a degenerate metric, or when its tail diverges, so complete geodesics
+    cannot masquerade as witnesses.  A polynomial tail into a zero of order
+    below the degree is infinite by the exact rule there; other tails are
+    integrated.
 
     A ``degenerate_metric`` stop ends the shot only where the collapse is
     resolved.  The chart point's ambient coordinates x_i = origin_i +
@@ -946,13 +935,7 @@ def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float
     norm = np.linalg.norm(v)
     if norm == 0.0:
         return trace.length
-    v = v / norm
-    dist, order = (float(a[0]) for a in frame.boundary_distances(c_end, v[None], multiplicity=True))
-    if math.isinf(dist):
-        return math.inf
-    if dist <= 0.0:
-        return trace.length
-    return trace.length + _tail_length(frame, c_end, v, dist, int(order), quad_tol)
+    return trace.length + _side(frame, c_end, v / norm, quad_tol)[0]
 
 
 def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None) -> CompletenessVerdict:

@@ -74,15 +74,15 @@ class SymmetricForm:
             return sig.n_pos == self.dimension
         return sig.n_neg == self.dimension
 
-    def psd_with_kernel_dim(self, tol: float = DEFAULT_ZERO_TOL) -> tuple[bool, int]:
+    def psd_with_kernel_dim(self) -> tuple[bool, int]:
         """Return (positive semidefinite?, numeric kernel dimension)."""
-        sig = self.signature(tol)
+        sig = self.signature()
         return sig.n_neg == 0, sig.n_zero
 
-    def restrict(self, basis: Sequence, tol: float = DEFAULT_ZERO_TOL) -> "SymmetricForm":
+    def restrict(self, basis: Sequence) -> "SymmetricForm":
         """Gram matrix of the form on the span of the given vectors.
 
-        Raises if the vectors are numerically dependent (rank check at tol).
+        Raises if the vectors are numerically dependent (rank check at 1e-9).
         """
         vecs = np.asarray(basis, dtype=float)
         if vecs.size == 0:
@@ -92,17 +92,17 @@ class SymmetricForm:
             raise ValueError(
                 f"basis vectors live in R^{vecs.shape[1]}, form in R^{self.dimension}"
             )
-        return SymmetricForm(restrict_rows(self.matrix[None], vecs[None], tol)[0])
+        return SymmetricForm(restrict_rows(self.matrix[None], vecs[None])[0])
 
     def __repr__(self):
         return f"SymmetricForm({self.matrix.tolist()})"
 
 
-def restrict_rows(matrices, bases, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def restrict_rows(matrices, bases) -> np.ndarray:
     """:meth:`SymmetricForm.restrict` (with its rank check) for a stack of
     forms (r, d, d) and of bases (r, m, d); the results are symmetrized."""
     svals = np.linalg.svd(bases, compute_uv=False)
-    if svals.size and (svals.min(-1) <= tol * np.maximum(1.0, svals.max(-1))).any():
+    if svals.size and (svals.min(-1) <= DEFAULT_ZERO_TOL * np.maximum(1.0, svals.max(-1))).any():
         raise DegenerateFrameError("restriction basis is rank deficient")
     gram = bases @ matrices @ np.swapaxes(bases, -1, -2)
     return 0.5 * (gram + np.swapaxes(gram, -1, -2))

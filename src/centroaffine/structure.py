@@ -55,7 +55,7 @@ def _default_steps(frame: ChartFrame, coords, fd_step) -> np.ndarray:
     return 1e-4 * np.where(np.isfinite(dist), dist, 1.0 + np.abs(coords).max(axis=1))
 
 
-def gauss_split(frame: ChartFrame, coords, validate: bool = True) -> ConnectionSample:
+def gauss_split(frame: ChartFrame, coords) -> ConnectionSample:
     """Split embedding second derivatives into connection and metric parts.
 
     Solves M @ [gamma^1_ij, ..., gamma^n_ij, g_ij] = d2(embedding)_ij with
@@ -63,28 +63,26 @@ def gauss_split(frame: ChartFrame, coords, validate: bool = True) -> ConnectionS
     number above 1e8.  One row of :func:`gauss_split_rows`.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    gamma, gram = gauss_split_rows(frame, coords[None], validate)
+    gamma, gram = gauss_split_rows(frame, coords[None])
     return ConnectionSample(coords=coords, gamma=gamma[0], metric=SymmetricForm(gram[0]))
 
 
-def gauss_split_rows(frame: ChartFrame, coords, validate: bool = True):
+def gauss_split_rows(frame: ChartFrame, coords):
     """Connection coefficients (m, n, n, n) and metric parts (m, n, n) of
     :func:`gauss_split` at the rows of ``coords``, each row rounded as it
     is alone; raises for the first row that fails a check."""
-    return _split_rows(frame, frame._jets(coords, (1, 2)), validate)
+    return _split_rows(frame, frame._jets(coords, (1, 2)))
 
 
-def _split_rows(frame: ChartFrame, jets, validate: bool = True):
+def _split_rows(frame: ChartFrame, jets):
     """:func:`gauss_split_rows` from the slice points, values, gradients and
     Hessians of ``ChartFrame._jets``, each evaluated once."""
     _, hx, grads, hess = jets
     n = frame.chart_dim
     # one moving frame per row
     moving = np.concatenate([frame._jacobian_rows(*jets), frame._embed_rows(*jets)[:, :, None]], axis=2)
-    solvable = np.ones(len(moving), dtype=bool)
-    if validate:
-        cond = np.linalg.cond(moving)
-        solvable = np.isfinite(cond) & (cond <= MAX_FRAME_CONDITION)
+    cond = np.linalg.cond(moving)
+    solvable = np.isfinite(cond) & (cond <= MAX_FRAME_CONDITION)
     second = frame._second_rows(*jets)
     rhs = np.swapaxes(second.reshape(len(moving), n * n, frame.dimension), 1, 2)
     sol = np.full(rhs.shape, np.nan)
@@ -93,17 +91,14 @@ def _split_rows(frame: ChartFrame, jets, validate: bool = True):
     gamma = 0.5 * (gamma + gamma.transpose(0, 1, 3, 2))
     gram = sol[:, n].reshape(-1, n, n)
     gram = 0.5 * (gram + np.swapaxes(gram, 1, 2))
-    if validate:
-        direct = _psi_rows(frame, hx, grads, hess)
-        scale = np.maximum(1.0, np.abs(direct).max(axis=(1, 2)))
-        disagree = solvable & (np.abs(gram - direct).max(axis=(1, 2)) > 1e-6 * scale)
-        failed = np.flatnonzero(~solvable | disagree)
-        if failed.size and not solvable[failed[0]]:
-            raise DegenerateFrameError(f"moving frame is ill conditioned (cond {cond[failed[0]]:.2e})")
-        if failed.size:
-            raise DegenerateFrameError(
-                "position component of the split disagrees with the metric formula"
-            )
+    direct = _psi_rows(frame, hx, grads, hess)
+    scale = np.maximum(1.0, np.abs(direct).max(axis=(1, 2)))
+    disagree = solvable & (np.abs(gram - direct).max(axis=(1, 2)) > 1e-6 * scale)
+    failed = np.flatnonzero(~solvable | disagree)
+    if failed.size and not solvable[failed[0]]:
+        raise DegenerateFrameError(f"moving frame is ill conditioned (cond {cond[failed[0]]:.2e})")
+    if failed.size:
+        raise DegenerateFrameError("position component of the split disagrees with the metric formula")
     return gamma, gram
 
 
@@ -124,21 +119,16 @@ def _volume_rows(frame: ChartFrame, jets) -> np.ndarray:
     return np.linalg.det(np.concatenate([frame._embed_rows(*jets)[:, :, None], frame._jacobian_rows(*jets)], axis=2))
 
 
-def volume_parallel_residual(frame: ChartFrame, coords, fd_step: float | None = None) -> float:
+def volume_parallel_residual(frame: ChartFrame, coords) -> float:
     """Max over i of |d_i(volume) - trace(gamma^._{. i}) * volume|.
 
     Vanishes when the volume density is parallel for the induced connection.
     One row of :func:`structure_residual_rows`.
     """
-    return _one_row("volume_parallel", frame, coords, fd_step)
+    return _one_row("volume_parallel", frame, coords, None)
 
 
-def cubic_form(
-    frame: ChartFrame,
-    coords,
-    method: str = "nabla_g",
-    fd_step: float | None = None,
-) -> CubicFormSample:
+def cubic_form(frame: ChartFrame, coords, method: str = "nabla_g") -> CubicFormSample:
     """Totally symmetric covariant derivative of the metric in chart coordinates.
 
     ``nabla_g`` differentiates metric samples by central differences and
@@ -153,7 +143,7 @@ def cubic_form(
         return CubicFormSample(coords=coords, tensor=_cubic_rows(frame, frame._jets(coords[None], (1,)))[0], method=method)
     if method != "nabla_g":
         raise ValueError(f"unknown method {method!r}")
-    step = _default_step(frame, coords, fd_step)
+    step = _default_step(frame, coords, None)
     sample = gauss_split(frame, coords)
     g = sample.metric.matrix
     gamma = sample.gamma
@@ -187,11 +177,11 @@ def fund_equation_residual(frame: ChartFrame, coords, fd_step: float | None = No
     return _one_row("fund_equation", frame, coords, fd_step)
 
 
-def curvature_residual(frame: ChartFrame, coords, fd_step: float | None = None) -> float:
+def curvature_residual(frame: ChartFrame, coords) -> float:
     """Defect of the constant-curvature identity at a chart point, with the
     connection derivatives taken by central differences.  One row of
     :func:`structure_residual_rows`."""
-    return _one_row("curvature", frame, coords, fd_step)
+    return _one_row("curvature", frame, coords, None)
 
 
 RESIDUALS = ("fund_equation", "curvature", "volume_parallel")

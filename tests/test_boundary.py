@@ -15,7 +15,6 @@ from centroaffine import (
     regularity_report,
 )
 from centroaffine.boundary import _boundary_rows, _cholesky_rows, _gradient_scale
-from centroaffine.cli import _boundary_block
 from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -175,7 +174,7 @@ def test_regularity_report_is_invariant_under_scaling(expr, seed):
     # lambda * h has the level sets of h: no decision may depend on lambda
     def summary(poly):
         report = regularity_report(make_chart(poly, seed))
-        block = _boundary_block(report)
+        block = report.to_json()
         kernels = [e.kernel_dim for e in report.entries]
         return report.regular, block["condition_i_failures"], block["condition_ii_failures"], kernels
 

@@ -11,7 +11,6 @@ import pytest
 from centroaffine import ChartFrame, regularity_report
 from centroaffine.cli import (
     RunConfig,
-    _boundary_block,
     build_frame,
     cmd_analyze,
     dumps,
@@ -69,6 +68,19 @@ def test_analyze_nonregular_curve(tmp_path):
     assert report["boundary"]["regular"] is False
     assert report["boundary"]["condition_i_failures"] > 0
     assert report["completeness"]["route"] == "cubic-criterion"
+
+
+@pytest.mark.parametrize(
+    "poly, seed, n_points", [("x^4-x^2*y^2", "1,0", 2), ("x^4-x^2*y^2-x^2*z^2", "1,0,0", 500)]
+)
+def test_analyze_regular_boundary_route(tmp_path, poly, seed, n_points):
+    # quartics: no segment test, and the regular boundary certifies completeness
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--poly", poly, "--seed", seed, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["classification"]["counts"]["hyperbolic"] == 100
+    assert report["boundary"]["regular"] is True and report["boundary"]["n_points"] == n_points
+    assert (report["completeness"]["status"], report["completeness"]["route"]) == ("complete", "regular-boundary")
 
 
 def test_analyze_analytic_example(tmp_path):
@@ -303,7 +315,7 @@ def test_analyze_scans_a_curve_along_its_two_rays(monkeypatch):
 def test_report_boundary_block_is_the_regularity_report(config):
     report, _ = cmd_analyze(config)
     _, frame, _ = build_frame(config)
-    expected = _boundary_block(regularity_report(frame, seed=config.rng_seed))
+    expected = regularity_report(frame, seed=config.rng_seed).to_json()
     assert report["boundary"] == expected
 
 

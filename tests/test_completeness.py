@@ -581,6 +581,32 @@ def test_resolved_metric_collapse_ends_a_witness_shot():
     assert 0.0 < completeness._shot_length(frame, trace, 1e-10) == trace.length < 1.0
 
 
+def test_a_shot_tail_ends_at_a_zero_of_the_metric_as_a_curve_side_does():
+    # the same chart: the ray from the origin along -e0 never meets the
+    # boundary, but N = (k-1) h'^2 - k h h'' has a zero on it, where the
+    # metric degenerates; a shot stopped at the origin ends its tail there
+    frame = make_chart(HomogeneousPolynomial.parse("x^3+y^3+z^3"), [1.5, -1.0, -1.0])
+    origin, back = np.zeros(2), np.array([-1.0, 0.0])
+    assert math.isinf(frame.boundary_distances(origin, back[None])[0])
+    P = np.polynomial.polynomial
+    h = restrict_to_line(frame.func, frame.point(origin), frame.vectors(back[None])[0]).coefficients
+    numer = 2.0 * P.polypow(P.polyder(h), 2) - 3.0 * P.polymul(h, P.polyder(h, 2))
+    roots = P.polyroots(numer[:4])  # the t^4 terms cancel
+    t_flat = min(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0.0)
+    stub = CurveTrace(
+        params=np.zeros(1),
+        coords=origin[None],
+        ambient=frame.point(origin)[None],
+        hvals=np.ones(1),
+        cumulative_length=np.zeros(1),
+        stop_reason="boundary",
+        final_velocity=back,
+    )
+    length = completeness._shot_length(frame, stub, 1e-10)
+    assert abs(length - curve_length_with_error(frame, origin, back, 0.0, t_flat)[0]) <= 1e-12
+    assert abs(length - 0.9615120586125585) <= 1e-12
+
+
 # -- the exact rule for polynomial tails ------------------------------------------------
 
 

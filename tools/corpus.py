@@ -4,7 +4,7 @@
     python tools/corpus.py --diff A B   # list the files that differ; exit 1 if any
 
 The corpus is every input of both benchmark workloads at seeds 1 and 2 (read
-from perfbench/bench_workloads.py), `repro`, `list`, seven `analyze` inputs
+from perfbench/bench_workloads.py), `repro`, `list`, nine `analyze` inputs
 each with and without `--trace`, and `plot --out` of three curves.  Each run
 calls `centroaffine.cli.main` in process, from the `src/` beside this
 script, and leaves in DIR its report, trace CSV or SVG (as the run writes
@@ -35,6 +35,8 @@ ANALYZE = (
     ("x^3*y*z-eps3.9", ("--poly", "x^3*y*z", "--seed", "1,1,1", "--eps-grid", "3.9")),
     ("x^2+y^2", ("--poly", "x^2+y^2", "--seed", "1,0")),
     ("x0*x1*x2*x3*x4", ("--poly", "x0*x1*x2*x3*x4", "--seed", "1,1,1,1,1")),
+    ("x^4-x^2*y^2", ("--poly", "x^4-x^2*y^2", "--seed", "1,0")),
+    ("x^4-x^2*y^2-x^2*z^2", ("--poly", "x^4-x^2*y^2-x^2*z^2", "--seed", "1,0,0")),
 )
 PLOTS = ("curve-regular", "curve-nonregular", "analytic")
 
