@@ -114,14 +114,12 @@ def _gradient_scale(frame: ChartFrame) -> float:
 def _boundary_tangent_bases(frame: ChartFrame, grads):
     """Bases of the full boundary tangent spaces (kernels of the nonzero
     differentials ``grads``: (m, d-1, d)) and of their intersections with
-    the slice directions ((m, n-1, d))."""
-    full = tangent_bases(grads)
-    if frame.chart_dim == 1:
-        return full, np.zeros((len(grads), 0, frame.dimension))
-    # kernel restricted to slice directions: the null space of grad . basis^T
-    row = np.matmul(frame.basis, grads[:, :, None])  # (m, n, 1)
-    null = np.linalg.svd(np.swapaxes(row, 1, 2))[2][:, 1:]  # (m, n-1, n)
-    return full, null @ frame.basis
+    the slice directions ((m, n-1, d)): the kernels of the chart gradients.
+    No chart gradient is zero: Euler's identity gives grad . x = k h = 0 at
+    a boundary point x, and the slice is transversal, so grad . basis = 0
+    would make grad zero, which condition (i) excludes."""
+    chart_grads = np.matmul(frame.basis, grads[:, :, None])[:, :, 0]  # each row rounded as alone
+    return tangent_bases(grads), tangent_bases(chart_grads) @ frame.basis
 
 
 _REGULAR_TOL = 1e-6  # relative zero of an eigenvalue in the regularity conditions

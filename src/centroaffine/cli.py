@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import catalog
 from .boundary import boundary_scan
 from .chart import (
     chart_metric_consistency_rows,
+    chart_metric_rows,
     classify,
     cone_identity_residual_rows,
     lorentz_identity_residual_rows,
@@ -302,13 +303,8 @@ def cmd_repro() -> tuple[dict, int]:
     length = sum(curve_side(frame, sign)[0] for sign in (1.0, -1.0))
     check("analytic.total_length", length, math.sqrt(2.0) * math.pi, 1e-6)
     xs = np.linspace(0.1, 0.9, 9)
-    worst = 0.0
-    from .chart import chart_metric
-
-    for x in xs:
-        g = chart_metric(frame, np.array([x - 0.5]), "u_formula").matrix[0, 0]
-        worst = max(worst, abs(g - 2.0 / (x * (1.0 - x))))
-    check("analytic.metric_coefficient", worst, 0.0, 1e-10)
+    g = chart_metric_rows(frame, (xs - 0.5)[:, None], "u_formula")[:, 0, 0]
+    check("analytic.metric_coefficient", _largest(np.abs(g - 2.0 / (xs * (1.0 - xs)))), 0.0, 1e-10)
 
     euler_worst = 0.0
     intid_worst = 0.0
@@ -383,42 +379,27 @@ def cmd_plot(config: RunConfig) -> tuple[str, int]:
 # -- entry point ----------------------------------------------------------------------
 
 
-def _add_common(parser):
+def _numbers(text: str) -> tuple:
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _add_input_flags(parser):
+    """The flags of ``analyze`` and ``plot``; every flag is stored under its
+    :class:`RunConfig` field, and every field defaults as RunConfig does."""
     parser.add_argument("--poly", help="polynomial expression or inline JSON")
     parser.add_argument("--example", help="catalog identifier (see `list`)")
-    parser.add_argument("--k", type=float, default=2.0, help="degree for parametric examples")
-    parser.add_argument("--seed", help="comma-separated seed point coordinates")
-    parser.add_argument("--tol-def", type=float, default=1e-9)
-    parser.add_argument("--tol-quad", type=float, default=1e-10)
-    parser.add_argument("--samples", type=int, default=2000)
-    parser.add_argument("--eps-grid", help="comma-separated concavity exponents")
-    parser.add_argument("--rng-seed", type=int, default=0)
+    parser.add_argument("--k", dest="example_k", type=float, metavar="K", help="degree for parametric examples")
+    parser.add_argument("--seed", type=_numbers, help="comma-separated seed point coordinates")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--plot", help="write an SVG plot to this path")
-    parser.add_argument("--trace", help="write a geodesic trace CSV to this path")
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)})
 
 
 def _config_from_args(args) -> RunConfig:
-    seed = None
-    if args.seed:
-        seed = tuple(float(s) for s in args.seed.split(","))
-    eps_grid = None
-    if getattr(args, "eps_grid", None):
-        eps_grid = tuple(float(s) for s in args.eps_grid.split(","))
-    return RunConfig(
-        poly=args.poly,
-        example=args.example,
-        example_k=args.k,
-        seed=seed,
-        tol_def=args.tol_def,
-        tol_quad=args.tol_quad,
-        samples=args.samples,
-        eps_grid=eps_grid,
-        rng_seed=args.rng_seed,
-        out=args.out,
-        plot=args.plot,
-        trace=args.trace,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _join_dash_values(argv) -> list:
@@ -448,11 +429,17 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_analyze = sub.add_parser("analyze", help="full analysis report (JSON)")
-    _add_common(p_analyze)
+    _add_input_flags(p_analyze)
+    p_analyze.add_argument("--tol-def", type=float)
+    p_analyze.add_argument("--tol-quad", type=float)
+    p_analyze.add_argument("--samples", type=int)
+    p_analyze.add_argument("--eps-grid", type=_numbers, help="comma-separated concavity exponents")
+    p_analyze.add_argument("--rng-seed", type=int)
+    p_analyze.add_argument("--trace", help="write a geodesic trace CSV to this path")
     p_repro = sub.add_parser("repro", help="reproduce the reference numbers")
     p_repro.add_argument("--out")
     p_plot = sub.add_parser("plot", help="SVG plot of a planar curve")
-    _add_common(p_plot)
+    _add_input_flags(p_plot)
     p_list = sub.add_parser("list", help="list catalog entries")
     try:
         args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))

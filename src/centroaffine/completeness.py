@@ -43,7 +43,6 @@ from .chart import (
 from .errors import DegenerateFrameError, DomainError, UnboundedRayError
 from .homogeneous import (
     HomogeneousPolynomial,
-    critical_points,
     first_positive_zero,
     line_coefficients,
     polyval_rows,
@@ -112,14 +111,12 @@ def _segment_block(frame: ChartFrame, origins, vectors) -> tuple:
     c0, c1, c2, c3 = h0.T
     d1 = np.column_stack([c1, 2.0 * c2, 3.0 * c3])
     f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
-    f0d = f0[:, 1:] * np.arange(1, 5)
-    # structural identity f0' = 2 h0 h0''' (exact coefficient algebra)
-    mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
-    crit = critical_points(f0d)
+    # structural identity f0' = 2 h0 h0''' = 12 c3 h0 (exact coefficient algebra): f0 has no
+    # critical point inside (a, b), so its candidates are a, b and the grid
+    mono_defect = np.abs(f0[:, 1:] * np.arange(1, 5) - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
     with np.errstate(invalid="ignore"):  # unbounded lines give inf and nan; they are dropped
-        crit = np.where((a[:, None] < crit) & (crit < b[:, None]), crit, np.nan)
         grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
-        values = polyval_rows(f0, np.column_stack([a, b, crit, grid]))
+        values = polyval_rows(f0, np.column_stack([a, b, grid]))
         max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
         # the endpoint identity f0 = -h0'^2 where h0 vanishes
         defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
@@ -131,10 +128,11 @@ def cubic_segment_test(frame: ChartFrame, n_lines: int = 2000, seed: int = 0) ->
     """Run the line-restriction test over sampled slice lines.
 
     Each line through a base point of the slice is restricted exactly; the
-    quartic f0 is maximized over the positivity interval via its endpoints,
-    its interior critical points and a Chebyshev grid.  Lines along which the
-    positivity interval is unbounded are collected as closedness failures,
-    in line order.  All lines, across all base points, are one block.
+    quartic f0 is maximized over the positivity interval via its endpoints
+    and a Chebyshev grid (f0' = 12 c3 h0 vanishes nowhere inside).  Lines
+    along which the positivity interval is unbounded are collected as
+    closedness failures, in line order.  All lines, across all base
+    points, are one block.
     """
     if not (isinstance(frame.func, HomogeneousPolynomial) and frame.func.degree == 3):
         raise ValueError("the segment test applies to cubic polynomials")

@@ -370,7 +370,7 @@ def _parse_expression(text, dimension):
     if not tokens:
         raise ParseError("empty expression", position=0)
     mode = {"style": None}
-    raw_terms: list[tuple[float, dict, int]] = []  # (coeff, var->power, position)
+    raw_terms: list[tuple[float, dict]] = []  # (coeff, var->power)
     i = 0
     sign = 1.0
     if tokens[0][0] == "op" and tokens[0][1] in "+-":
@@ -407,7 +407,7 @@ def _parse_expression(text, dimension):
                 i += 1
                 continue
             break
-        raw_terms.append((coeff, powers, term_pos))
+        raw_terms.append((coeff, powers))
         if i >= len(tokens):
             break
         if tokens[i][0] != "op" or tokens[i][1] not in "+-":
@@ -415,23 +415,14 @@ def _parse_expression(text, dimension):
         sign = -1.0 if tokens[i][1] == "-" else 1.0
         i += 1
 
-    max_idx = max((max(p) for _, p, _ in raw_terms if p), default=-1)
+    max_idx = max((max(p) for _, p in raw_terms), default=-1)
     dim = dimension if dimension is not None else max_idx + 1
     if dim <= max_idx:
         raise ParseError(f"dimension {dim} too small for used variables", position=0)
-    if mode["style"] == "named" and dimension is None:
-        dim = max(dim, max_idx + 1)
     terms: dict[tuple, float] = {}
-    degrees: dict[tuple, int] = {}
-    for coeff, powers, pos_ in raw_terms:
+    for coeff, powers in raw_terms:
         exp = tuple(powers.get(j, 0) for j in range(dim))
         terms[exp] = terms.get(exp, 0.0) + coeff
-        degrees[exp] = sum(exp)
-    if len(set(degrees.values())) > 1:
-        names = ", ".join(
-            f"{_format_monomial(e, dim)} (degree {d})" for e, d in sorted(degrees.items(), reverse=True)
-        )
-        raise MixedDegreeError(f"monomials of mixed total degree: {names}")
     return terms, dim
 
 
@@ -735,17 +726,6 @@ def univariate_zeros_rows(coeffs) -> np.ndarray:
         last = np.where(new, col, last)
         z[:, j] = np.where(new, col, np.nan)
     return np.sort(z, axis=1)
-
-
-def critical_points(coeffs) -> np.ndarray:
-    """Real parts of each row's roots within 1e-6 (relative to the row's
-    largest root, at least 1) of the axis, padded with nan."""
-    c = np.atleast_2d(coeffs)
-    degree = c.shape[1] - 1 - np.argmax(c[:, ::-1] != 0.0, axis=1)
-    degree[~c.any(axis=1)] = 0
-    roots = companion_roots(c, degree)
-    scale = np.maximum(1.0, np.where(np.isnan(roots), 0.0, np.abs(roots)).max(axis=1))
-    return np.where(np.abs(roots.imag) <= 1e-6 * scale[:, None], roots.real, np.nan)
 
 
 def first_positive_zero_rows(coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,8 @@ from centroaffine import (
     regular_boundary_check,
     regularity_report,
 )
-from centroaffine.boundary import _boundary_rows, _cholesky_rows, _gradient_scale
+from centroaffine.boundary import _boundary_rows, _boundary_tangent_bases, _cholesky_rows, _gradient_scale
+from centroaffine.chart import tangent_bases
 from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -267,3 +268,14 @@ def test_gen_perturb_preserves_degree_and_hyperbolicity():
     perturbed, new_frame = gen_perturb(frame, 0.5)
     assert perturbed.degree == 3
     assert classify(new_frame, 20).aggregate == "hyperbolic"
+
+
+@pytest.mark.parametrize("poly, seed", [("x*y*z", (1.0, 2.0, 0.5)), ("x*y*z*w", (1.0, 1.2, 0.9, 1.1))])
+def test_slice_tangents_are_the_chart_gradient_kernels(poly, seed):
+    # one Gram-Schmidt for every tangent basis: the slice kernel is that of grad . basis^T
+    frame = make_chart(HomogeneousPolynomial.parse(poly), seed)
+    grads = np.array([bp.gradient for bp in boundary_scan(frame, 60)])
+    slice_vecs = _boundary_tangent_bases(frame, grads)[1]
+    assert slice_vecs.shape == (60, frame.chart_dim - 1, frame.dimension)
+    chart_grads = np.matmul(frame.basis, grads[:, :, None])[:, :, 0]
+    assert np.array_equal(slice_vecs, tangent_bases(chart_grads) @ frame.basis)

@@ -151,6 +151,20 @@ def test_analyze_input_errors_exit_one(capsys):
         assert captured.out == "" and captured.err.startswith(f"error: {flag}:"), (args, captured.err)
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--poly", "x^2*y", "--seed", "1,a"], "--seed"),
+        (["--poly", "x^2*y*z", "--seed", "1,1,1", "--eps-grid", ""], "--eps-grid"),
+    ],
+)
+def test_malformed_number_list_exits_one(capsys, args, flag):
+    assert run_cli(["analyze", *args]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected comma-separated numbers, got {args[-1]!r}" in err
+    assert "invalid" not in err
+
+
 def test_analyze_seed_whose_value_underflows(tmp_path):
     # h(1e-200, 1e-200) = 1e-600 underflows to 0, though the ray lies in the cone
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -482,6 +496,18 @@ def test_plot_writes_to_stdout_without_a_path(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["plot", "--example", "curve-regular"]) == 0
     assert capsys.readouterr().out == svg.read_text()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--samples", "5"), ("--eps-grid", "9"), ("--tol-def", "7"), ("--tol-quad", "0"), ("--rng-seed", "3"), ("--trace", "t.csv")],
+)
+def test_plot_refuses_the_analysis_flags(tmp_path, capsys, flag, value):
+    # plot reads only the input flags; an analysis flag it would ignore is a usage error
+    args = ["plot", "--example", "curve-regular", "--out", str(tmp_path / "curve.svg")]
+    assert run_cli(args + [flag, str(tmp_path / value) if flag == "--trace" else value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_plot_rejects_higher_dimensions():

@@ -18,11 +18,12 @@ from centroaffine import (
     n1_monomial_test,
     slice_chart,
 )
-from centroaffine import completeness
+from centroaffine import completeness, homogeneous
 from centroaffine.catalog import analytic_example, nonclosed_example
 from centroaffine.chart import chart_metric_rows
 from centroaffine.completeness import WITNESS_MAX_LEN, monomial_face_check
 from centroaffine.homogeneous import _mul_terms, first_positive_zero, restrict_to_line
+from centroaffine.sampling import unit_directions
 from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -67,6 +68,22 @@ def test_segment_nonclosed_piece_reports_witness():
     poly, frame = entry.build()
     result = cubic_segment_test(frame, n_lines=40, seed=0)
     assert result.closedness_failures and not result.passed
+
+
+def test_segment_block_solves_each_line_once(monkeypatch):
+    # f0' = 12 c3 h0, so the zeros of h0 are all the critical points the block needs
+    solve, calls = homogeneous.companion_roots, []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return solve(*args)
+
+    frame = make_chart(HomogeneousPolynomial.parse("x*y*z"), [1.0, 2.0, 0.5])
+    vectors = frame.vectors(unit_directions(2, 40, 0))
+    monkeypatch.setattr(homogeneous, "companion_roots", counted)
+    block = completeness._segment_block(frame, np.repeat(frame.origin[None], 40, axis=0), vectors)
+    assert calls == [40]
+    assert block[-1].all()
 
 
 def test_segment_rejects_non_cubic():

@@ -46,6 +46,11 @@ def test_parse_mixed_degree_names_offenders():
     assert "x^3" in str(err.value) and "x^2" in str(err.value)
 
 
+def test_parse_accepts_terms_that_cancel():
+    # the degree check sees the summed nonzero terms only
+    assert HomogeneousPolynomial.parse("x^3*y + x^2 - x^2") == HomogeneousPolynomial.parse("x^3*y")
+
+
 def test_parse_coefficients_and_indexed_vars():
     p = HomogeneousPolynomial.parse("2*x0^2*x1 - 0.5*x1^3")
     assert p.terms == {(2, 1): 2.0, (0, 3): -0.5}

@@ -52,7 +52,6 @@ from centroaffine.forms import SymmetricForm
 from centroaffine.homogeneous import (
     _bisect_rows,
     _convolve_rows,
-    critical_points,
     euler_residual,
     euler_residual_rows,
     line_coefficients,
@@ -382,11 +381,9 @@ def _old_segment_block(frame, base, directions, tol):
     f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
     f0d = f0[:, 1:] * np.arange(1, 5)
     mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
-    crit = critical_points(f0d)
     with np.errstate(invalid="ignore"):
-        crit = np.where((a[:, None] < crit) & (crit < b[:, None]), crit, np.nan)
         grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
-        values = polyval_rows(f0, np.column_stack([a, b, crit, grid]))
+        values = polyval_rows(f0, np.column_stack([a, b, grid]))
         max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
         defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
     pass_tol = tol if tol is not None else 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4

@@ -10,13 +10,16 @@ calls `centroaffine.cli.main` in process, from the `src/` beside this
 script, and leaves in DIR its report, trace CSV or SVG (as the run writes
 them), its standard output and error, and its exit code.  Paths passed to a
 run are relative to DIR, so two corpora written into different directories
-compare byte for byte.
+compare byte for byte.  `--diff` follows each differing report (a
+`.report.json` file in both sets) with every JSON path whose value differs,
+and both values.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import re
 import sys
@@ -102,6 +105,19 @@ def write(directory: Path) -> None:
         os.chdir(home)
 
 
+def _moved(x, y, path: str = ""):
+    """(JSON path, value in x, value in y) of each leaf where x and y differ;
+    a missing key or list item reads as the string "<missing>"."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in list(x) + [k for k in y if k not in x]:
+            yield from _moved(x.get(key, "<missing>"), y.get(key, "<missing>"), f"{path}.{key}" if path else key)
+    elif isinstance(x, list) and isinstance(y, list):
+        for i in range(max(len(x), len(y))):
+            yield from _moved(x[i] if i < len(x) else "<missing>", y[i] if i < len(y) else "<missing>", f"{path}[{i}]")
+    elif x != y or type(x) is not type(y):
+        yield path, x, y
+
+
 def diff(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -109,6 +125,9 @@ def diff(a: Path, b: Path) -> int:
     differing = sorted((files_a | files_b) - both) + sorted(p for p in both if (a / p).read_bytes() != (b / p).read_bytes())
     for p in differing:
         print(p)
+        if p in both and p.name.endswith(".report.json"):
+            for path, x, y in _moved(json.loads((a / p).read_text()), json.loads((b / p).read_text())):
+                print(f"  {path}: {json.dumps(x)} -> {json.dumps(y)}")
     print(f"{len(differing)} of {len(files_a | files_b)} files differ")
     return 1 if differing else 0
 
