@@ -23,8 +23,11 @@ so they are gated on an all-rays-bounded scan of the boundary.
 from __future__ import annotations
 
 import functools
-import io
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,7 +240,7 @@ class CurveTrace:
     def length(self) -> float:
         return float(self.cumulative_length[-1]) if len(self.cumulative_length) else 0.0
 
-    def to_csv(self, stream: io.TextIOBase | None = None) -> str:
+    def to_csv(self) -> str:
         n = self.coords.shape[1] if self.coords.ndim == 2 else 1
         d = self.ambient.shape[1]
         header = (
@@ -251,10 +254,7 @@ class CurveTrace:
         for i in range(len(self.params)):
             cells = [self.params[i], *coords[i], *self.ambient[i], self.hvals[i], self.cumulative_length[i]]
             rows.append(",".join(format(v, ".17g") for v in cells))
-        text = "\n".join(rows) + "\n"
-        if stream is not None:
-            stream.write(text)
-        return text
+        return "\n".join(rows) + "\n"
 
 
 def log_length_bound(frame: ChartFrame, trace: CurveTrace, eps: float) -> float:
@@ -936,6 +936,63 @@ def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float
     return trace.length + _side(frame, c_end, v / norm, quad_tol)[0]
 
 
+def _fork_helps() -> bool:
+    """Whether a witness shot may run in a forked child: fork exists, a
+    second CPU is usable, and no other thread is alive (the child would get
+    only this one, and whatever locks the others held)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _shoot_pair(frame: ChartFrame, origin, axis) -> list:
+    """The witness shots [forward, backward] from ``origin`` along ``axis``.
+
+    The two are independent, so where :func:`_fork_helps` the backward shot
+    runs in a forked child while this process shoots forward.  The child
+    sends its trace back pickled, which keeps every float64 bit.  A child
+    that raises, warns, dies or sends nothing leaves the backward shot to
+    this process, which then raises or warns as the in-process pair does."""
+
+    def shoot(sign):
+        return geodesic_shoot(frame, origin, sign * axis, max_len=WITNESS_MAX_LEN)
+
+    if not _fork_helps():
+        return [shoot(1.0), shoot(-1.0)]
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return [shoot(1.0), shoot(-1.0)]
+    if pid == 0:  # the child never returns into the caller
+        code = 1
+        try:
+            os.close(read)  # so that a write the parent no longer reads fails
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                data = pickle.dumps(shoot(-1.0))
+            if not caught:
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    pipe = open(read, "rb")
+    try:
+        forward = shoot(1.0)
+        data = pipe.read()
+    finally:
+        pipe.close()  # first: a child blocked on a full pipe then exits
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) == 0:
+        return [forward, pickle.loads(data)]
+    return [forward, shoot(-1.0)]
+
+
 def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None) -> CompletenessVerdict:
     """Decide completeness of the hypersurface piece charted by ``frame``.
 
@@ -1015,10 +1072,7 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
             probes = [{"length": length, "stop": end} for length, end in sides]
             detail = {"witness_sides": [length for length, _ in sides]}
         else:
-            shots = [
-                geodesic_shoot(frame, origin, sign * axis, max_len=WITNESS_MAX_LEN)
-                for sign in (1.0, -1.0)
-            ]
+            shots = _shoot_pair(frame, origin, axis)
             if axis_shot is None:
                 axis_shot = shots[0]
             sides = [(_shot_length(frame, t, config.quad_tol), t.stop_reason) for t in shots]

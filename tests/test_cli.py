@@ -11,6 +11,7 @@ import pytest
 from centroaffine import ChartFrame, regularity_report
 from centroaffine.cli import (
     RunConfig,
+    _write_text,
     build_frame,
     cmd_analyze,
     dumps,
@@ -252,6 +253,8 @@ def test_analyze_trace_reuses_the_witness_shot(tmp_path, monkeypatch):
 
     monkeypatch.setattr(completeness, "geodesic_shoot", counted)
     monkeypatch.setattr(cli, "geodesic_shoot", counted)
+    # in process: a forked backward shot would count in the child
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
     csv = tmp_path / "trace.csv"
     config = RunConfig(poly="x^2*y*z", seed=(1.0, 1.0, 1.0), eps_grid=(3.9,), trace=str(csv))
     report, code = cmd_analyze(config)
@@ -260,6 +263,22 @@ def test_analyze_trace_reuses_the_witness_shot(tmp_path, monkeypatch):
     _, frame, _ = build_frame(config)
     fresh = shoot(frame, np.zeros(2), np.eye(2)[0], max_len=completeness.WITNESS_MAX_LEN)
     assert csv.read_text() == fresh.to_csv()
+
+
+def test_outputs_written_over_longer_files_hold_exactly_the_new_bytes(tmp_path):
+    # the writers cut an existing file after the write instead of truncating
+    # it first; what they leave must be the bytes a fresh file gets
+    paths = [tmp_path / name for name in ("report.json", "trace.csv", "curve.svg")]
+    args = ["analyze", "--example", "curve-regular"]
+    args += [a for flag, path in zip(("--out", "--trace", "--plot"), paths) for a in (flag, str(path))]
+    assert run_cli(args) == 0
+    fresh = [path.read_bytes() for path in paths]
+    for path, text in zip(paths, fresh):
+        path.write_bytes(b"#" * (2 * len(text) + 100))
+    assert run_cli(args) == 0
+    assert [path.read_bytes() for path in paths] == fresh
+    _write_text(str(paths[0]), "short\n")
+    assert paths[0].read_bytes() == b"short\n"
 
 
 def test_negative_samples_exit_one(tmp_path, capsys):
@@ -334,12 +353,14 @@ def test_report_boundary_block_is_the_regularity_report(config):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats loads only where a Halton direction set is needed; no
-    # length needs scipy.integrate (which loads scipy.optimize)
+    # numpy is the only runtime dependency: Halton directions and lengths are
+    # in-repo, and the witness pair forks with os alone, so the import loads
+    # no scipy module, no multiprocessing and no concurrent.futures
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, centroaffine.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+        " or m.startswith('concurrent.futures')])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

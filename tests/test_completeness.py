@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -493,8 +497,8 @@ RK4_PASS_EVALS = 3580
 @pytest.fixture(scope="module")
 def x2yz_probes():
     """x^2*y*z at (1, 1, 1) with a concavity grid that fails, so that all four
-    chart-axis probes run: each shot with its trace and the chart points of
-    its Christoffel evaluations."""
+    chart-axis probes run, in process: each shot with its trace and the chart
+    points of its Christoffel evaluations."""
     patch = pytest.MonkeyPatch()
     points = []
     shots = []
@@ -513,6 +517,8 @@ def x2yz_probes():
 
     patch.setattr(completeness, "levi_civita_gamma", counting_gamma)
     patch.setattr(completeness, "geodesic_shoot", recording_shoot)
+    # in process: a forked backward shot would record into the child
+    patch.setattr(completeness, "_fork_helps", lambda: False)
     try:
         frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
         verdict = completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
@@ -622,6 +628,149 @@ def test_a_shot_tail_ends_at_a_zero_of_the_metric_as_a_curve_side_does():
     length = completeness._shot_length(frame, stub, 1e-10)
     assert abs(length - curve_length_with_error(frame, origin, back, 0.0, t_flat)[0]) <= 1e-12
     assert abs(length - 0.9615120586125585) <= 1e-12
+
+
+# -- the witness pair in a forked child -------------------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on its child for a minute instead of hanging."""
+
+    def timed_out(signum, stack):
+        raise TimeoutError("waited on a child process for a minute")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _counted_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_fork_helps_only_with_a_second_cpu_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(completeness.threading, "active_count", lambda: 1)
+    assert completeness._fork_helps()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not completeness._fork_helps()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(completeness.threading, "active_count", lambda: 2)
+    assert not completeness._fork_helps()
+    monkeypatch.setattr(completeness.threading, "active_count", lambda: 1)
+    monkeypatch.delattr(os, "fork")
+    assert not completeness._fork_helps()
+
+
+@pytest.mark.parametrize("expr", ["x^2*y*z", "x^3*y*z"])
+def test_forked_witness_search_equals_the_in_process_one(monkeypatch, deadline, expr):
+    frame = make_chart(HomogeneousPolynomial.parse(expr), [1, 1, 1])
+    config = AnalysisConfig(eps_grid=(3.9,))
+    forks = _counted_forks(monkeypatch)
+    verdicts = []
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        verdicts.append(completeness_verdict(frame, config))
+    forked, plain = verdicts
+    assert len(forks) == 2  # one child for each chart axis, none in process
+    assert (forked.status, forked.route) == (plain.status, plain.route) == ("inconclusive", "none")
+    assert repr(forked.evidence) == repr(plain.evidence)
+    assert forked.axis_shot.to_csv() == plain.axis_shot.to_csv()
+    _no_child_left()
+
+
+def test_a_backward_shot_that_raises_in_the_child_raises_in_the_parent(monkeypatch, deadline):
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    shoot, calls = completeness.geodesic_shoot, []
+
+    def failing_backward(frame, start, direction, **kwargs):
+        calls.append(np.sign(direction.sum()))
+        if direction.sum() < 0.0:
+            raise DomainError(f"backward along {direction.tolist()}")
+        return shoot(frame, start, direction, **kwargs)
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", failing_backward)
+    forks = _counted_forks(monkeypatch)
+    errors = []
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        with pytest.raises(DomainError) as info:
+            completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1] == (DomainError, "backward along [-1.0, -0.0]")
+    assert len(forks) == 1
+    # forked, the parent shoots forward and then backward again itself
+    assert calls == [1.0, -1.0, 1.0, -1.0]
+    _no_child_left()
+
+
+def test_a_backward_shot_that_warns_in_the_child_warns_in_the_parent(monkeypatch, deadline):
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    shoot = completeness.geodesic_shoot
+
+    def warning_backward(frame, start, direction, **kwargs):
+        if direction.sum() < 0.0:
+            warnings.warn(f"backward along {direction.tolist()}", UserWarning)
+        return shoot(frame, start, direction, **kwargs)
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", warning_backward)
+    forks = _counted_forks(monkeypatch)
+    runs = []
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shots = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[1])
+        runs.append(([(w.category, str(w.message)) for w in caught], [t.to_csv() for t in shots]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(UserWarning, "backward along [-0.0, -1.0]")]
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_parent_shot_that_raises_does_not_wait_on_a_full_pipe(monkeypatch, deadline):
+    # the child's trace (over 64 KiB pickled) fills the pipe; once the
+    # parent's own shot raises, nobody reads it, and the parent must not
+    # wait on a child blocked in its write
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    n = 5_000
+    trace = CurveTrace(
+        params=np.arange(n) / n,
+        coords=np.zeros((n, 2)),
+        ambient=np.ones((n, 3)),
+        hvals=np.ones(n),
+        cumulative_length=np.arange(n) / n,
+    )
+    assert len(pickle.dumps(trace)) > 1 << 16
+
+    def shoot(frame, start, direction, **kwargs):
+        if direction.sum() > 0.0:
+            raise DomainError("forward")
+        return trace
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", shoot)
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(DomainError, match="forward"):
+        completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+    assert len(forks) == 1
+    _no_child_left()
+    # and with the forward shot back, the trace comes through the pipe whole
+    monkeypatch.setattr(completeness, "geodesic_shoot", lambda frame, start, direction, **kwargs: trace)
+    _, backward = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+    assert backward is not trace and backward.to_csv() == trace.to_csv()
+    assert len(forks) == 2
+    _no_child_left()
 
 
 # -- the exact rule for polynomial tails ------------------------------------------------

@@ -8,11 +8,12 @@ from perfbench/bench_workloads.py), `repro`, `list`, nine `analyze` inputs
 each with and without `--trace`, and `plot --out` of three curves.  Each run
 calls `centroaffine.cli.main` in process, from the `src/` beside this
 script, and leaves in DIR its report, trace CSV or SVG (as the run writes
-them), its standard output and error, and its exit code.  Paths passed to a
-run are relative to DIR, so two corpora written into different directories
-compare byte for byte.  `--diff` follows each differing report (a
-`.report.json` file in both sets) with every JSON path whose value differs,
-and both values.
+them), its standard output and error, and its exit code.  A run that leaves
+a child process behind, running or unreaped, stops the corpus with an error
+naming the run.  Paths passed to a run are relative to DIR, so two corpora
+written into different directories compare byte for byte.  `--diff` follows
+each differing report (a `.report.json` file in both sets) with every JSON
+path whose value differs, and both values.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def write(directory: Path) -> None:
                     code = str(cli.main(args))
                 except Exception as exc:  # recorded, so that a diff shows it
                     code = f"exception {type(exc).__name__}: {exc}"
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                pass  # no child process, running or exited, is left
+            else:
+                raise SystemExit(f"{name}: a child process was left after the run")
             Path(f"{stem}.stdout").write_text(stdout.getvalue())
             Path(f"{stem}.stderr").write_text(stderr.getvalue())
             Path(f"{stem}.exit").write_text(code + "\n")
