@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
-import stat
 import sys
 from dataclasses import dataclass, fields
 
@@ -264,11 +262,13 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
             report["trace_error"] = str(exc)
             print(f"warning: no trace written: {exc}", file=sys.stderr)
         else:
-            _write_text(config.trace, trace.to_csv())
+            with open(config.trace, "w") as fh:
+                fh.write(trace.to_csv())
             report["trace_file"] = config.trace
     if config.plot:
         svg = render_plot(frame)
-        _write_text(config.plot, svg)
+        with open(config.plot, "w") as fh:
+            fh.write(svg)
         report["plot_file"] = config.plot
     exit_code = 2 if verdict.status == "inconclusive" else 0
     return report, exit_code
@@ -414,19 +414,10 @@ def _join_dash_values(argv) -> list:
     return out
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` as the file ``path``.  An existing regular file is cut
-    to the new length after the write, not truncated to zero before it,
-    which on ext4 (auto_da_alloc) would flush it to disk on close."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
-
-
 def _emit(text: str, out: str | None):
     if out:
-        _write_text(out, text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

@@ -952,21 +952,24 @@ def _shoot_pair(frame: ChartFrame, origin, axis) -> list:
     The two are independent, so where :func:`_fork_helps` the backward shot
     runs in a forked child while this process shoots forward.  The child
     sends its trace back pickled, which keeps every float64 bit.  A child
-    that raises, warns, dies or sends nothing leaves the backward shot to
-    this process, which then raises or warns as the in-process pair does."""
+    that raises, warns, dies, sends nothing or is reaped by another wait
+    leaves the backward shot to this process, which then raises or warns as
+    the in-process pair does."""
 
     def shoot(sign):
         return geodesic_shoot(frame, origin, sign * axis, max_len=WITNESS_MAX_LEN)
 
     if not _fork_helps():
         return [shoot(1.0), shoot(-1.0)]
-    read, write = os.pipe()
+    fds = ()
     try:
+        fds = os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
+    except OSError:  # no file descriptor or process to spare
+        for fd in fds:
+            os.close(fd)
         return [shoot(1.0), shoot(-1.0)]
+    read, write = fds
     if pid == 0:  # the child never returns into the caller
         code = 1
         try:
@@ -987,8 +990,11 @@ def _shoot_pair(frame: ChartFrame, origin, axis) -> list:
         data = pipe.read()
     finally:
         pipe.close()  # first: a child blocked on a full pipe then exits
-        status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) == 0:
+        try:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored or handled)
+            status = None
+    if status == 0:
         return [forward, pickle.loads(data)]
     return [forward, shoot(-1.0)]
 

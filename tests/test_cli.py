@@ -11,7 +11,6 @@ import pytest
 from centroaffine import ChartFrame, regularity_report
 from centroaffine.cli import (
     RunConfig,
-    _write_text,
     build_frame,
     cmd_analyze,
     dumps,
@@ -263,22 +262,6 @@ def test_analyze_trace_reuses_the_witness_shot(tmp_path, monkeypatch):
     _, frame, _ = build_frame(config)
     fresh = shoot(frame, np.zeros(2), np.eye(2)[0], max_len=completeness.WITNESS_MAX_LEN)
     assert csv.read_text() == fresh.to_csv()
-
-
-def test_outputs_written_over_longer_files_hold_exactly_the_new_bytes(tmp_path):
-    # the writers cut an existing file after the write instead of truncating
-    # it first; what they leave must be the bytes a fresh file gets
-    paths = [tmp_path / name for name in ("report.json", "trace.csv", "curve.svg")]
-    args = ["analyze", "--example", "curve-regular"]
-    args += [a for flag, path in zip(("--out", "--trace", "--plot"), paths) for a in (flag, str(path))]
-    assert run_cli(args) == 0
-    fresh = [path.read_bytes() for path in paths]
-    for path, text in zip(paths, fresh):
-        path.write_bytes(b"#" * (2 * len(text) + 100))
-    assert run_cli(args) == 0
-    assert [path.read_bytes() for path in paths] == fresh
-    _write_text(str(paths[0]), "short\n")
-    assert paths[0].read_bytes() == b"short\n"
 
 
 def test_negative_samples_exit_one(tmp_path, capsys):

@@ -773,6 +773,45 @@ def test_a_parent_shot_that_raises_does_not_wait_on_a_full_pipe(monkeypatch, dea
     _no_child_left()
 
 
+
+def test_a_child_reaped_elsewhere_leaves_the_backward_shot_to_the_parent(monkeypatch, deadline):
+    # with SIGCHLD ignored the child reaps itself and waitpid raises
+    # ChildProcessError; its exit status is then unknown, so the parent
+    # shoots backward itself and the verdict is the in-process one
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    config = AnalysisConfig(eps_grid=(3.9,))
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
+    plain = completeness_verdict(frame, config)
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
+    forks = _counted_forks(monkeypatch)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        forked = completeness_verdict(frame, config)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 2
+    assert (forked.status, forked.route) == (plain.status, plain.route)
+    assert repr(forked.evidence) == repr(plain.evidence)
+    assert forked.axis_shot.to_csv() == plain.axis_shot.to_csv()
+    _no_child_left()
+
+
+def test_a_pipe_that_cannot_open_keeps_the_pair_in_process(monkeypatch):
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
+    plain = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+
+    def no_descriptors():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
+    monkeypatch.setattr(os, "pipe", no_descriptors)
+    forks = _counted_forks(monkeypatch)
+    shots = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+    assert not forks
+    assert [t.to_csv() for t in shots] == [t.to_csv() for t in plain]
+
+
 # -- the exact rule for polynomial tails ------------------------------------------------
 
 
