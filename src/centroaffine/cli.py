@@ -27,6 +27,7 @@ from .chart import (
 from .completeness import (
     WITNESS_MAX_LEN,
     AnalysisConfig,
+    _forked,
     completeness_verdict,
     curve_side,
     geodesic_shoot,
@@ -210,6 +211,11 @@ def _structure_block(frame, rng_seed: int) -> dict:
     }
 
 
+def _classification(frame, config: RunConfig) -> dict:
+    cls = classify(frame, sample_size=100, seed=config.rng_seed, tol=config.tol_def)
+    return {"aggregate": cls.aggregate, "counts": cls.counts}
+
+
 def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     if config.samples < 0:
         raise ValueError("--samples: expected non-negative integer")
@@ -234,37 +240,52 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
             "tol_quad": config.tol_quad,
         },
     }
-    cls = classify(frame, sample_size=100, seed=config.rng_seed, tol=config.tol_def)
-    report["classification"] = {"aggregate": cls.aggregate, "counts": cls.counts}
-    verdict = completeness_verdict(frame, config.analysis_config())
-    report["boundary"] = verdict.boundary.to_json()
-    report["completeness"] = {
-        "status": verdict.status,
-        "route": verdict.route,
-        "evidence": verdict.evidence,
-        "notes": verdict.notes,
-    }
-    report["identities"] = _identity_block(func, frame, config.rng_seed)
-    if isinstance(func, HomogeneousPolynomial) and func.degree == 3:
-        report["structure"] = _structure_block(frame, config.rng_seed)
+
+    def frame_blocks():  # the stages that read the frame alone, the trace aside
+        classification = _classification(frame, config)
+        blocks = {"identities": _identity_block(func, frame, config.rng_seed)}
+        if isinstance(func, HomogeneousPolynomial) and func.degree == 3:
+            blocks["structure"] = _structure_block(frame, config.rng_seed)
+        return classification, blocks
+
+    # One forked child runs beside the verdict: with --trace the trace
+    # geodesic, the longest stage, which the witness search takes as its
+    # first forward shot; otherwise the classification, identity and
+    # structure blocks.  The first error in the serial order (classification,
+    # verdict, identities, structure, trace) is the one raised.
+    d, trace = frame.chart_dim, None
     if config.trace:
+        trace = _forked(lambda: geodesic_shoot(frame, np.zeros(d), np.eye(d)[0], max_len=WITNESS_MAX_LEN))
+    blocks = frame_blocks if trace else _forked(frame_blocks)
+    child = trace or blocks
+    try:
         try:
-            trace = verdict.axis_shot  # the same geodesic, if the witness search shot it
-            if trace is None:
-                trace = geodesic_shoot(
-                    frame,
-                    np.zeros(frame.chart_dim),
-                    np.eye(frame.chart_dim)[0],
-                    max_len=WITNESS_MAX_LEN,
-                )
-        except (DegenerateFrameError, DomainError) as exc:
-            # the geodesic cannot start; the analysis itself stands
-            report["trace_error"] = str(exc)
-            print(f"warning: no trace written: {exc}", file=sys.stderr)
-        else:
-            with open(config.trace, "w") as fh:
-                fh.write(trace.to_csv())
-            report["trace_file"] = config.trace
+            verdict = completeness_verdict(frame, config.analysis_config(), trace)
+        except Exception:
+            _classification(frame, config)  # first in order, its error wins
+            raise
+        report["classification"], others = blocks()
+        report["boundary"] = verdict.boundary.to_json()
+        report["completeness"] = {
+            "status": verdict.status,
+            "route": verdict.route,
+            "evidence": verdict.evidence,
+            "notes": verdict.notes,
+        }
+        report.update(others)
+        if trace:
+            try:
+                shot = trace()  # the witness search's first forward shot, if it took it
+            except (DegenerateFrameError, DomainError) as exc:
+                # the geodesic cannot start; the analysis itself stands
+                report["trace_error"] = str(exc)
+                print(f"warning: no trace written: {exc}", file=sys.stderr)
+            else:
+                with open(config.trace, "w") as fh:
+                    fh.write(shot.to_csv())
+                report["trace_file"] = config.trace
+    finally:
+        child(abandon=True)  # no child is left, on any path
     if config.plot:
         svg = render_plot(frame)
         with open(config.plot, "w") as fh:

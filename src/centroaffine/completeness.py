@@ -797,8 +797,6 @@ class CompletenessVerdict:
     evidence: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     boundary: RegularityReport | None = None  # the one boundary scan of the analysis
-    # the witness search's forward shot along the first chart axis, if it ran one
-    axis_shot: CurveTrace | None = None
 
 
 # chart length of the witness geodesics, and of the ``analyze --trace`` geodesic
@@ -937,73 +935,100 @@ def _shot_length(frame: ChartFrame, trace: CurveTrace, quad_tol: float) -> float
 
 
 def _fork_helps() -> bool:
-    """Whether a witness shot may run in a forked child: fork exists, a
-    second CPU is usable, and no other thread is alive (the child would get
-    only this one, and whatever locks the others held)."""
+    """Whether work may run in a forked child: fork exists, a second CPU is
+    usable, and no other thread is alive (the child would get only this
+    one, and whatever locks the others held)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cpus >= 2
 
 
-def _shoot_pair(frame: ChartFrame, origin, axis) -> list:
-    """The witness shots [forward, backward] from ``origin`` along ``axis``.
+def _forked(work):
+    """Start ``work()`` in a forked child where :func:`_fork_helps`, and
+    return ``result(abandon=False)``, which gives back its value.
 
-    The two are independent, so where :func:`_fork_helps` the backward shot
-    runs in a forked child while this process shoots forward.  The child
-    sends its trace back pickled, which keeps every float64 bit.  A child
-    that raises, warns, dies, sends nothing or is reaped by another wait
-    leaves the backward shot to this process, which then raises or warns as
-    the in-process pair does."""
+    The child sends the value back pickled, which keeps every float64 bit.
+    It is used only when the child exits cleanly, having raised nothing and
+    issued no warning; otherwise, or with no child, ``result()`` runs
+    ``work()`` in this process, which then raises or warns as it would
+    have.  ``result(abandon=True)`` only reaps a pending child.  A value,
+    once had, is kept: later calls return it, abandoning or not."""
+    pid, kept = None, []
+    if _fork_helps():
+        fds = ()
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:  # no file descriptor or process to spare
+            for fd in fds:
+                os.close(fd)
+        else:
+            read, write = fds
+            if pid == 0:  # the child never returns into the caller
+                code = 1
+                try:
+                    os.close(read)  # so that a write the parent no longer reads fails
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        data = pickle.dumps(work())
+                    if not caught:
+                        with open(write, "wb") as out:
+                            out.write(data)
+                        code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pipe = open(read, "rb")
+
+    def result(abandon: bool = False):
+        nonlocal pid
+        if pid is not None:
+            try:
+                data = b"" if abandon else pipe.read()
+            finally:
+                pipe.close()  # first: a child blocked on a full pipe then exits
+                try:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored or handled)
+                    status = None
+                pid = None
+            if status == 0 and data:
+                kept.append(pickle.loads(data))
+        if not (kept or abandon):
+            kept.append(work())
+        return kept[0] if kept else None
+
+    return result
+
+
+def _shoot_pair(frame: ChartFrame, origin, axis, forward=None) -> list:
+    """The witness shots [forward, backward] from ``origin`` along ``axis``:
+    the forward one pending as ``forward`` or in a forked child
+    (:func:`_forked`), while this process shoots backward."""
 
     def shoot(sign):
         return geodesic_shoot(frame, origin, sign * axis, max_len=WITNESS_MAX_LEN)
 
-    if not _fork_helps():
-        return [shoot(1.0), shoot(-1.0)]
-    fds = ()
+    forward = forward or _forked(lambda: shoot(1.0))
     try:
-        fds = os.pipe()
-        pid = os.fork()
-    except OSError:  # no file descriptor or process to spare
-        for fd in fds:
-            os.close(fd)
-        return [shoot(1.0), shoot(-1.0)]
-    read, write = fds
-    if pid == 0:  # the child never returns into the caller
-        code = 1
-        try:
-            os.close(read)  # so that a write the parent no longer reads fails
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                data = pickle.dumps(shoot(-1.0))
-            if not caught:
-                with open(write, "wb") as pipe:
-                    pipe.write(data)
-                code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    pipe = open(read, "rb")
-    try:
-        forward = shoot(1.0)
-        data = pipe.read()
-    finally:
-        pipe.close()  # first: a child blocked on a full pipe then exits
-        try:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored or handled)
-            status = None
-    if status == 0:
-        return [forward, pickle.loads(data)]
-    return [forward, shoot(-1.0)]
+        backward = shoot(-1.0)
+    except Exception:
+        forward()  # first in order, the forward shot's error wins
+        raise
+    except BaseException:
+        forward(abandon=True)
+        raise
+    return [forward(), backward]
 
 
-def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None) -> CompletenessVerdict:
+def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None, axis_shot=None) -> CompletenessVerdict:
     """Decide completeness of the hypersurface piece charted by ``frame``.
 
     The boundary is scanned once, by :func:`regularity_report`; the verdict
-    carries that report as ``boundary``.
+    carries that report as ``boundary``.  ``axis_shot``, a pending value as
+    :func:`_forked` returns it, is the forward witness shot along the first
+    chart axis; a surface's witness search takes it instead of shooting it.
     """
     config = config or AnalysisConfig()
     k = frame.degree
@@ -1012,10 +1037,9 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
     notes: list = []
 
     report = regularity_report(frame, count=config.boundary_dirs, seed=config.rng_seed)
-    axis_shot = None
 
     def verdict(status: str, route: str) -> CompletenessVerdict:
-        return CompletenessVerdict(status, route, evidence, notes, report, axis_shot)
+        return CompletenessVerdict(status, route, evidence, notes, report)
 
     bounded = not report.closedness_failures
     if bounded:
@@ -1078,9 +1102,8 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
             probes = [{"length": length, "stop": end} for length, end in sides]
             detail = {"witness_sides": [length for length, _ in sides]}
         else:
-            shots = _shoot_pair(frame, origin, axis)
-            if axis_shot is None:
-                axis_shot = shots[0]
+            shots = _shoot_pair(frame, origin, axis, axis_shot)
+            axis_shot = None
             sides = [(_shot_length(frame, t, config.quad_tol), t.stop_reason) for t in shots]
             probes = [
                 {

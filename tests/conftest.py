@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -182,3 +184,31 @@ def catalog_frames():
     from centroaffine import catalog
 
     return {e.identifier: e.build() for e in catalog.catalog_cubics()}
+
+
+# -- forked children --------------------------------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on its child for a minute instead of hanging."""
+
+    def timed_out(signum, stack):
+        raise TimeoutError("waited on a child process for a minute")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _counted_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks

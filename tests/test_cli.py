@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from centroaffine import ChartFrame, regularity_report
+from centroaffine import ChartFrame, DomainError, HomogeneousPolynomial, regularity_report
 from centroaffine.cli import (
     RunConfig,
     build_frame,
@@ -18,6 +20,7 @@ from centroaffine.cli import (
     render_plot,
 )
 from centroaffine.sampling import unit_directions
+from conftest import _counted_forks, _no_child_left, linear_copies
 
 
 def run_cli(args):
@@ -252,7 +255,7 @@ def test_analyze_trace_reuses_the_witness_shot(tmp_path, monkeypatch):
 
     monkeypatch.setattr(completeness, "geodesic_shoot", counted)
     monkeypatch.setattr(cli, "geodesic_shoot", counted)
-    # in process: a forked backward shot would count in the child
+    # in process: forked shots would count in the child
     monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
     csv = tmp_path / "trace.csv"
     config = RunConfig(poly="x^2*y*z", seed=(1.0, 1.0, 1.0), eps_grid=(3.9,), trace=str(csv))
@@ -262,6 +265,133 @@ def test_analyze_trace_reuses_the_witness_shot(tmp_path, monkeypatch):
     _, frame, _ = build_frame(config)
     fresh = shoot(frame, np.zeros(2), np.eye(2)[0], max_len=completeness.WITNESS_MAX_LEN)
     assert csv.read_text() == fresh.to_csv()
+
+
+def test_analyze_forked_trace_is_the_witness_shot(tmp_path, monkeypatch, deadline):
+    # forked, the trace child shoots the witness search's first forward
+    # shot: the parent shoots the backward ones, and no geodesic twice
+    from centroaffine import cli, completeness
+
+    shoot, directions = completeness.geodesic_shoot, []
+
+    def counted(frame, start, direction, **kwargs):
+        directions.append(direction.tolist())
+        return shoot(frame, start, direction, **kwargs)
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", counted)
+    monkeypatch.setattr(cli, "geodesic_shoot", counted)
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
+    forks = _counted_forks(monkeypatch)
+    csv = tmp_path / "trace.csv"
+    config = RunConfig(poly="x^2*y*z", seed=(1.0, 1.0, 1.0), eps_grid=(3.9,), trace=str(csv))
+    report, code = cmd_analyze(config)
+    assert code == 2 and report["trace_file"] == str(csv)
+    assert len(forks) == 2  # the trace, then the forward shot along the second axis
+    assert directions == [[-1.0, -0.0], [-0.0, -1.0]]
+    _, frame, _ = build_frame(config)
+    fresh = shoot(frame, np.zeros(2), np.eye(2)[0], max_len=completeness.WITNESS_MAX_LEN)
+    assert csv.read_text() == fresh.to_csv()
+    _no_child_left()
+
+
+def _certify_fixture() -> RunConfig:
+    """x*y*z under a random linear map, as the certify workload has it."""
+    poly = HomogeneousPolynomial.parse("x*y*z")
+    (q, y0), = linear_copies(poly, np.ones(3), np.random.default_rng(5), count=1)
+    return RunConfig(poly=json.dumps(q.to_json()), seed=tuple(y0), rng_seed=3)
+
+
+@pytest.mark.parametrize(
+    "config, traced, children",
+    [
+        (_certify_fixture(), False, 1),
+        (RunConfig(example="triple-product"), True, 1),
+        # the trace, then the forward shot along the second axis
+        (RunConfig(poly="x^2*y*z", seed=(1.0, 1.0, 1.0), eps_grid=(3.9,)), True, 2),
+    ],
+    ids=["certify", "triple-product+trace", "x^2*y*z-eps3.9+trace"],
+)
+def test_forked_and_in_process_analyses_match(tmp_path, monkeypatch, deadline, config, traced, children):
+    from centroaffine import completeness
+
+    csv = tmp_path / "trace.csv"
+    config = replace(config, trace=str(csv) if traced else None)
+    forks = _counted_forks(monkeypatch)
+    runs = []
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        report, code = cmd_analyze(config)
+        runs.append((dumps(report), code, csv.read_bytes() if traced else None))
+        _no_child_left()
+        assert len(forks) == children  # none in process
+    assert runs[0] == runs[1]
+
+
+def test_a_verdict_that_raises_beside_a_pending_child_raises_as_in_process(tmp_path, monkeypatch, capsys, deadline):
+    from centroaffine import cli, completeness
+
+    def failing(*args):
+        raise DomainError("the verdict failed")
+
+    monkeypatch.setattr(cli, "completeness_verdict", failing)
+    forks = _counted_forks(monkeypatch)
+    args = ["analyze", "--poly", "x*y*z", "--seed", "1,1,1", "--out", str(tmp_path / "report.json")]
+    for trace in ([], ["--trace", str(tmp_path / "trace.csv")]):
+        for forked in (True, False):
+            monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+            assert run_cli(args + trace) == 1
+            assert capsys.readouterr().err == "error: the verdict failed\n"
+            _no_child_left()
+    assert len(forks) == 2  # one pending child each, the blocks and the trace
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_classification_that_raises_in_the_child_comes_before_the_verdict(tmp_path, monkeypatch, capsys, deadline):
+    # in the serial order the classification runs before the verdict, so its
+    # error is the one reported, though it raised in the child
+    from centroaffine import cli, completeness
+
+    def failing(message, error):
+        def fail(*args, **kwargs):
+            raise error(message)
+
+        return fail
+
+    monkeypatch.setattr(cli, "classify", failing("the classification failed", ValueError))
+    monkeypatch.setattr(cli, "completeness_verdict", failing("the verdict failed", DomainError))
+    forks = _counted_forks(monkeypatch)
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        assert run_cli(["analyze", "--poly", "x*y*z", "--seed", "1,1,1"]) == 1
+        assert capsys.readouterr().err == "error: the classification failed\n"
+        _no_child_left()
+    assert len(forks) == 1
+
+
+def test_a_block_that_warns_in_the_child_warns_once_from_the_parent(monkeypatch, deadline):
+    from centroaffine import cli, completeness
+
+    identity_block, pids = cli._identity_block, []
+
+    def warning(*args):
+        pids.append(os.getpid())
+        warnings.warn("identity block", UserWarning)
+        return identity_block(*args)
+
+    monkeypatch.setattr(cli, "_identity_block", warning)
+    forks = _counted_forks(monkeypatch)
+    runs = []
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report, code = cmd_analyze(RunConfig(poly="x*y*z", seed=(1.0, 1.0, 1.0)))
+        runs.append(([(w.category, str(w.message)) for w in caught], dumps(report), code))
+        _no_child_left()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(UserWarning, "identity block")]
+    # forked, the child's warning is not seen here: the parent ran the block again
+    assert len(forks) == 1 and pids == [os.getpid()] * 2
 
 
 def test_negative_samples_exit_one(tmp_path, capsys):
@@ -305,7 +435,11 @@ def _count_rays(monkeypatch):
 
 
 def test_analyze_scans_the_boundary_once(monkeypatch):
+    from centroaffine import completeness
+
     rays = _count_rays(monkeypatch)
+    # in process: the classification and identity rays would count in the child
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
     cmd_analyze(RunConfig(poly="x*y*z*w", seed=(1.0, 1.0, 1.0, 1.0)))
     # 500 scan rays plus the sample rays of classification and identities
     assert len(rays) == 538

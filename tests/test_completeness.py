@@ -28,7 +28,14 @@ from centroaffine.chart import chart_metric_rows
 from centroaffine.completeness import WITNESS_MAX_LEN, monomial_face_check
 from centroaffine.homogeneous import _mul_terms, first_positive_zero, restrict_to_line
 from centroaffine.sampling import unit_directions
-from conftest import FIXTURES, linear_copies, random_hyperbolic_cubics, scaled
+from conftest import (
+    FIXTURES,
+    _counted_forks,
+    _no_child_left,
+    linear_copies,
+    random_hyperbolic_cubics,
+    scaled,
+)
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
 MONOMIAL = HomogeneousPolynomial.parse("x^2*y")
@@ -517,7 +524,7 @@ def x2yz_probes():
 
     patch.setattr(completeness, "levi_civita_gamma", counting_gamma)
     patch.setattr(completeness, "geodesic_shoot", recording_shoot)
-    # in process: a forked backward shot would record into the child
+    # in process: a forked forward shot would record into the child
     patch.setattr(completeness, "_fork_helps", lambda: False)
     try:
         frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
@@ -548,10 +555,16 @@ def test_x2yz_axis_1_probes_end_within_budget(x2yz_probes):
         assert len(pts) <= RK4_PASS_EVALS
     assert verdict.status == "inconclusive"
     probes = verdict.evidence["geodesic_probes"]
-    traces = [trace for _, trace, _ in shots]
-    entries = [probe[side] for probe in probes for side in ("forward", "backward")]
-    assert len(entries) == len(traces) == 4
-    for entry, trace in zip(entries, traces):
+    # each pair shoots backward, then takes its forward shot
+    traces = {tuple(d): trace for d, trace, _ in shots}
+    entries = [
+        (probe[side], sign * np.array(probe["direction"]))
+        for probe in probes
+        for side, sign in (("forward", 1.0), ("backward", -1.0))
+    ]
+    assert len(entries) == len(traces) == len(shots) == 4
+    for entry, direction in entries:
+        trace = traces[tuple(direction)]
         assert entry["stop"] == trace.stop_reason
         assert entry["rejected_steps"] == trace.rejected_steps
         assert 0.0 < entry["error_estimate"] == trace.error_estimate < 1e-4
@@ -630,32 +643,9 @@ def test_a_shot_tail_ends_at_a_zero_of_the_metric_as_a_curve_side_does():
     assert abs(length - 0.9615120586125585) <= 1e-12
 
 
-# -- the witness pair in a forked child -------------------------------------------------
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that waits on its child for a minute instead of hanging."""
-
-    def timed_out(signum, stack):
-        raise TimeoutError("waited on a child process for a minute")
-
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def _counted_forks(monkeypatch):
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
+# -- work in a forked child ----------------------------------------------------------
+# Each failure mode of ``completeness._forked`` is tested once here, for every
+# caller: the witness pair and the stages of ``cli.cmd_analyze``.
 
 
 def test_fork_helps_only_with_a_second_cpu_and_no_other_thread(monkeypatch):
@@ -677,72 +667,99 @@ def test_forked_witness_search_equals_the_in_process_one(monkeypatch, deadline, 
     frame = make_chart(HomogeneousPolynomial.parse(expr), [1, 1, 1])
     config = AnalysisConfig(eps_grid=(3.9,))
     forks = _counted_forks(monkeypatch)
-    verdicts = []
+    runs = []
     for forked in (True, False):
         monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
-        verdicts.append(completeness_verdict(frame, config))
-    forked, plain = verdicts
-    assert len(forks) == 2  # one child for each chart axis, none in process
+        pair = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+        runs.append((completeness_verdict(frame, config), [t.to_csv() for t in pair]))
+    (forked, forked_pair), (plain, plain_pair) = runs
+    assert len(forks) == 3  # one child for the pair, then one for each chart axis
     assert (forked.status, forked.route) == (plain.status, plain.route) == ("inconclusive", "none")
     assert repr(forked.evidence) == repr(plain.evidence)
-    assert forked.axis_shot.to_csv() == plain.axis_shot.to_csv()
+    assert forked_pair == plain_pair
     _no_child_left()
+
+
+def _backward_shot(frame, calls):
+    """A short backward shot along the first chart axis, which records the
+    process that runs it."""
+
+    def shoot():
+        calls.append(os.getpid())
+        return geodesic_shoot(frame, np.zeros(2), np.array([-1.0, 0.0]), max_len=0.5)
+
+    return shoot
 
 
 def test_a_backward_shot_that_raises_in_the_child_raises_in_the_parent(monkeypatch, deadline):
     frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
-    shoot, calls = completeness.geodesic_shoot, []
+    calls = []
+    shoot = _backward_shot(frame, calls)
 
-    def failing_backward(frame, start, direction, **kwargs):
-        calls.append(np.sign(direction.sum()))
-        if direction.sum() < 0.0:
-            raise DomainError(f"backward along {direction.tolist()}")
-        return shoot(frame, start, direction, **kwargs)
+    def failing():
+        raise DomainError(f"backward ended at {shoot().coords[-1].tolist()}")
 
-    monkeypatch.setattr(completeness, "geodesic_shoot", failing_backward)
     forks = _counted_forks(monkeypatch)
     errors = []
     for forked in (True, False):
         monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        result = completeness._forked(failing)
         with pytest.raises(DomainError) as info:
-            completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
+            result()
         errors.append((info.type, str(info.value)))
-    assert errors[0] == errors[1] == (DomainError, "backward along [-1.0, -0.0]")
+    assert errors[0] == errors[1] and errors[0][1].startswith("backward ended at")
     assert len(forks) == 1
-    # forked, the parent shoots forward and then backward again itself
-    assert calls == [1.0, -1.0, 1.0, -1.0]
+    # the child's shot is not seen here: forked, the parent shot again itself
+    assert calls == [os.getpid()] * 2
     _no_child_left()
 
 
 def test_a_backward_shot_that_warns_in_the_child_warns_in_the_parent(monkeypatch, deadline):
     frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
-    shoot = completeness.geodesic_shoot
+    calls = []
+    shoot = _backward_shot(frame, calls)
 
-    def warning_backward(frame, start, direction, **kwargs):
-        if direction.sum() < 0.0:
-            warnings.warn(f"backward along {direction.tolist()}", UserWarning)
-        return shoot(frame, start, direction, **kwargs)
+    def warning():
+        warnings.warn("backward along [-1.0, 0.0]", UserWarning)
+        return shoot()
 
-    monkeypatch.setattr(completeness, "geodesic_shoot", warning_backward)
     forks = _counted_forks(monkeypatch)
     runs = []
     for forked in (True, False):
         monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            shots = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[1])
-        runs.append(([(w.category, str(w.message)) for w in caught], [t.to_csv() for t in shots]))
+            trace = completeness._forked(warning)()
+        runs.append(([(w.category, str(w.message)) for w in caught], trace.to_csv()))
     assert runs[0] == runs[1]
-    assert runs[0][0] == [(UserWarning, "backward along [-0.0, -1.0]")]
-    assert len(forks) == 1
+    assert runs[0][0] == [(UserWarning, "backward along [-1.0, 0.0]")]
+    assert len(forks) == 1 and calls == [os.getpid()] * 2
     _no_child_left()
+
+
+def test_a_pair_whose_shots_both_raise_raises_the_forward_error(monkeypatch, deadline):
+    # shot in turn, the forward shot raises first; forked, this process
+    # shoots backward, and must still raise the forward shot's error
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+
+    def failing(frame, start, direction, **kwargs):
+        raise DomainError(f"shot along {direction.tolist()}")
+
+    monkeypatch.setattr(completeness, "geodesic_shoot", failing)
+    forks = _counted_forks(monkeypatch)
+    for forked in (True, False):
+        monkeypatch.setattr(completeness, "_fork_helps", lambda: forked)
+        with pytest.raises(DomainError) as info:
+            completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+        assert str(info.value) == "shot along [1.0, 0.0]"
+        _no_child_left()
+    assert len(forks) == 1
 
 
 def test_a_parent_shot_that_raises_does_not_wait_on_a_full_pipe(monkeypatch, deadline):
     # the child's trace (over 64 KiB pickled) fills the pipe; once the
     # parent's own shot raises, nobody reads it, and the parent must not
     # wait on a child blocked in its write
-    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
     n = 5_000
     trace = CurveTrace(
         params=np.arange(n) / n,
@@ -752,64 +769,83 @@ def test_a_parent_shot_that_raises_does_not_wait_on_a_full_pipe(monkeypatch, dea
         cumulative_length=np.arange(n) / n,
     )
     assert len(pickle.dumps(trace)) > 1 << 16
+    calls = []
 
-    def shoot(frame, start, direction, **kwargs):
-        if direction.sum() > 0.0:
-            raise DomainError("forward")
+    def work():
+        calls.append(os.getpid())
         return trace
 
-    monkeypatch.setattr(completeness, "geodesic_shoot", shoot)
     monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
     forks = _counted_forks(monkeypatch)
+    result = completeness._forked(work)
     with pytest.raises(DomainError, match="forward"):
-        completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
-    assert len(forks) == 1
+        try:
+            raise DomainError("forward")
+        finally:
+            assert result(abandon=True) is None
+    assert len(forks) == 1 and not calls
     _no_child_left()
-    # and with the forward shot back, the trace comes through the pipe whole
-    monkeypatch.setattr(completeness, "geodesic_shoot", lambda frame, start, direction, **kwargs: trace)
-    _, backward = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
+    # abandoned, the value is the parent's own; and kept once had
+    assert result() is trace and result() is trace and calls == [os.getpid()]
+    # and with nothing raised, the trace comes through the pipe whole
+    result = completeness._forked(work)
+    backward = result()
     assert backward is not trace and backward.to_csv() == trace.to_csv()
-    assert len(forks) == 2
+    assert result(abandon=True) is backward
+    assert len(forks) == 2 and len(calls) == 1
     _no_child_left()
-
 
 
 def test_a_child_reaped_elsewhere_leaves_the_backward_shot_to_the_parent(monkeypatch, deadline):
     # with SIGCHLD ignored the child reaps itself and waitpid raises
     # ChildProcessError; its exit status is then unknown, so the parent
-    # shoots backward itself and the verdict is the in-process one
+    # shoots itself
     frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
-    config = AnalysisConfig(eps_grid=(3.9,))
-    monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
-    plain = completeness_verdict(frame, config)
+    calls = []
+    shoot = _backward_shot(frame, calls)
     monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
     forks = _counted_forks(monkeypatch)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        forked = completeness_verdict(frame, config)
+        forked = completeness._forked(shoot)()
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == 2
-    assert (forked.status, forked.route) == (plain.status, plain.route)
-    assert repr(forked.evidence) == repr(plain.evidence)
-    assert forked.axis_shot.to_csv() == plain.axis_shot.to_csv()
+    assert len(forks) == 1 and calls == [os.getpid()]
+    assert forked.to_csv() == shoot().to_csv()
     _no_child_left()
+
+
+def _no_descriptors(*args):
+    raise OSError(24, "Too many open files")
 
 
 def test_a_pipe_that_cannot_open_keeps_the_pair_in_process(monkeypatch):
     frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
     monkeypatch.setattr(completeness, "_fork_helps", lambda: False)
     plain = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
-
-    def no_descriptors():
-        raise OSError(24, "Too many open files")
-
     monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
-    monkeypatch.setattr(os, "pipe", no_descriptors)
+    monkeypatch.setattr(os, "pipe", _no_descriptors)
     forks = _counted_forks(monkeypatch)
     shots = completeness._shoot_pair(frame, np.zeros(2), np.eye(2)[0])
     assert not forks
     assert [t.to_csv() for t in shots] == [t.to_csv() for t in plain]
+
+
+def test_a_fork_that_fails_keeps_the_work_in_process(monkeypatch):
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    calls = []
+    shoot = _backward_shot(frame, calls)
+    pipes, pipe = [], os.pipe
+    monkeypatch.setattr(completeness, "_fork_helps", lambda: True)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", _no_descriptors)
+    result = completeness._forked(shoot)
+    assert len(pipes) == 1
+    for fd in pipes[0]:  # the pipe made for the child is closed again
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert result().to_csv() == shoot().to_csv()
+    assert calls == [os.getpid()] * 2
 
 
 # -- the exact rule for polynomial tails ------------------------------------------------
