@@ -1,5 +1,5 @@
-"""Boundary analysis of the positivity cone: regularity, Lorentz extension,
-and the genericity perturbation."""
+"""Boundary analysis of the positivity cone: regularity, the Lorentz
+extension's determinant, and the genericity perturbation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from . import sampling
 from .chart import ChartFrame, dot_rows, make_chart, tangent_bases
 from .errors import DegenerateFrameError, UnboundedRayError
-from .forms import eigen_counts, restrict_rows, signature_rows
+from .forms import eigen_counts, restrict_rows
 from .homogeneous import HomogeneousPolynomial
 
 
@@ -33,9 +33,6 @@ class RegularityEntry:
     condition_i: bool
     gradient_norm: float
     condition_ii: bool | None  # None when (i) fails (tangent space unresolved)
-    boundary_tangent_dim: int | None
-    psd: bool | None
-    kernel_dim: int | None
     regular: bool
 
 
@@ -112,18 +109,17 @@ def _gradient_scale(frame: ChartFrame) -> float:
 
 
 def _boundary_tangent_bases(frame: ChartFrame, grads):
-    """Bases of the full boundary tangent spaces (kernels of the nonzero
-    differentials ``grads``: (m, d-1, d)) and of their intersections with
-    the slice directions ((m, n-1, d)): the kernels of the chart gradients.
-    No chart gradient is zero: Euler's identity gives grad . x = k h = 0 at
-    a boundary point x, and the slice is transversal, so grad . basis = 0
-    would make grad zero, which condition (i) excludes."""
+    """Bases (m, n-1, d) of the boundary tangent directions inside the slice
+    at points with nonzero differentials ``grads``: the kernels of the chart
+    gradients.  No chart gradient is zero: Euler's identity gives
+    grad . x = k h = 0 at a boundary point x, and the slice is transversal,
+    so grad . basis = 0 would make grad zero, which condition (i) excludes."""
     chart_grads = np.matmul(frame.basis, grads[:, :, None])[:, :, 0]  # each row rounded as alone
-    return tangent_bases(grads), tangent_bases(chart_grads) @ frame.basis
+    return tangent_bases(chart_grads) @ frame.basis
 
 
 _REGULAR_TOL = 1e-6  # relative zero of an eigenvalue in the regularity conditions
-_LORENTZ_TOL = 1e-9  # and in the Lorentz extension's slice block and signature
+_LORENTZ_TOL = 1e-9  # and in the Lorentz extension's slice block
 
 
 def _boundary_rows(frame: ChartFrame, points, grads, floor: float):
@@ -132,26 +128,28 @@ def _boundary_rows(frame: ChartFrame, points, grads, floor: float):
 
     (i) the differential does not vanish: its norm exceeds ``floor``; (ii)
     minus the Hessian is positive definite on the boundary tangent directions
-    inside the slice (equivalent to positive semidefiniteness with
-    one-dimensional kernel on the full boundary tangent space, the kernel
-    being the ray direction).  An eigenvalue counts as zero within 1e-6 of
-    its restricted form's size (:meth:`SymmetricForm.signature`).  The
-    extension is the Gram data of minus the Hessian in the adapted frame
-    (gradient, ray direction, slice tangents orthonormalized for the slice
-    block); negative determinant and signature (d-1, 1, 0) certify it.
-    Returns the entries and the Gram matrices, determinants and signatures,
-    the determinant nan where (i) fails or the slice block is not positive
-    definite at 1e-9 or has no Cholesky factor.
+    inside the slice.  An eigenvalue counts as zero within 1e-6 of its
+    restricted form's size (:meth:`SymmetricForm.signature`).  This slice
+    form of (ii) is equivalent to positive semidefiniteness with a
+    one-dimensional kernel on the full boundary tangent space: that space is
+    the ray direction x plus the slice directions, and Euler's identity gives
+    -Hess h . x = -(k-1) dh, which vanishes on it, so x is in the kernel.
+
+    The extension is the Gram matrix of minus the Hessian in the adapted
+    frame (gradient, ray direction, slice tangents orthonormalized for the
+    slice block).  Its slice block is the identity, so by Cauchy interlacing
+    a negative determinant forces the signature (d-1, 1, 0).  Returns the
+    entries and the determinants, nan where (i) fails or the slice block is
+    not positive definite at 1e-9 or has no Cholesky factor.
     """
     k, gnorm = frame.chart_dim - 1, np.sqrt(dot_rows(grads, grads))
     rows = np.flatnonzero(gnorm > floor)
     beta = -frame.func.derivative_rows(points[rows], 2)
     beta = 0.5 * (beta + np.swapaxes(beta, 1, 2))
-    full, slice_vecs = _boundary_tangent_bases(frame, grads[rows])
+    slice_vecs = _boundary_tangent_bases(frame, grads[rows])
     block = restrict_rows(beta, slice_vecs)
     eigs, scale = np.linalg.eigvalsh(block), np.abs(block).max(axis=(1, 2), initial=0.0)
     cond_ii = eigen_counts(eigs, scale, _REGULAR_TOL)[:, 0] == k
-    psd = signature_rows(restrict_rows(beta, full), _REGULAR_TOL)
     ok = eigen_counts(eigs, scale, _LORENTZ_TOL)[:, 0] == k
     chol = _cholesky_rows(block[ok])
     factored = ~np.isnan(chol).any(axis=(1, 2))
@@ -159,16 +157,14 @@ def _boundary_rows(frame: ChartFrame, points, grads, floor: float):
     ext = rows[ok]  # the points whose extension is defined
     ortho = np.linalg.solve(chol[factored], slice_vecs[ok])
     adapted = np.concatenate([grads[ext, None], points[ext, None], ortho], axis=1)
-    gram = np.full((len(points),) + beta.shape[1:], np.nan)
-    gram[ext] = adapted @ beta[ok] @ np.swapaxes(adapted, 1, 2)
-    sym = 0.5 * (gram[ext] + np.swapaxes(gram[ext], 1, 2))
-    det, signature = np.full(len(points), np.nan), np.zeros((len(points), 3), dtype=int)
-    det[ext], signature[ext] = np.linalg.det(sym), signature_rows(sym, _LORENTZ_TOL)
+    gram = adapted @ beta[ok] @ np.swapaxes(adapted, 1, 2)
+    det = np.full(len(points), np.nan)
+    det[ext] = np.linalg.det(0.5 * (gram + np.swapaxes(gram, 1, 2)))
     points, gnorm = points.tolist(), gnorm.tolist()
-    entries = [RegularityEntry(x, False, g, None, None, None, None, False) for x, g in zip(points, gnorm)]
-    for i, ii, (_, n_neg, n_zero) in zip(rows.tolist(), cond_ii.tolist(), psd.tolist()):
-        entries[i] = RegularityEntry(points[i], True, gnorm[i], ii, k, n_neg == 0, n_zero, ii)
-    return entries, gram, det, signature
+    entries = [RegularityEntry(x, False, g, None, False) for x, g in zip(points, gnorm)]
+    for i, ii in zip(rows.tolist(), cond_ii.tolist()):
+        entries[i] = RegularityEntry(points[i], True, gnorm[i], ii, ii)
+    return entries, det
 
 
 def _cholesky_rows(mats) -> np.ndarray:
@@ -186,39 +182,15 @@ def regular_boundary_check(frame: ChartFrame, bp: BoundaryPoint) -> RegularityEn
     return _boundary_rows(frame, bp.point[None], bp.gradient[None], _REGULAR_TOL * _gradient_scale(frame))[0][0]
 
 
-@dataclass(frozen=True)
-class LorentzExtension:
-    gram: np.ndarray
-    determinant: float
-    signature: tuple
-
-    @property
-    def det_negative(self) -> bool:
-        return self.determinant < 0.0
-
-
-def lorentz_extension_check(frame: ChartFrame, bp: BoundaryPoint) -> LorentzExtension:
-    """Gram data of minus the Hessian in the adapted boundary frame
-    (gradient, ray direction, boundary tangents); negative determinant and
-    signature (d-1, 1, 0) certify the Lorentzian extension across the
-    boundary.  One row of :func:`_boundary_rows`."""
-    if np.linalg.norm(bp.gradient) <= 1e-12:
-        raise DegenerateFrameError("adapted frame undefined where the gradient vanishes")
-    _, gram, det, signature = _boundary_rows(frame, bp.point[None], bp.gradient[None], 1e-12)
-    if np.isnan(det[0]):
-        raise DegenerateFrameError("boundary tangent block is not positive definite")
-    return LorentzExtension(gram=gram[0], determinant=float(det[0]), signature=tuple(signature[0].tolist()))
-
-
 def regularity_report(frame: ChartFrame, count: int | None = None, seed: int = 0) -> RegularityReport:
-    """Scan the boundary and check :func:`regular_boundary_check` and, where
-    both conditions hold, :func:`lorentz_extension_check` (nan where it
-    raises) at every scanned point, in one stacked pass."""
+    """Scan the boundary and check :func:`regular_boundary_check` at every
+    scanned point and, where both conditions hold, the Lorentz extension's
+    determinant (nan where it is undefined), in one stacked pass."""
     n = count if count is not None else default_direction_count(frame.chart_dim)
     directions = sampling.unit_directions(frame.chart_dim, n, seed)
     dists, mults, points = _scan_rows(frame, directions, unbounded_ok=True)
     grads = frame.func.derivative_rows(points, 1)
-    entries, _, det, _ = _boundary_rows(frame, points, grads, _REGULAR_TOL * _gradient_scale(frame))
+    entries, det = _boundary_rows(frame, points, grads, _REGULAR_TOL * _gradient_scale(frame))
     failures = [{"direction": d.tolist(), "radius": frame.ray_limit} for d in directions[np.isinf(dists)]]
     return RegularityReport(
         entries=entries,

@@ -197,18 +197,13 @@ class ChartFrame:
         _require_positive(hx, "chart point left the cone (value {})")
         return [x, hx] + [self.func.derivative_rows(x, order) for order in orders]
 
-    def embed_jacobian(self, coords) -> np.ndarray:
-        """(d, n) Jacobian of the embedding, columns are images of the basis;
-        (m, d, n) for rows of ``coords``."""
-        jac = self._jacobian_rows(*self._jets(coords, (1,)))
-        return jac if np.ndim(coords) > 1 else jac[0]
-
     def _embed_rows(self, x, hx, *_) -> np.ndarray:
         """:meth:`embed` of the rows of :meth:`_jets`."""
         return _project_rows(self.func.degree, x, hx)
 
     def _jacobian_rows(self, x, hx, grads, *_) -> np.ndarray:
-        """:meth:`embed_jacobian` of the rows of :meth:`_jets`."""
+        """(m, d, n) Jacobians of :meth:`embed` at the rows of :meth:`_jets`,
+        the columns the images of the basis."""
         images = _differential_images(self.degree, x, hx, grads, self.basis)
         return np.ascontiguousarray(np.swapaxes(images, 1, 2))
 
@@ -359,21 +354,6 @@ def slice_chart(func, origin, basis) -> ChartFrame:
 # -- metric formulas ----------------------------------------------------------
 
 
-def centroaffine_metric_ambient(frame_or_func, q, basis=None):
-    """Gram matrix of -(1/k) * Hessian on tangent vectors at a level-set point.
-
-    Returns (form, basis).  ``basis`` defaults to the deterministic tangent
-    basis at q; pass explicit vectors to evaluate the form on them instead.
-    One row of :func:`ambient_metric_rows`.
-    """
-    func = frame_or_func.func if isinstance(frame_or_func, ChartFrame) else frame_or_func
-    q = np.asarray(q, dtype=float)
-    if basis is None:
-        basis = tangent_basis_at(func, q)
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    return SymmetricForm(ambient_metric_rows(func, q[None], basis[None])[0]), basis
-
-
 def ambient_metric_rows(func, points, bases) -> np.ndarray:
     """Gram matrices -(B H B^T)/k of the Hessians H at the rows of ``points``
     on the vectors B (r, d) of the matching row of ``bases``, symmetrized as
@@ -440,19 +420,6 @@ def _psi_rows(frame: ChartFrame, values, grads, hessians) -> np.ndarray:
     return 0.5 * (gram + np.swapaxes(gram, 1, 2))
 
 
-def chart_metric_with_derivative(frame: ChartFrame, coords):
-    """Chart metric and its coordinate derivative, both in closed form.
-
-    Returns (g, dg) with dg[i, j, k] the i-derivative of g_jk; requires third
-    derivatives of the underlying function.  Used for the metric (Levi-Civita)
-    connection, whose geodesics preserve speed.
-    """
-    k, hx, d, b, t = _chart_jet(frame, coords)
-    n = len(d)
-    g, dg = _metric_lists(k, hx, d, b, t)
-    return np.array(g).reshape(n, n), np.array(dg).reshape(n, n, n)
-
-
 def _chart_jet(frame: ChartFrame, coords) -> tuple:
     """(k, h, d, b, t): the degree, and the value, chart gradient, chart
     Hessian and chart third tensor of h at chart coordinates.  The third
@@ -512,14 +479,10 @@ def _metric_lists(k: float, hx: float, d, b, t) -> tuple:
     return g, dg
 
 
-def christoffel(g, dg) -> np.ndarray:
-    """Levi-Civita coefficients (upper index first) of a metric ``g`` with
-    coordinate derivative ``dg[i, j, k] = d_i g_jk``."""
-    return _christoffel(np.asarray(g, dtype=float), np.asarray(dg, dtype=float).ravel().tolist())
-
-
 def _christoffel(g, dg) -> np.ndarray:
-    """:func:`christoffel` of the array ``g`` and ``dg`` as a flat list."""
+    """Levi-Civita coefficients (upper index first) of the metric array ``g``
+    from its coordinate derivative ``dg[i, j, k] = d_i g_jk``, a flat list in
+    C order."""
     n = len(g)
     bracket = [dg[a] + dg[b] - dg[c] for a, b, c in _bracket_index(n)]
     return 0.5 * _solve(g, np.array(bracket).reshape(n, n * n)).reshape(n, n, n)
@@ -551,7 +514,7 @@ def _solve(a, b) -> np.ndarray:
 
 def jet_connection(k: float, hx: float, d, b, t):
     """Connection coefficients (upper index first) and metric from the chart
-    jet of h: :func:`christoffel` of the metric and derivative of
+    jet of h: :func:`_christoffel` of the metric and derivative of
     :func:`_metric_lists`."""
     n = len(d)
     g, dg = _metric_lists(k, hx, d, b, t)
@@ -674,7 +637,7 @@ def lorentz_identity_residual_rows(k: float, points, values, grads, hessians):
     """The radial and gradient residuals of :func:`lorentz_identity_residuals`
     at each row of ``points``, from the values, gradients and Hessians there;
     g_L is -Hessian/k stored as :class:`SymmetricForm` stores it, and
-    g_L(x, x) is evaluated as :meth:`SymmetricForm.value`, (x g_L) x."""
+    g_L(x, x) is evaluated as (x g_L) x."""
     forms = -hessians / k
     forms = 0.5 * (forms + np.swapaxes(forms, 1, 2))
     radial = np.abs(dot_rows(np.matmul(points[:, None, :], forms)[:, 0], points) + (k - 1.0) * values)

@@ -139,12 +139,15 @@ def build_frame(config: RunConfig):
     if not config.poly:
         raise ValueError("either a polynomial or an example identifier is required")
     text = config.poly.strip()
-    if text.startswith("{"):
-        import json as _json
+    try:
+        if text.startswith("{"):
+            import json as _json
 
-        poly = HomogeneousPolynomial.from_json(_json.loads(text))
-    else:
-        poly = HomogeneousPolynomial.parse(text)
+            poly = HomogeneousPolynomial.from_json(_json.loads(text))
+        else:
+            poly = HomogeneousPolynomial.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--poly: {exc}") from exc
     if poly.dimension < 2:
         raise ValueError(f"--poly: expected at least two variables, got {poly.dimension}")
     if config.seed is None:

@@ -257,19 +257,6 @@ class CurveTrace:
         return "\n".join(rows) + "\n"
 
 
-def log_length_bound(frame: ChartFrame, trace: CurveTrace, eps: float) -> float:
-    """Lower bound C |ln h(end) - ln h(start)| with C = (1/k) sqrt(eps/(k-eps)).
-
-    Valid as a length bound whenever the eps-concavity certificate holds on
-    the region swept by the trace.
-    """
-    k = frame.degree
-    if not (0.0 < eps < k):
-        raise ValueError(f"eps must lie in (0, {k})")
-    c = (1.0 / k) * math.sqrt(eps / (k - eps))
-    return c * abs(math.log(trace.hvals[-1]) - math.log(trace.hvals[0]))
-
-
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)  # Gauss-Legendre nodes and weights, made on first use
 
 

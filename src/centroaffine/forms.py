@@ -7,7 +7,7 @@ underlying geometry (but blurred by rounding) are detected reliably.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +21,6 @@ class Signature(NamedTuple):
     n_neg: int
     n_zero: int
     tol: float
-
-    @property
-    def dimension(self) -> int:
-        return self.n_pos + self.n_neg + self.n_zero
 
 
 class SymmetricForm:
@@ -47,14 +43,6 @@ class SymmetricForm:
         if self._eigs is None:
             self._eigs = np.linalg.eigvalsh(self.matrix) if self.dimension else np.zeros(0)
         return self._eigs
-
-    def value(self, v, w) -> float:
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return float(v @ self.matrix @ w)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix)) if self.dimension else 1.0
 
     def signature(self, tol: float = DEFAULT_ZERO_TOL) -> Signature:
         """Count eigenvalues, treating |lam| <= tol * max(1, scale) as zero."""
@@ -79,28 +67,14 @@ class SymmetricForm:
         sig = self.signature()
         return sig.n_neg == 0, sig.n_zero
 
-    def restrict(self, basis: Sequence) -> "SymmetricForm":
-        """Gram matrix of the form on the span of the given vectors.
-
-        Raises if the vectors are numerically dependent (rank check at 1e-9).
-        """
-        vecs = np.asarray(basis, dtype=float)
-        if vecs.size == 0:
-            return SymmetricForm(np.zeros((0, 0)))
-        vecs = np.atleast_2d(vecs)
-        if vecs.shape[1] != self.dimension:
-            raise ValueError(
-                f"basis vectors live in R^{vecs.shape[1]}, form in R^{self.dimension}"
-            )
-        return SymmetricForm(restrict_rows(self.matrix[None], vecs[None])[0])
-
     def __repr__(self):
         return f"SymmetricForm({self.matrix.tolist()})"
 
 
 def restrict_rows(matrices, bases) -> np.ndarray:
-    """:meth:`SymmetricForm.restrict` (with its rank check) for a stack of
-    forms (r, d, d) and of bases (r, m, d); the results are symmetrized."""
+    """Gram matrices of a stack of forms (r, d, d) on the vectors of a stack
+    of bases (r, m, d), symmetrized.  Raises if a basis is numerically
+    dependent (rank check at 1e-9)."""
     svals = np.linalg.svd(bases, compute_uv=False)
     if svals.size and (svals.min(-1) <= DEFAULT_ZERO_TOL * np.maximum(1.0, svals.max(-1))).any():
         raise DegenerateFrameError("restriction basis is rank deficient")

@@ -10,6 +10,7 @@ user-supplied closed-form derivative callables behind the same interface.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, Mapping, Sequence
 
@@ -23,6 +24,13 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)|(?P<var>[a-zA-Z]\d*)|(?P<op>[-+*^]))"
 )
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer raises."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _mul_terms(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> dict:
@@ -58,17 +66,23 @@ class HomogeneousPolynomial:
         clean: dict[tuple, float] = {}
         dim = dimension
         for exp, coeff in terms.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(_integer(e, "an exponent") for e in exp)
             if dim is None:
                 dim = len(exp)
             if len(exp) != dim:
                 raise ValueError(f"exponent vector {exp} has length {len(exp)}, expected {dim}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = float(coeff)
+            try:
+                c = float(coeff)
+            except OverflowError:  # an int beyond the float range
+                c = math.inf if coeff > 0 else -math.inf
             if c != 0.0:
                 clean[exp] = clean.get(exp, 0.0) + c
         clean = {e: c for e, c in clean.items() if c != 0.0}
+        for e, c in clean.items():
+            if not math.isfinite(c):
+                raise ValueError(f"the coefficient of {_format_monomial(e, dim)} is not finite: {c}")
         if not clean:
             raise ValueError("polynomial has no nonzero terms")
         degrees = {sum(e) for e in clean}
@@ -98,10 +112,20 @@ class HomogeneousPolynomial:
         return cls(terms, dimension=dim)
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "HomogeneousPolynomial":
-        terms = {tuple(t["exp"]): float(t["c"]) for t in obj["terms"]}
-        poly = cls(terms, dimension=int(obj["dim"]))
-        if poly.degree != int(obj["degree"]):
+    def from_json(cls, obj) -> "HomogeneousPolynomial":
+        """The polynomial of a :meth:`to_json` object; any other shape raises
+        ValueError."""
+        if not (isinstance(obj, dict) and {"dim", "degree", "terms"} <= obj.keys()):
+            raise ValueError('expected an object with the keys "dim", "degree" and "terms"')
+        rows = obj["terms"]
+        is_term = lambda t: isinstance(t, dict) and isinstance(t.get("exp"), list) and type(t.get("c")) in (int, float)
+        if not (isinstance(rows, list) and all(map(is_term, rows))):
+            raise ValueError('"terms" must be a list of objects {"exp": [integers], "c": number}')
+        terms = {tuple(_integer(e, "an exponent") for e in t["exp"]): t["c"] for t in rows}
+        if len(terms) != len(rows):
+            raise ValueError('"terms" repeats an exponent vector')
+        poly = cls(terms, dimension=_integer(obj["dim"], '"dim"'))
+        if poly.degree != _integer(obj["degree"], '"degree"'):
             raise MixedDegreeError(
                 f"declared degree {obj['degree']} does not match terms (degree {poly.degree})"
             )
@@ -151,10 +175,6 @@ class HomogeneousPolynomial:
             self._evaluate(x, (3,))
             kept = self._jet
         return kept[1:4]
-
-    def derivative_tensor(self, x, order: int) -> np.ndarray:
-        """Tensor of all partial derivatives of the given order (zero above the degree)."""
-        return self._evaluate(x, (order,))[0]
 
     def derivative_rows(self, points, order: int) -> np.ndarray:
         """Value (order 0, :meth:`value_rows`) or derivative tensor at each row

@@ -102,20 +102,9 @@ def _split_rows(frame: ChartFrame, jets):
     return gamma, gram
 
 
-def volume_form(frame: ChartFrame, coords) -> float:
-    """Density det(position, tangent images) of the induced volume form;
-    one row of :func:`volume_form_rows`."""
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    return float(volume_form_rows(frame, coords[None])[0])
-
-
-def volume_form_rows(frame: ChartFrame, coords) -> np.ndarray:
-    """:func:`volume_form` at each row of ``coords``."""
-    return _volume_rows(frame, frame._jets(coords, (1,)))
-
-
 def _volume_rows(frame: ChartFrame, jets) -> np.ndarray:
-    """:func:`volume_form_rows` at the rows of ``ChartFrame._jets``."""
+    """Density det(position, tangent images) of the induced volume form at
+    the rows of ``ChartFrame._jets``."""
     return np.linalg.det(np.concatenate([frame._embed_rows(*jets)[:, :, None], frame._jacobian_rows(*jets)], axis=2))
 
 

@@ -10,7 +10,6 @@ from centroaffine import (
     HomogeneousPolynomial,
     SmoothHomogeneousMap,
     UnboundedRayError,
-    centroaffine_metric_ambient,
     chart_metric,
     chart_metric_consistency,
     classify,
@@ -22,7 +21,7 @@ from centroaffine import (
     slice_chart,
 )
 from centroaffine.catalog import analytic_example, analytic_map
-from centroaffine.chart import chart_metric_with_derivative, christoffel, jet_connection, tangent_bases
+from centroaffine.chart import _chart_jet, _metric_lists, ambient_metric_rows, jet_connection, tangent_bases
 from centroaffine.homogeneous import restrict_to_line
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -86,24 +85,26 @@ def test_frame_invariants():
 # -- ambient metric --------------------------------------------------------------
 
 
+def _ambient_metric(func, q, basis):
+    """The one-row Gram matrix of :func:`ambient_metric_rows`."""
+    return ambient_metric_rows(func, np.array([q], dtype=float), np.array([basis], dtype=float))[0]
+
+
 def test_ambient_metric_examples():
-    form, _ = centroaffine_metric_ambient(CURVE, [1, 0], basis=[[0, 1]])
-    assert abs(form.matrix[0, 0] - 2.0 / 3.0) < 1e-15
-    form2, _ = centroaffine_metric_ambient(MONOMIAL, [1, 1], basis=[[1, -2]])
-    assert abs(form2.matrix[0, 0] - 2.0) < 1e-14
+    assert abs(_ambient_metric(CURVE, [1, 0], [[0, 1]])[0, 0] - 2.0 / 3.0) < 1e-15
+    assert abs(_ambient_metric(MONOMIAL, [1, 1], [[1, -2]])[0, 0] - 2.0) < 1e-14
 
 
 def test_ambient_metric_constant_hessian_quadric():
     # for a quadratic form the ambient Hessian is constant, so the metric value
     # depends only on the tangent vector
     sphere = HomogeneousPolynomial.parse("x^2 + y^2")
-    form, _ = centroaffine_metric_ambient(sphere, [1, 0], basis=[[0, 1]])
-    assert abs(form.matrix[0, 0] + 1.0) < 1e-15  # -(1/2) * 2
+    assert abs(_ambient_metric(sphere, [1, 0], [[0, 1]])[0, 0] + 1.0) < 1e-15  # -(1/2) * 2
 
 
 def test_ambient_metric_requires_level_point():
     with pytest.raises(DomainError):
-        centroaffine_metric_ambient(CURVE, [2, 0])
+        _ambient_metric(CURVE, [2, 0], [[0, 1]])
 
 
 # -- chart metric routes -----------------------------------------------------------
@@ -159,7 +160,9 @@ def test_consistency_negative_control():
 def test_metric_derivative_matches_finite_differences(catalog_frames):
     for poly, frame in catalog_frames.values():
         c0 = 0.05 * np.ones(frame.chart_dim)
-        g, dg = chart_metric_with_derivative(frame, c0)
+        g, dg = _metric_lists(*_chart_jet(frame, c0))
+        n = frame.chart_dim
+        g, dg = np.reshape(g, (n, n)), np.reshape(dg, (n, n, n))
         assert np.allclose(g, chart_metric(frame, c0, "psi_formula").matrix, atol=1e-13)
         eps = 1e-6
         for i in range(frame.chart_dim):
@@ -175,19 +178,16 @@ def test_metric_derivative_matches_finite_differences(catalog_frames):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_christoffel_raises_on_a_singular_metric(n):
     # a zero metric, and a rank-one metric whose elimination is exact (n > 1),
-    # raise LinAlgError, as np.linalg.solve does, and not a nan connection
+    # raise LinAlgError, as np.linalg.solve does, and not a nan connection.
+    # With k = 2, h = 1 and a zero Hessian the metric is d d^T / 4.
     rng = np.random.default_rng(n)
     dg = rng.standard_normal((n, n, n))
     u = np.array([1.0, -2.0, 0.5])[:n]
-    singular = [np.zeros((n, n))] + ([np.outer(u, u)] if n > 1 else [])
-    for g in singular:
+    for d in [np.zeros(n)] + ([u] if n > 1 else []):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            np.linalg.solve(g, dg.reshape(n, n * n))
+            np.linalg.solve(0.25 * np.outer(d, d), dg.reshape(n, n * n))
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            christoffel(g, dg)
-    # the chart jet of a vanishing metric: zero gradient and Hessian
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        jet_connection(3.0, 1.0, np.zeros(n), np.zeros((n, n)), dg)
+            jet_connection(2.0, 1.0, d, np.zeros((n, n)), dg)
 
 
 # -- classification ------------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_classify_mixed_piece_reports_witnesses():
 def test_lorentz_metric_example():
     form = lorentz_metric(CURVE, [1, 0])
     assert np.allclose(form.matrix, [[-2.0, 0.0], [0.0, 2.0 / 3.0]], atol=1e-15)
-    assert abs(form.value([1, 0], [1, 0]) + 2.0) < 1e-14
+    assert abs(form.matrix[0, 0] + 2.0) < 1e-14
 
 
 def test_lorentz_metric_signature():

@@ -141,13 +141,44 @@ BAD_NUMBERS = (
 )
 
 
+def _json_poly(**changes) -> str:
+    """x^2*y as :meth:`HomogeneousPolynomial.to_json` writes it, with ``changes``
+    (None drops a key)."""
+    obj = {"dim": 2, "degree": 3, "terms": [{"exp": [2, 1], "c": 1.0}], **changes}
+    return json.dumps({key: value for key, value in obj.items() if value is not None})
+
+
+# --poly input that is not a polynomial of finite coefficients and integer
+# exponents, each refused rather than truncated, misread or raised through
+BAD_POLYS = tuple(
+    (["--poly", poly, "--seed", "1,1"], "--poly")
+    for poly in (
+        _json_poly(degree=2, terms=[{"exp": [1.5, 1.5], "c": 1.0}]),
+        _json_poly(terms=[{"exp": [True, 2], "c": 1.0}]),
+        _json_poly(terms=5),
+        _json_poly(terms=[5]),
+        _json_poly(terms=[{"exp": 5, "c": 1.0}]),
+        _json_poly(terms=[{"exp": [2, 1], "c": None}]),
+        _json_poly(terms=[{"exp": [2, 1], "c": True}]),
+        _json_poly(terms=[{"exp": [2, 1], "c": 1.0}, {"exp": [2, 1], "c": 1.0}]),
+        _json_poly(dim=2.0),
+        _json_poly(dim=None),
+        _json_poly(terms=[{"exp": [3, 0], "c": 1.0}, {"exp": [2, 1], "c": math.inf}]),
+        _json_poly().replace("1.0", "1e400"),
+        _json_poly().replace("1.0", "1" + "0" * 400),  # an int, not a float, in JSON
+        '{"dim": 2, "degree": 3',
+        "x^2*y + 1e400*y^3",
+    )
+)
+
+
 def test_analyze_input_errors_exit_one(capsys):
     assert run_cli(["analyze", "--poly", "x^3 + x^2", "--seed", "1,0"]) == 1
     assert run_cli(["analyze", "--poly", "x^3 - x*y^2"]) == 1  # missing seed
     assert run_cli(["analyze", "--poly", "x^3 - x*y^2", "--seed", "1,0,0"]) == 1
     assert run_cli(["analyze", "--example", "no-such-entry"]) == 1
     capsys.readouterr()
-    for args, flag in BAD_NUMBERS:
+    for args, flag in BAD_NUMBERS + BAD_POLYS:
         # no route runs, so no RuntimeWarning (an error under the test filter) either
         assert run_cli(["analyze", *args]) == 1, args
         captured = capsys.readouterr()

@@ -17,7 +17,6 @@ from centroaffine import (
     cubic_segment_test,
     curve_length_with_error,
     geodesic_shoot,
-    log_length_bound,
     make_chart,
     n1_monomial_test,
     slice_chart,
@@ -160,28 +159,7 @@ def test_concavity_rejects_bad_eps():
         concavity_test(frame, eps=3.0)
 
 
-# -- lengths and bounds --------------------------------------------------------------
-
-
-def test_log_length_bound_value():
-    frame = make_chart(CURVE, [1, 0])
-    trace = CurveTrace(
-        params=np.array([0.0, 1.0]),
-        coords=np.zeros((2, 1)),
-        ambient=np.zeros((2, 2)),
-        hvals=np.array([1.0, 1e-6]),
-        cumulative_length=np.array([0.0, 1.0]),
-    )
-    expected = (1.0 / 3.0) * math.sqrt(0.5) * math.log(1e6)
-    assert abs(log_length_bound(frame, trace, eps=1.0) - expected) < 1e-12
-    flat = CurveTrace(
-        params=np.array([0.0, 1.0]),
-        coords=np.zeros((2, 1)),
-        ambient=np.zeros((2, 2)),
-        hvals=np.array([0.5, 0.5]),
-        cumulative_length=np.array([0.0, 1.0]),
-    )
-    assert log_length_bound(frame, flat, eps=1.0) == 0.0
+# -- lengths -------------------------------------------------------------------------
 
 
 def test_curve_length_analytic_example():

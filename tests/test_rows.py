@@ -6,7 +6,6 @@ kept here as the reference: every row must equal its reference bit for bit
 not move one).  Likewise the geodesic loop's one-row calls (connection,
 Dormand-Prince step, one-row bisection) against the code they replaced."""
 
-import functools
 import itertools
 import math
 
@@ -65,12 +64,12 @@ from centroaffine.sampling import unit_directions
 from centroaffine.structure import (
     _default_step,
     _default_steps,
+    _volume_rows,
     curvature_defect,
     curvature_residual,
     fund_equation_residual,
     gauss_split_rows,
     structure_residual_rows,
-    volume_form_rows,
     volume_parallel_residual,
 )
 from conftest import FIXTURES, _old_derivative, _old_value_rows, linear_copies
@@ -135,7 +134,7 @@ def _old_identities(func, x):
     euler = math.fsum((x * grad).tolist()) - k * _value(func, x)
     position = float(np.abs(hess @ x - (k - 1.0) * grad).max())
     form = SymmetricForm(-hess / k)
-    radial = abs(form.value(x, x) + (k - 1.0) * _value(func, x))
+    radial = abs(float(x @ form.matrix @ x) + (k - 1.0) * _value(func, x))
     gradient = float(np.abs(form.matrix @ x + ((k - 1.0) / k) * grad).max())
     return euler, position, radial, gradient
 
@@ -599,7 +598,7 @@ def test_split_and_volume_rows_equal_the_one_point_formulas():
         gamma, gram = gauss_split_rows(frame, coords)
         ref = [_old_gauss_split(frame, c) for c in coords]
         assert _same(gamma, [g for g, _ in ref]) and _same(gram, [m for _, m in ref]), label
-        assert _same(volume_form_rows(frame, coords), [_old_volume(frame, c) for c in coords]), label
+        assert _same(_volume_rows(frame, frame._jets(coords, (1,))), [_old_volume(frame, c) for c in coords]), label
 
 
 # -- the geodesic loop's one-row calls ------------------------------------------------
@@ -678,7 +677,7 @@ def test_contract_indices_is_the_tensordot_product():
         rotation = np.linalg.qr(rng.standard_normal((frame.chart_dim,) * 2))[0]
         jets = (func.gradient, func.hessian, func.third_tensor)
         if isinstance(func, HomogeneousPolynomial):  # the boundary layer's tensors, up to the degree
-            jets += tuple(functools.partial(func.derivative_tensor, order=m) for m in range(4, func.degree + 1))
+            jets += tuple(lambda x, m=m: func._evaluate(x, (m,))[0] for m in range(4, func.degree + 1))
         for order, jet in enumerate(jets, start=1):
             for t in map(jet, x):
                 basis_t = contract_indices(t, frame.basis)
@@ -843,13 +842,13 @@ def test_fused_jet_equals_the_separate_evaluations():
             ref = _old_jet(poly, x) + (_old_derivative(poly, x, 4),)
             # evaluated afresh (the kept jet is the previous point's; order 3
             # takes and keeps this point's), then served from the kept jet
-            fresh = (poly(x), poly.gradient(x), poly.hessian(x), poly.derivative_tensor(x, 3))
+            fresh = (poly(x), poly.gradient(x), poly.hessian(x), poly._evaluate(x, (3,))[0])
             third = poly.third_tensor(x)
             served = (poly(x), poly.gradient(x), poly.hessian(x), third)
             for got in (fresh, served):
                 assert all(_same(a, b) for a, b in zip(got, ref)), (poly, x)
             assert _same(poly.value_rows(x[None]), [ref[0]]) and _same(poly.derivative_rows(x, 2)[0], ref[2])
-            assert _same(poly.derivative_tensor(x, 4), ref[4]), (poly, x)
+            assert _same(poly._evaluate(x, (4,))[0], ref[4]), (poly, x)
 
 
 def test_kept_jet_serves_only_its_own_point(monkeypatch):
@@ -874,7 +873,7 @@ def test_kept_jet_serves_only_its_own_point(monkeypatch):
     x[0] = 0.9
     assert _same(poly(x), _old_value_rows(poly, x)[0]) and poly(x) != _old_value_rows(poly, [0.7, 0.0, 0.4])[0]
     for order in (1, 2, 3):
-        assert _same(poly.derivative_tensor(x, order), _old_derivative(poly, x, order))
+        assert _same(poly._evaluate(x, (order,))[0], _old_derivative(poly, x, order))
     # a caller that changes a returned array does not change the kept one
     y = np.array([0.5, 0.25, -0.125])
     third = poly.third_tensor(y)
