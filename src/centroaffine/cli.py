@@ -222,6 +222,8 @@ def _classification(frame, config: RunConfig) -> dict:
 def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     if config.samples < 0:
         raise ValueError("--samples: expected non-negative integer")
+    if config.rng_seed < 0:
+        raise ValueError("--rng-seed: expected non-negative integer")
     if not (math.isfinite(config.tol_def) and config.tol_def > 0.0):
         raise ValueError(f"--tol-def: expected a finite positive number, got {config.tol_def}")
     if not (math.isfinite(config.tol_quad) and config.tol_quad >= 0.0):

@@ -3,10 +3,12 @@
 Certificate routes, in the order tried by :func:`completeness_verdict`:
 
 1. degree 2 polynomials (constant ambient Hessian);
-2. the cubic segment test: along every slice line, with h0 the univariate
-   restriction, f0 = 2 h0 h0'' - (h0')^2 stays nonpositive on the positivity
-   interval (f0' = 2 h0 h0''' is single-signed there, so the maximum sits at
-   the endpoints where f0 = -(h0')^2);
+2. the cubic segment test: along a slice line, with h0 the univariate
+   restriction, f0 = 2 h0 h0'' - (h0')^2 is nonpositive on a bounded
+   positivity interval (f0' = 2 h0 h0''' is single-signed there, so the
+   maximum sits at the ends, where f0 = -(h0')^2), so the test samples only
+   closedness: each sampled line (2,000 by default) must have a bounded
+   positivity interval;
 3. regular boundary behaviour of the cone;
 4. the bivariate monomial criterion (degree >= 2, two variables);
 5. a sampled concavity certificate: some root h^(1/(k-eps)) of the slice
@@ -48,7 +50,6 @@ from .homogeneous import (
     HomogeneousPolynomial,
     first_positive_zero,
     line_coefficients,
-    polyval_rows,
     univariate_zeros_rows,
 )
 
@@ -58,84 +59,38 @@ _poly = np.polynomial.polynomial
 # -- cubic segment test --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentLine:
-    base_coords: np.ndarray
-    direction: np.ndarray
-    interval: tuple
-    max_f0: float
-    f0_left: float
-    f0_right: float
-    endpoint_identity_defect: float
-    monotone_defect: float
-    passed: bool
-
-
 @dataclass
 class SegmentTestResult:
-    """Outcome of :func:`cubic_segment_test`.  ``lines`` (a
-    :class:`SegmentLine` per bounded line, in line order) is built from the
-    block's columns when it is first read."""
+    """Outcome of :func:`cubic_segment_test`: the lines whose positivity
+    interval is unbounded (closedness failures, in line order), and the chart
+    base point and direction of each bounded line, one row each, in line
+    order."""
 
     closedness_failures: list
-    passed: bool
-    max_f0: float  # over the bounded lines; -inf if there are none
-    columns: tuple = field(repr=False, compare=False)
+    bounded_bases: np.ndarray = field(repr=False, compare=False)
+    bounded_directions: np.ndarray = field(repr=False, compare=False)
 
     @property
-    def line_count(self) -> int:
-        return len(self.columns[0])
+    def line_count(self) -> int:  # the bounded lines
+        return len(self.bounded_bases)
 
-    @functools.cached_property
-    def lines(self) -> list:
-        bases, directions, lo, hi, *rest = self.columns
-        return [
-            SegmentLine(base, d, (a, b), *values)
-            for base, d, a, b, *values in zip(bases, directions, lo.tolist(), hi.tolist(), *(c.tolist() for c in rest))
-        ]
-
-
-_CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
-
-
-def _segment_block(frame: ChartFrame, origins, vectors) -> tuple:
-    """The segment test on the lines origins + t vectors (ambient rows), all
-    at once: the columns a, b (the positivity interval, infinite where it is
-    unbounded), max_f0, f0_left, f0_right, the endpoint identity and
-    monotone defects, and passed (max_f0 <= 1e-9 max(1, max_i |c_i|)^4);
-    each line rounds as it does alone.  With h0 = c0 + c1 t + c2 t^2 +
-    c3 t^3, the quartic f0 = 2 h0 h0'' - h0'^2 is
-    (4 c0 c2 - c1^2, 12 c0 c3, 6 c1 c3, 4 c2 c3, 3 c3^2).
-    """
-    h0 = line_coefficients(frame.func, origins, vectors)
-    zeros = univariate_zeros_rows(h0)
-    a = np.where(zeros < 0.0, zeros, -np.inf).max(axis=1)
-    b = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
-    c0, c1, c2, c3 = h0.T
-    d1 = np.column_stack([c1, 2.0 * c2, 3.0 * c3])
-    f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
-    # structural identity f0' = 2 h0 h0''' = 12 c3 h0 (exact coefficient algebra): f0 has no
-    # critical point inside (a, b), so its candidates are a, b and the grid
-    mono_defect = np.abs(f0[:, 1:] * np.arange(1, 5) - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
-    with np.errstate(invalid="ignore"):  # unbounded lines give inf and nan; they are dropped
-        grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
-        values = polyval_rows(f0, np.column_stack([a, b, grid]))
-        max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
-        # the endpoint identity f0 = -h0'^2 where h0 vanishes
-        defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
-    pass_tol = 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
-    return a, b, max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol
+    @property
+    def passed(self) -> bool:
+        return self.line_count > 0 and not self.closedness_failures
 
 
 def cubic_segment_test(frame: ChartFrame, n_lines: int = 2000, seed: int = 0) -> SegmentTestResult:
-    """Run the line-restriction test over sampled slice lines.
+    """Sample the closedness of a cubic's positivity slice along lines.
 
-    Each line through a base point of the slice is restricted exactly; the
-    quartic f0 is maximized over the positivity interval via its endpoints
-    and a Chebyshev grid (f0' = 12 c3 h0 vanishes nowhere inside).  Lines
-    along which the positivity interval is unbounded are collected as
-    closedness failures, in line order.  All lines, across all base
-    points, are one block.
+    On a bounded line the criterion's inequality holds by itself: with h0 =
+    c0 + c1 t + c2 t^2 + c3 t^3 the restriction, f0 = 2 h0 h0'' - h0'^2 has
+    f0' = 2 h0 h0''' = 12 c3 h0, single-signed on the positivity interval,
+    so f0 is largest at an end, where h0 = 0 and f0 = -h0'^2 <= 0.  So only
+    closedness can fail.  Each line through a base point of the slice is
+    restricted exactly and its real zeros found, all lines across all base
+    points as one block, each line rounding as it does alone; a line is
+    bounded when it has a negative and a positive zero.  The other lines are
+    closedness failures, in line order.
     """
     if not (isinstance(frame.func, HomogeneousPolynomial) and frame.func.degree == 3):
         raise ValueError("the segment test applies to cubic polynomials")
@@ -147,16 +102,14 @@ def cubic_segment_test(frame: ChartFrame, n_lines: int = 2000, seed: int = 0) ->
     directions = sampling.unit_directions(n, math.ceil(n_lines / len(bases)), seed)
     # line i runs along direction i // len(bases) through base i % len(bases)
     base_of, row_of = np.arange(n_lines) % len(bases), np.arange(n_lines) // len(bases)
-    block = _segment_block(frame, frame.point(bases)[base_of], frame.vectors(directions)[row_of])
-    bounded = np.isfinite(block[0]) & np.isfinite(block[1])
+    h0 = line_coefficients(frame.func, frame.point(bases)[base_of], frame.vectors(directions)[row_of])
+    zeros = univariate_zeros_rows(h0)
+    bounded = (zeros < 0.0).any(axis=1) & (zeros > 0.0).any(axis=1)
     failures = [
         {"base_coords": bases[j].tolist(), "direction": directions[r].tolist()}
         for j, r in zip(base_of[~bounded], row_of[~bounded])
     ]
-    columns = (bases[base_of[bounded]], directions[row_of[bounded]]) + tuple(c[bounded] for c in block)
-    max_f0 = float(block[2][bounded].max()) if bounded.any() else -math.inf
-    passed = bool(bounded.any() and block[-1][bounded].all()) and not failures
-    return SegmentTestResult(failures, passed, max_f0, columns)
+    return SegmentTestResult(failures, bases[base_of[bounded]], directions[row_of[bounded]])
 
 
 # -- concavity certificate -------------------------------------------------------
@@ -809,13 +762,14 @@ def _speed_numerator(h, k: float) -> tuple:
     return _poly.polysub(square, product), _poly.polyadd(*parts(np.abs(h)))
 
 
-def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, quad_tol: float) -> float:
+def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, h, quad_tol: float) -> float:
     """Length of the chart segment start + t direction, 0 <= t <= t_end,
     where t_end is a zero of h of order ``order`` as the ray solve's polish
     treated it (0 where t_end is no zero of h).
 
-    For a polynomial, with h(t) the line restriction, the speed is
-    sqrt(N) / (k h) (:func:`_speed_numerator`).  At a zero of order m,
+    For a polynomial, with h the coefficients of its line restriction
+    (None for a map), the speed is sqrt(N) / (k h)
+    (:func:`_speed_numerator`).  At a zero of order m,
     h ~ a (t_end - t)^m gives N ~ a^2 m (k - m) (t_end - t)^(2m - 2), so the
     speed goes as sqrt(m (k - m)) / (k (t_end - t)): a tail into a zero of
     order 1 <= m < k has infinite length, returned without a quadrature.
@@ -828,8 +782,7 @@ def _tail_length(frame: ChartFrame, start, direction, t_end: float, order: int, 
     that is no zero of h and a smooth map keep the quadrature; a divergent
     tail, the complete case that must give no witness, gets an infinite one.
     """
-    if isinstance(frame.func, HomogeneousPolynomial) and 1 <= order < frame.degree:
-        h = line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0]
+    if h is not None and 1 <= order < frame.degree:
         numer, size = _speed_numerator(h, frame.degree)
         if (np.abs(numer) > 1e-8 * size[: len(numer)]).any():
             return math.inf
@@ -849,6 +802,7 @@ def _side(frame: ChartFrame, start, direction, quad_tol: float) -> tuple[float, 
     :func:`_tail_length`'s."""
     t_end, order = (float(a[0]) for a in frame.boundary_distances(start, direction[None], multiplicity=True))
     end = "boundary" if math.isfinite(t_end) else "unbounded"
+    h = None
     if isinstance(frame.func, HomogeneousPolynomial):
         k = frame.func.degree
         h = line_coefficients(frame.func, frame.point(start), frame.vectors(direction[None]))[0]
@@ -863,7 +817,7 @@ def _side(frame: ChartFrame, start, direction, quad_tol: float) -> tuple[float, 
                 end, t_end, order = "degenerate_metric", t_flat, 0
     if end == "unbounded":
         return math.inf, end
-    return _tail_length(frame, start, direction, t_end, int(order), quad_tol), end
+    return _tail_length(frame, start, direction, t_end, int(order), h, quad_tol), end
 
 
 def curve_side(frame: ChartFrame, sign: float, quad_tol: float = 1e-10) -> tuple[float, str]:
@@ -1043,7 +997,6 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
     if is_poly and k == 3 and bounded and config.segment_lines > 0:
         seg = cubic_segment_test(frame, n_lines=config.segment_lines, seed=config.rng_seed)
         evidence["segment_lines"] = seg.line_count
-        evidence["segment_max_f0"] = seg.max_f0
         if seg.closedness_failures:
             bounded = False
             evidence["closedness_failure"] = seg.closedness_failures[0]

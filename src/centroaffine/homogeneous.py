@@ -563,22 +563,15 @@ def polarization(poly: HomogeneousPolynomial) -> np.ndarray:
 class UnivariateRestriction:
     """Restriction t -> func(x + t*v) of a homogeneous function to a line;
     for polynomials ``coefficients`` holds it exactly (:func:`line_coefficients`),
-    for smooth maps it is None and values come from the map itself."""
+    for smooth maps it is None."""
 
     def __init__(self, func, x, v):
-        self.base, self.direction, self.func = np.asarray(x, dtype=float), np.asarray(v, dtype=float), func
-        if not np.any(self.direction != 0.0):
+        direction = np.asarray(v, dtype=float)
+        if not np.any(direction != 0.0):
             raise ValueError("direction must be nonzero")
         self.coefficients = None
         if isinstance(func, HomogeneousPolynomial):
-            self.coefficients = line_coefficients(func, self.base, self.direction[None])[0]
-
-    def value(self, t: float) -> float:
-        if self.coefficients is not None:
-            return float(np.polynomial.polynomial.polyval(t, self.coefficients))
-        return self.func(self.base + t * self.direction)
-
-    __call__ = value
+            self.coefficients = line_coefficients(func, np.asarray(x, dtype=float), direction[None])[0]
 
 
 def restrict_to_line(func, x, v) -> UnivariateRestriction:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from centroaffine import HomogeneousPolynomial, classify, make_chart
+from centroaffine.homogeneous import line_coefficients
 
 
 def fd_gradient(func, x, step=1e-6):
@@ -148,6 +149,29 @@ def random_hyperbolic_cubics(count=20, seed=20260809, max_dim=4):
         out.append((poly, frame))
     if len(out) < count:
         raise RuntimeError(f"only generated {len(out)} hyperbolic cubics")
+    return out
+
+
+def segment_f0(frame, result, grid=33):
+    """The lemma behind the cubic segment test, checked outside the library:
+    for each bounded line of ``result`` (a :func:`cubic_segment_test` on a
+    cubic ``frame``), (h0, a, b, f0, bound).  h0 is the line's restriction,
+    coefficients lowest order first; (a, b) its positivity interval, from
+    numpy's roots (real where the imaginary part is below 1e-5 of the size);
+    f0 = 2 h0 h0'' - h0'^2 evaluated by ``polyval`` at a, at b and at ``grid``
+    points across (a, b), in that order; and bound = 1e-9 max(1, max_i |c_i|)^4.
+    A line with no real zero on one side fails here."""
+    P = np.polynomial.polynomial
+    rows = line_coefficients(frame.func, frame.point(result.bounded_bases), frame.vectors(result.bounded_directions))
+    out = []
+    for h0 in rows:
+        roots = P.polyroots(h0)
+        real = roots.real[np.abs(roots.imag) <= 1e-5 * np.maximum(1.0, np.abs(roots))]
+        assert (real < 0.0).any() and (real > 0.0).any(), h0
+        a, b = real[real < 0.0].max(), real[real > 0.0].min()
+        t = np.concatenate([[a, b], np.linspace(a, b, grid)])
+        f0 = 2.0 * P.polyval(t, h0) * P.polyval(t, P.polyder(h0, 2)) - P.polyval(t, P.polyder(h0)) ** 2
+        out.append((h0, a, b, f0, 1e-9 * max(1.0, np.abs(h0).max()) ** 4))
     return out
 
 

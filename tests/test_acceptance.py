@@ -36,7 +36,7 @@ from centroaffine.catalog import analytic_example, catalog_cubics, nonclosed_exa
 from centroaffine.completeness import AnalysisConfig
 from centroaffine.cli import RunConfig, cmd_analyze, dumps, render_plot
 
-from conftest import random_hyperbolic_cubics
+from conftest import random_hyperbolic_cubics, segment_f0
 
 VERDICT_CONFIG = AnalysisConfig(boundary_dirs=80, segment_lines=500, concavity_samples=150)
 
@@ -225,23 +225,22 @@ def test_criterion_5_intrinsic_verification():
 
 
 def test_criterion_6_segment_test():
+    # f0 = 2 h0 h0'' - h0'^2 on each bounded line, computed here (segment_f0):
+    # its maximum over both ends and a grid, and each end
     ok = True
     details = []
     for entry in catalog_cubics():
         poly, frame = entry.build()
         result = cubic_segment_test(frame, n_lines=2000, seed=6)
         worst = -math.inf
-        for line in result.lines:
-            x0 = frame.point(line.base_coords)
-            v = line.direction @ frame.basis
-            from centroaffine.homogeneous import restrict_to_line
-
-            scale = float(np.abs(restrict_to_line(poly, x0, v).coefficients).max())
-            worst = max(worst, line.max_f0 / max(scale, 1e-300))
-            if line.max_f0 > 1e-9 * scale or line.f0_left > 1e-9 or line.f0_right > 1e-9:
+        lines = segment_f0(frame, result)
+        for h0, _, _, f0, _ in lines:
+            scale = float(np.abs(h0).max())
+            worst = max(worst, f0.max() / max(scale, 1e-300))
+            if f0.max() > 1e-9 * scale or f0[0] > 1e-9 or f0[1] > 1e-9:
                 ok = False
-        details.append(f"{entry.identifier}: lines={len(result.lines)} max_f0/scale={worst:.2e}")
-        ok = ok and len(result.lines) == 2000 and not result.closedness_failures
+        details.append(f"{entry.identifier}: lines={len(lines)} max_f0/scale={worst:.2e}")
+        ok = ok and len(lines) == result.line_count == 2000 and not result.closedness_failures
     poly, frame = nonclosed_example().build()
     nonclosed = cubic_segment_test(frame, n_lines=100, seed=6)
     witness_found = bool(nonclosed.closedness_failures)

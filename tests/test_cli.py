@@ -138,6 +138,7 @@ BAD_NUMBERS = (
     (["--example", "analytic", "--k", "nan"], "--k"),
     (["--example", "analytic", "--k", "1e6"], "--k"),  # (1/4)^k at the slice origin underflows
     (["--example", "curve-regular", "--seed", "nan,1"], "--seed"),
+    (["--poly", "x^3-x*y^2", "--seed", "1,0", "--rng-seed", "-1"], "--rng-seed"),
 )
 
 

@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from centroaffine import (
     AnalysisConfig,
     CurveTrace,
+    DegenerateFrameError,
     DomainError,
     HomogeneousPolynomial,
     completeness_verdict,
@@ -26,14 +28,15 @@ from centroaffine.catalog import analytic_example, nonclosed_example
 from centroaffine.chart import chart_metric_rows
 from centroaffine.completeness import WITNESS_MAX_LEN, monomial_face_check
 from centroaffine.homogeneous import _mul_terms, first_positive_zero, restrict_to_line
-from centroaffine.sampling import unit_directions
 from conftest import (
     FIXTURES,
     _counted_forks,
     _no_child_left,
+    cubic_exponents,
     linear_copies,
     random_hyperbolic_cubics,
     scaled,
+    segment_f0,
 )
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
@@ -48,29 +51,53 @@ FAST = AnalysisConfig(boundary_dirs=40, segment_lines=200, concavity_samples=120
 def test_segment_line_constant_f0():
     frame = make_chart(CURVE, [1, 0])
     result = cubic_segment_test(frame, n_lines=2, seed=0)
-    line = result.lines[0]
+    assert result.passed and result.line_count == 2
+    [(h0, a, b, f0, _), _] = segment_f0(frame, result)
     # restriction 1 - t^2 gives f0 = 2 (1 - t^2)(-2) - 4 t^2 = -4 identically
-    assert abs(line.max_f0 + 4.0) < 1e-12
-    assert abs(line.f0_left + 4.0) < 1e-10 and abs(line.f0_right + 4.0) < 1e-10
-    assert line.interval == (-1.0, 1.0)
-    assert line.endpoint_identity_defect < 1e-10
-    assert line.monotone_defect < 1e-12
-    assert result.passed
+    assert np.allclose(h0, [1.0, 0.0, -1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert (a, b) == (-1.0, 1.0)
+    assert np.abs(f0 + 4.0).max() < 1e-12
 
 
 def test_segment_catalog_pass(catalog_frames):
     for poly, frame in catalog_frames.values():
         result = cubic_segment_test(frame, n_lines=300, seed=1)
-        assert result.passed and not result.closedness_failures
-        for line in result.lines:
-            assert line.f0_left <= 1e-9 and line.f0_right <= 1e-9
+        assert result.passed and not result.closedness_failures and result.line_count == 300
+        for _, _, _, f0, bound in segment_f0(frame, result):
+            assert f0.max() <= bound and f0[:2].max() <= 1e-9
 
 
 def test_segment_structural_identity(catalog_frames):
-    # the derivative of f0 equals 2 h0 h0''' as exact coefficient algebra
+    # the derivative of f0 equals 2 h0 h0''' = 12 c3 h0 as coefficient algebra
+    P = np.polynomial.polynomial
     for poly, frame in catalog_frames.values():
-        result = cubic_segment_test(frame, n_lines=60, seed=2)
-        assert max(l.monotone_defect for l in result.lines) <= 1e-10
+        for h0, *_ in segment_f0(frame, cubic_segment_test(frame, n_lines=60, seed=2)):
+            f0 = P.polysub(2.0 * P.polymul(h0, P.polyder(h0, 2)), P.polymul(P.polyder(h0), P.polyder(h0)))
+            assert np.abs(P.polyder(f0) - 2.0 * P.polymul(h0, P.polyder(h0, 3))).max() <= 1e-10
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_segment_test_fails_only_on_closedness(dim, hyperbolic, seed):
+    # a random cubic, near the hyperbolic x0^3 - x0 (x1^2 + ...) or not, under
+    # a random linear map: a bounded line always meets the f0 bound
+    rng = np.random.default_rng(seed)
+    terms = {e: (0.15 if hyperbolic else 1.0) * rng.uniform(-1.0, 1.0) for e in cubic_exponents(dim)}
+    if hyperbolic:
+        terms[(3,) + (0,) * (dim - 1)] += 1.0
+        for i in range(1, dim):
+            terms[tuple(1 if j == 0 else 2 if j == i else 0 for j in range(dim))] -= 1.0
+    [(poly, point)] = linear_copies(HomogeneousPolynomial(terms), np.eye(dim)[0] + 0.1 * rng.standard_normal(dim), rng, 1)
+    value = poly(point)
+    assume(abs(value) > 1e-3)
+    try:
+        frame = make_chart(poly, math.copysign(1.0, value) * point)
+    except (DomainError, DegenerateFrameError):
+        assume(False)
+    result = cubic_segment_test(frame, n_lines=500, seed=seed % 5)
+    assert result.passed == (not result.closedness_failures)
+    for h0, a, b, f0, bound in segment_f0(frame, result):
+        assert f0.max() <= bound, (h0, a, b)
 
 
 def test_segment_nonclosed_piece_reports_witness():
@@ -81,7 +108,7 @@ def test_segment_nonclosed_piece_reports_witness():
 
 
 def test_segment_block_solves_each_line_once(monkeypatch):
-    # f0' = 12 c3 h0, so the zeros of h0 are all the critical points the block needs
+    # f0 needs no solve of its own: the zeros of h0 decide each line
     solve, calls = homogeneous.companion_roots, []
 
     def counted(*args):
@@ -89,11 +116,9 @@ def test_segment_block_solves_each_line_once(monkeypatch):
         return solve(*args)
 
     frame = make_chart(HomogeneousPolynomial.parse("x*y*z"), [1.0, 2.0, 0.5])
-    vectors = frame.vectors(unit_directions(2, 40, 0))
     monkeypatch.setattr(homogeneous, "companion_roots", counted)
-    block = completeness._segment_block(frame, np.repeat(frame.origin[None], 40, axis=0), vectors)
+    assert cubic_segment_test(frame, n_lines=40, seed=0).passed
     assert calls == [40]
-    assert block[-1].all()
 
 
 def test_segment_rejects_non_cubic():
@@ -104,19 +129,12 @@ def test_segment_rejects_non_cubic():
 
 
 def test_segment_root_concave_on_grid(catalog_frames):
-    # on every passing line the square root of the restriction has
+    # on every bounded line the square root of the restriction has
     # nonpositive second differences across the positivity interval
-    from centroaffine.homogeneous import restrict_to_line
-
     for poly, frame in catalog_frames.values():
-        result = cubic_segment_test(frame, n_lines=8, seed=3)
-        for line in result.lines:
-            a, b = line.interval
-            x0 = frame.point(line.base_coords)
-            v = line.direction @ frame.basis
-            r = restrict_to_line(poly, x0, v)
+        for h0, a, b, *_ in segment_f0(frame, cubic_segment_test(frame, n_lines=8, seed=3)):
             ts = np.linspace(a, b, 1002)[1:-1]
-            vals = np.sqrt(np.maximum([r.value(t) for t in ts], 0.0))
+            vals = np.sqrt(np.maximum(np.polynomial.polynomial.polyval(ts, h0), 0.0))
             second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
             assert second.max() <= 1e-10
 
@@ -882,6 +900,12 @@ def _count_quadratures(monkeypatch) -> list:
     return calls
 
 
+def _tail(frame, start, direction, t_end, order, quad_tol):
+    """``_tail_length`` given the line restriction, as ``_side`` passes it."""
+    h = restrict_to_line(frame.func, frame.point(start), frame.vectors(direction[None])[0]).coefficients
+    return completeness._tail_length(frame, start, direction, t_end, order, h, quad_tol)
+
+
 def _ray_end(frame, start, direction):
     """(distance, order) of the ray solve, as the witness code asks for it."""
     return tuple(float(a[0]) for a in frame.boundary_distances(start, direction[None], multiplicity=True))
@@ -896,12 +920,12 @@ def test_tails_into_zeros_of_order_below_the_degree_are_infinite(monkeypatch, k)
     start, axis = np.zeros(2), np.array([1.0, 0.0])
     for m in range(1, k):
         frame, slopes = _line_into_zero(rng, k, m)
-        assert completeness._tail_length(frame, start, axis, 1.0, m, 1e-10) == math.inf
+        assert _tail(frame, start, axis, 1.0, m, 1e-10) == math.inf
         t_end, order = _ray_end(frame, start, axis)
         if m <= 3:  # the ray solve may move or miss a zero of order 4 and up
             assert abs(t_end - 1.0) <= 1e-6 and 1 <= order <= m, (m, t_end, order)
         if math.isfinite(t_end):
-            assert completeness._tail_length(frame, start, axis, t_end, int(order), 1e-10) == math.inf
+            assert _tail(frame, start, axis, t_end, int(order), 1e-10) == math.inf
         # the reference: the length to 1 - delta grows like sqrt(m (k - m)) / k ln(1 / delta)
         rate = math.sqrt(m * (k - m)) / k
         assert abs(float(_mp_tail_growth(mpmath, k, m, slopes)) / math.log(1e4) - rate) <= 1e-3 * rate
@@ -926,7 +950,7 @@ def test_a_tail_into_a_zero_of_the_degree_s_order_keeps_the_quadrature(monkeypat
     assert abs(t_end - math.sqrt(2.0)) <= 1e-2 and 1 <= order < 5
     for end, m in [(t_end, int(order)), (math.sqrt(2.0), 5)] + [(math.sqrt(2.0), m) for m in range(1, 5)]:
         # the integrand is rounding noise; a tolerance above it ends the quadrature at once
-        length = completeness._tail_length(frame, start, direction, end, m, 1e-7)
+        length = _tail(frame, start, direction, end, m, 1e-7)
         assert 0.0 <= length < 1e-6, (end, m, length)
     assert len(quads) == 6
 
@@ -949,7 +973,7 @@ def test_the_tail_rule_is_invariant_under_scaling_and_linear_maps(monkeypatch):
         for copy in [frame] + copies:
             before = len(quads)
             t_end, order = _ray_end(copy, c, u)
-            length = completeness._tail_length(copy, c, u, t_end, int(order), 1e-10)
+            length = _tail(copy, c, u, t_end, int(order), 1e-10)
             if expected is None:  # the k-fold zero keeps the quadrature
                 assert len(quads) == before + 1 and length == 0.0
             else:

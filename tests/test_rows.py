@@ -38,7 +38,6 @@ from centroaffine.completeness import (
     WITNESS_MAX_LEN,
     _BoundaryLayer,
     ConcavityResult,
-    SegmentLine,
     _dp_step,
     concavity_results,
     concavity_test,
@@ -365,36 +364,19 @@ def _old_line_coefficients(poly, x, directions):
     return total
 
 
-_CHEBYSHEV = np.cos(np.pi * (np.arange(17) + 0.5) / 17.0)
-
-
-def _old_segment_block(frame, base, directions, tol):
-    """The segment test on the lines from one base point: a SegmentLine per
-    direction, None where the positivity interval is unbounded."""
+def _old_segment_block(frame, base, directions):
+    """The segment test on the lines from one base point: whether each
+    line's positivity interval is bounded."""
     h0 = _old_line_coefficients(frame.func, frame.point(base), frame.vectors(directions))
     zeros = univariate_zeros_rows(h0)
     a = np.where(zeros < 0.0, zeros, -np.inf).max(axis=1)
     b = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
-    c0, c1, c2, c3 = h0.T
-    d1 = np.column_stack([c1, 2.0 * c2, 3.0 * c3])
-    f0 = np.column_stack([4 * c0 * c2 - c1 * c1, 12 * c0 * c3, 6 * c1 * c3, 4 * c2 * c3, 3 * c3 * c3])
-    f0d = f0[:, 1:] * np.arange(1, 5)
-    mono_defect = np.abs(f0d - 2.0 * h0 * (6.0 * c3[:, None])).max(axis=1)
-    with np.errstate(invalid="ignore"):
-        grid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEBYSHEV
-        values = polyval_rows(f0, np.column_stack([a, b, grid]))
-        max_f0 = np.where(np.isnan(values), -np.inf, values).max(axis=1)
-        defect = np.abs(values[:, :2] + polyval_rows(d1, np.column_stack([a, b])) ** 2).max(axis=1)
-    pass_tol = tol if tol is not None else 1e-9 * np.maximum(1.0, np.abs(h0).max(axis=1)) ** 4
-    columns = (max_f0, values[:, 0], values[:, 1], defect, mono_defect, max_f0 <= pass_tol)
-    return [
-        SegmentLine(base, d, (lo, hi), *rest) if math.isfinite(lo) and math.isfinite(hi) else None
-        for d, lo, hi, *rest in zip(directions, a.tolist(), b.tolist(), *(c.tolist() for c in columns))
-    ]
+    return np.isfinite(a) & np.isfinite(b)
 
 
-def _old_segment_test(frame, n_lines, seed, tol=None):
-    """The segment test as one block per base point: (lines, failures)."""
+def _old_segment_test(frame, n_lines, seed):
+    """The segment test as one block per base point: (bounded bases,
+    bounded directions, failures)."""
     n = frame.chart_dim
     n_bases = max(1, n_lines // 250)
     bases = [np.zeros(n)]
@@ -402,18 +384,18 @@ def _old_segment_test(frame, n_lines, seed, tol=None):
         bases.extend(frame.sample_coords(n_bases - 1, max_frac=0.6, seed=seed))
     directions = unit_directions(n, math.ceil(n_lines / len(bases)), seed)
     blocks = [
-        _old_segment_block(frame, base, directions[: len(range(j, n_lines, len(bases)))], tol)
+        _old_segment_block(frame, base, directions[: len(range(j, n_lines, len(bases)))])
         for j, base in enumerate(bases)
     ]
-    lines, failures = [], []
+    bounded_bases, bounded_directions, failures = [], [], []
     for i in range(n_lines):
         row, j = divmod(i, len(bases))
-        line = blocks[j][row]
-        if line is None:
-            failures.append({"base_coords": bases[j].tolist(), "direction": directions[row].tolist()})
+        if blocks[j][row]:
+            bounded_bases.append(bases[j])
+            bounded_directions.append(directions[row])
         else:
-            lines.append(line)
-    return lines, failures
+            failures.append({"base_coords": bases[j].tolist(), "direction": directions[row].tolist()})
+    return bounded_bases, bounded_directions, failures
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -558,14 +540,12 @@ def test_segment_block_equals_the_per_base_blocks():
     frames = _frames(cubic_only=True) + [_named_frames()[1]]
     for (label, _, frame), n_lines in zip(frames, itertools.cycle((2000, 777, 60))):
         result = cubic_segment_test(frame, n_lines=n_lines, seed=5)
-        lines, failures = _old_segment_test(frame, n_lines, 5)
+        bases, directions, failures = _old_segment_test(frame, n_lines, 5)
         assert result.closedness_failures == failures, label
-        assert len(result.lines) == result.line_count == len(lines), label
-        for got, want in zip(result.lines, lines):
-            for name in SegmentLine.__dataclass_fields__:
-                assert _same(getattr(got, name), getattr(want, name)), (label, name)
-        assert result.max_f0 == max((l.max_f0 for l in lines), default=-math.inf), label
-        assert result.passed == (bool(lines) and all(l.passed for l in lines) and not failures), label
+        assert result.line_count == len(bases), label
+        assert _same(result.bounded_bases, np.array(bases).reshape(-1, frame.chart_dim)), label
+        assert _same(result.bounded_directions, np.array(directions).reshape(-1, frame.chart_dim)), label
+        assert result.passed == (bool(bases) and not failures), label
     assert failures  # the non-closed piece, last
 
 

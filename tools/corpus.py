@@ -13,11 +13,13 @@ a child process behind, running or unreaped, stops the corpus with an error
 naming the run.  Paths passed to a run are relative to DIR, so two corpora
 written into different directories compare byte for byte.  `--diff` follows
 each differing report (a `.report.json` file in both sets) with every JSON
-path whose value differs, and both values.
+path whose value differs, and both values, and ends with each moved path
+and the number of reports in which it moved.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import json
@@ -130,12 +132,17 @@ def diff(a: Path, b: Path) -> int:
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     both = files_a & files_b
     differing = sorted((files_a | files_b) - both) + sorted(p for p in both if (a / p).read_bytes() != (b / p).read_bytes())
+    tally = collections.Counter()  # JSON path -> number of reports in which it moved
     for p in differing:
         print(p)
         if p in both and p.name.endswith(".report.json"):
-            for path, x, y in _moved(json.loads((a / p).read_text()), json.loads((b / p).read_text())):
+            moved = list(_moved(json.loads((a / p).read_text()), json.loads((b / p).read_text())))
+            for path, x, y in moved:
                 print(f"  {path}: {json.dumps(x)} -> {json.dumps(y)}")
+            tally.update({path for path, _, _ in moved})
     print(f"{len(differing)} of {len(files_a | files_b)} files differ")
+    for path, count in sorted(tally.items()):
+        print(f"moved in {count} reports: {path}")
     return 1 if differing else 0
 
 
