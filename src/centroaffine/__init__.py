@@ -4,15 +4,11 @@ regularity, and completeness certificates."""
 from .chart import (
     ChartFrame,
     chart_metric,
-    chart_metric_consistency,
     classify,
-    cone_identity_residual,
-    lorentz_identity_residuals,
     lorentz_metric,
     make_chart,
     radial_projection,
     slice_chart,
-    tangent_basis_at,
 )
 from .completeness import (
     AnalysisConfig,
@@ -29,26 +25,20 @@ from .boundary import (
     BoundaryPoint,
     boundary_scan,
     gen_perturb,
-    regular_boundary_check,
     regularity_report,
 )
 from .forms import Signature, SymmetricForm
 from .homogeneous import (
     HomogeneousPolynomial,
     SmoothHomogeneousMap,
-    UnivariateRestriction,
-    euler_residual,
     polarization,
-    position_identity_residual,
     restrict_to_line,
 )
 from .structure import (
-    ConnectionSample,
     CubicFormSample,
     cubic_form,
     curvature_residual,
     fund_equation_residual,
-    gauss_split,
     volume_parallel_residual,
 )
 from .errors import (
@@ -67,7 +57,6 @@ __all__ = [
     "BoundaryPoint",
     "ChartFrame",
     "CompletenessVerdict",
-    "ConnectionSample",
     "ConsistencyError",
     "CubicFormSample",
     "CurveTrace",
@@ -80,34 +69,25 @@ __all__ = [
     "SmoothHomogeneousMap",
     "SymmetricForm",
     "UnboundedRayError",
-    "UnivariateRestriction",
     "boundary_scan",
     "chart_metric",
-    "chart_metric_consistency",
     "classify",
     "completeness_verdict",
     "concavity_test",
-    "cone_identity_residual",
     "cubic_form",
     "cubic_segment_test",
     "curvature_residual",
     "curve_length_with_error",
-    "euler_residual",
     "fund_equation_residual",
-    "gauss_split",
     "gen_perturb",
     "geodesic_shoot",
-    "lorentz_identity_residuals",
     "lorentz_metric",
     "make_chart",
     "n1_monomial_test",
     "polarization",
-    "position_identity_residual",
     "radial_projection",
-    "regular_boundary_check",
     "regularity_report",
     "restrict_to_line",
     "slice_chart",
-    "tangent_basis_at",
     "volume_parallel_residual",
 ]

@@ -175,17 +175,12 @@ def _cholesky_rows(mats) -> np.ndarray:
         return np.concatenate([_cholesky_rows(m[None]) for m in mats]) if len(mats) > 1 else mats * np.nan
 
 
-def regular_boundary_check(frame: ChartFrame, bp: BoundaryPoint) -> RegularityEntry:
-    """Check the two regularity conditions at one boundary point, condition
-    (i) relative to |grad h| at the unit point of the origin ray, so that it
-    scales with h: one row of :func:`_boundary_rows`."""
-    return _boundary_rows(frame, bp.point[None], bp.gradient[None], _REGULAR_TOL * _gradient_scale(frame))[0][0]
-
-
 def regularity_report(frame: ChartFrame, count: int | None = None, seed: int = 0) -> RegularityReport:
-    """Scan the boundary and check :func:`regular_boundary_check` at every
-    scanned point and, where both conditions hold, the Lorentz extension's
-    determinant (nan where it is undefined), in one stacked pass."""
+    """Scan the boundary and check the two regularity conditions at every
+    scanned point and, where both hold, the Lorentz extension's determinant
+    (nan where it is undefined), in one stacked pass of :func:`_boundary_rows`.
+    Condition (i) is relative to |grad h| at the unit point of the origin
+    ray, so that it scales with h."""
     n = count if count is not None else default_direction_count(frame.chart_dim)
     directions = sampling.unit_directions(frame.chart_dim, n, seed)
     dists, mults, points = _scan_rows(frame, directions, unbounded_ok=True)

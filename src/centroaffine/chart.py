@@ -78,16 +78,10 @@ def _differential_images(k: float, points, values, grads, vectors) -> np.ndarray
     return a[:, None, None] * vectors + slopes[..., None] * points[:, None, :]
 
 
-def tangent_basis_at(func, q) -> np.ndarray:
-    """Deterministic orthonormal basis of ker(dh) at q: one row of
-    :func:`tangent_bases_at`."""
-    q = np.asarray(q, dtype=float)
-    return tangent_bases_at(q[None], func.gradient(q)[None])[0]
-
-
 def tangent_bases_at(points, grads) -> np.ndarray:
-    """:func:`tangent_bases` of the gradients ``grads`` at ``points``;
-    raises at the first point whose gradient norm is zero or not finite.
+    """Deterministic orthonormal bases of ker(dh) at the rows of ``points``:
+    :func:`tangent_bases` of the gradients ``grads`` there; raises at the
+    first point whose gradient norm is zero or not finite.
     No floor above zero: inside the cone Euler's identity gives
     |grad h(x)| |x| >= k h(x) > 0, however small h is."""
     norms = np.sqrt(dot_rows(grads, grads))
@@ -341,7 +335,7 @@ def make_chart(func, seed) -> ChartFrame:
     if hs <= 0.0:
         raise DomainError(f"seed value must be positive, got {hs}")
     p = seed / positive_root(hs, func.degree)
-    basis = tangent_basis_at(func, p)
+    basis = tangent_bases_at(p[None], func.gradient(p)[None])[0]
     return ChartFrame(func, p, basis, tangent=True)
 
 
@@ -373,7 +367,7 @@ def chart_metric(frame: ChartFrame, coords, method: str = "psi_formula") -> Symm
 
     Three equivalent routes are implemented; they differ in evaluation point
     and algebraic arrangement and are cross-checked by
-    :func:`chart_metric_consistency`:
+    :func:`chart_metric_consistency_rows`:
 
     - ``pullback``: Hessian at the projected level-set point, pulled back
       through the differential of the projection;
@@ -527,16 +521,11 @@ def levi_civita_gamma(frame: ChartFrame, coords):
     return jet_connection(*_chart_jet(frame, coords))
 
 
-def chart_metric_consistency(frame: ChartFrame, coords, tol: float = 1e-6) -> float:
-    """Max relative disagreement of the three metric routes; raises beyond
-    tol.  One row of :func:`chart_metric_consistency_rows`."""
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    return float(chart_metric_consistency_rows(frame, coords[None], tol)[0])
-
-
 def chart_metric_consistency_rows(frame: ChartFrame, coords, tol: float = 1e-6) -> np.ndarray:
-    """:func:`chart_metric_consistency` at each row of ``coords``; raises at
-    the first row beyond tol."""
+    """Max relative disagreement of the three metric routes of
+    :func:`chart_metric` at each row of ``coords``, relative to the largest
+    entry of the three; raises :class:`ConsistencyError` at the first row
+    beyond tol."""
     grams = [chart_metric_rows(frame, coords, m) for m in METHODS]
     scale = np.maximum(1e-300, np.fmax.reduce([np.abs(g).max(axis=(1, 2)) for g in grams]))
     pairs = [(i, j) for i in range(len(grams)) for j in range(i + 1, len(grams))]
@@ -578,7 +567,7 @@ def classify(
     """
     coords = frame.sample_coords(sample_size, max_frac=0.8, seed=seed)
     points = frame.embed(coords)
-    bases = tangent_bases(frame.func.derivative_rows(points, 1))  # tangent_basis_at of every point
+    bases = tangent_bases(frame.func.derivative_rows(points, 1))
     sigs = signature_rows(ambient_metric_rows(frame.func, points, bases), tol)
     dim = bases.shape[1]
     kinds = np.where(sigs[:, 0] == dim, 0, np.where(sigs[:, 1] == dim, 1, 2))  # by KINDS
@@ -622,22 +611,12 @@ def lorentz_metric(func, x, validate: bool = True) -> SymmetricForm:
     return form
 
 
-def lorentz_identity_residuals(func, x) -> dict:
-    """Absolute residuals of the homogeneity identities of the cone metric:
-    radial: |g_L(x, x) + (k-1) h|; gradient: max |g_L(x, .) + ((k-1)/k) dh|.
-    One row of :func:`lorentz_identity_residual_rows`."""
-    x = np.asarray(x, dtype=float)
-    radial, gradient = lorentz_identity_residual_rows(
-        func.degree, x[None], np.array([func(x)]), func.gradient(x)[None], func.hessian(x)[None]
-    )
-    return {"radial": float(radial[0]), "gradient": float(gradient[0])}
-
-
 def lorentz_identity_residual_rows(k: float, points, values, grads, hessians):
-    """The radial and gradient residuals of :func:`lorentz_identity_residuals`
-    at each row of ``points``, from the values, gradients and Hessians there;
-    g_L is -Hessian/k stored as :class:`SymmetricForm` stores it, and
-    g_L(x, x) is evaluated as (x g_L) x."""
+    """Absolute residuals of the homogeneity identities of the cone metric
+    at each row x of ``points``, from the values, gradients and Hessians
+    there: radial |g_L(x, x) + (k-1) h| and gradient
+    max |g_L(x, .) + ((k-1)/k) dh|.  g_L is -Hessian/k stored as
+    :class:`SymmetricForm` stores it, and g_L(x, x) is evaluated as (x g_L) x."""
     forms = -hessians / k
     forms = 0.5 * (forms + np.swapaxes(forms, 1, 2))
     radial = np.abs(dot_rows(np.matmul(points[:, None, :], forms)[:, 0], points) + (k - 1.0) * values)
@@ -645,24 +624,18 @@ def lorentz_identity_residual_rows(k: float, points, values, grads, hessians):
     return radial, np.abs(lowered + ((k - 1.0) / k) * grads).max(axis=1)
 
 
-def cone_identity_residual(frame: ChartFrame, x) -> float:
-    """Residual of the warped-product splitting of the cone metric.
+def cone_identity_residual_rows(frame: ChartFrame, points) -> np.ndarray:
+    """Residual of the warped-product splitting of the cone metric at each
+    row x of ``points``.
 
     With s = s0 * sqrt(h), s0 = 2 sqrt(k-1) / k, the cone metric equals
     -ds^2 + (s/s0)^2 * (projected level-set metric), the exact radius
     normalization of the metric-cone structure.  The radial differential ds
     is taken by central differences (step 1e-5 (1 + |x|)), the level-set metric
     at the projected point, so both sides are computed along distinct routes.
-    One row of :func:`cone_identity_residual_rows`.
+    The two sides are compared on x itself and its tangent basis.  Raises at
+    the first row that fails a check.
     """
-    x = np.asarray(x, dtype=float)
-    return float(cone_identity_residual_rows(frame, x[None])[0])
-
-
-def cone_identity_residual_rows(frame: ChartFrame, points) -> np.ndarray:
-    """:func:`cone_identity_residual` at each row of ``points``, compared on
-    the point itself and its tangent basis.  Raises at the first row that
-    fails a check."""
     func = frame.func
     k = frame.degree
     hx = func.derivative_rows(points, 0)

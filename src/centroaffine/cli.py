@@ -85,7 +85,7 @@ def dumps(obj, indent: int = 0) -> str:
 class RunConfig:
     poly: str | None = None
     example: str | None = None
-    example_k: float = 2.0
+    example_k: float | None = None  # the analytic map's degree; None is its 2.0
     seed: tuple | None = None
     tol_def: float = 1e-9
     tol_quad: float = 1e-10
@@ -125,17 +125,23 @@ def _checked_seed(func, seed) -> np.ndarray:
 
 def build_frame(config: RunConfig):
     """Instantiate (function, frame, source description) from a run config."""
-    if not math.isfinite(config.example_k):
+    if config.example_k is not None and not math.isfinite(config.example_k):
         raise ValueError(f"--k: expected a finite number, got {config.example_k}")
     if config.example:
         entry = catalog.get(config.example, k=config.example_k)
+        if entry.kind == "map" and config.seed is not None:
+            raise ValueError(f"--seed: the example {entry.identifier} has a fixed chart and takes no seed")
+        if entry.kind != "map" and config.example_k is not None:
+            raise ValueError(f"--k: the example {entry.identifier} is a polynomial of fixed degree")
         try:
-            func, frame = entry.build(k=config.example_k if entry.kind == "map" else None)
+            func, frame = entry.build(k=config.example_k)
         except DomainError as exc:  # only the map's value (1/4)^k at its slice origin, underflowing
             raise ValueError(f"--k: the value at the slice origin underflows to 0 at degree {config.example_k:g}") from exc
-        if config.seed is not None and entry.kind == "polynomial":
+        if config.seed is not None:
             frame = make_chart(func, _checked_seed(func, config.seed))
         return func, frame, entry.identifier
+    if config.example_k is not None:
+        raise ValueError("--k: a --poly polynomial has the degree of its terms")
     if not config.poly:
         raise ValueError("either a polynomial or an example identifier is required")
     text = config.poly.strip()

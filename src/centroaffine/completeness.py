@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sampling
-from .boundary import RegularityReport, boundary_scan, regularity_report
+from .boundary import RegularityReport, regularity_report
 from .chart import (
     ChartFrame,
     _power_rows,
@@ -45,7 +45,7 @@ from .chart import (
     jet_connection,
     levi_civita_gamma,
 )
-from .errors import DegenerateFrameError, DomainError, UnboundedRayError
+from .errors import DegenerateFrameError, DomainError
 from .homogeneous import (
     HomogeneousPolynomial,
     first_positive_zero,
@@ -698,19 +698,20 @@ def monomial_face_check(poly: HomogeneousPolynomial) -> MonomialTestResult:
     return MonomialTestResult(passed=ok_all, skipped=False, reason="", faces=tuple(faces))
 
 
-def n1_monomial_test(poly: HomogeneousPolynomial, frame: ChartFrame) -> MonomialTestResult:
+def n1_monomial_test(poly: HomogeneousPolynomial, report: RegularityReport) -> MonomialTestResult:
     """Normalize the planar cone to the first quadrant and run the face check.
 
-    The two boundary rays are located by scanning; mapping them to the axes
-    is a linear change of variables under which the criterion is invariant.
+    The two boundary rays are the first two points of the boundary scan
+    ``report`` (chart directions +1 and -1); mapping them to the axes is a
+    linear change of variables under which the criterion is invariant.
     """
-    if frame.chart_dim != 1 or poly.dimension != 2:
+    if poly.dimension != 2:
         return MonomialTestResult(False, True, "criterion requires a planar curve")
-    try:
-        pts = boundary_scan(frame, directions=[[1.0], [-1.0]])
-    except UnboundedRayError:
+    if report.closedness_failures:
         return MonomialTestResult(False, True, "cone is not normalizable: unbounded ray")
-    rays = np.column_stack([pts[0].point, pts[1].point])
+    if len(report.entries) < 2:
+        return MonomialTestResult(False, True, "the boundary scan has fewer than two rays")
+    rays = np.column_stack([report.entries[0].point, report.entries[1].point])
     if abs(np.linalg.det(rays)) < 1e-10:
         return MonomialTestResult(False, True, "cone is not normalizable: parallel boundary rays")
     transformed = poly.compose_linear(rays)
@@ -1011,7 +1012,7 @@ def completeness_verdict(frame: ChartFrame, config: AnalysisConfig | None = None
             return verdict("complete", "regular-boundary")
 
     if is_poly and frame.chart_dim == 1 and bounded:
-        mono = n1_monomial_test(frame.func, frame)
+        mono = n1_monomial_test(frame.func, report)
         if mono.skipped:
             notes.append(f"monomial criterion skipped: {mono.reason}")
         else:

@@ -520,35 +520,20 @@ class SmoothHomogeneousMap:
 # -- identities and restrictions ---------------------------------------------
 
 
-def euler_residual(func, x) -> float:
-    """Return <x, grad(x)> - k * value(x); zero for genuinely homogeneous input.
-    One row of :func:`euler_residual_rows`."""
-    x = np.asarray(x, dtype=float)
-    grad = func.gradient(x)
-    return float(euler_residual_rows(func.degree, x[None], np.array([func(x)]), grad[None])[0])
-
-
 def euler_residual_rows(k: float, points, values, grads) -> np.ndarray:
-    """<x, grad(x)> - k * value(x) at each row of ``points``, from the values
-    and gradients there; each row's products are summed by ``math.fsum``."""
+    """<x, grad(x)> - k * value(x) at each row x of ``points``, from the
+    values and gradients there; zero for genuinely homogeneous input.  Each
+    row's products are summed by ``math.fsum``."""
     return np.array([math.fsum(row) for row in (points * grads).tolist()]) - k * values
 
 
-def position_identity_residual(func, x) -> float:
-    """Max-norm of hessian(x) @ x - (k - 1) * grad(x).
+def position_identity_residual_rows(k: float, points, grads, hessians) -> np.ndarray:
+    """Max-norm of hessian(x) @ x - (k - 1) * grad(x) at each row x of
+    ``points``, from the gradients and Hessians there.
 
     The contraction of the Hessian with the position vector reproduces the
     differential scaled by k - 1 for any function homogeneous of degree k.
-    One row of :func:`position_identity_residual_rows`.
     """
-    x = np.asarray(x, dtype=float)
-    hess = func.hessian(x)
-    return float(position_identity_residual_rows(func.degree, x[None], func.gradient(x)[None], hess[None])[0])
-
-
-def position_identity_residual_rows(k: float, points, grads, hessians) -> np.ndarray:
-    """:func:`position_identity_residual` at each row of ``points``, from the
-    gradients and Hessians there."""
     lhs = np.matmul(hessians, points[:, :, None])[:, :, 0]
     return np.abs(lhs - (k - 1.0) * grads).max(axis=1)
 
@@ -560,22 +545,17 @@ def polarization(poly: HomogeneousPolynomial) -> np.ndarray:
     return poly.third_tensor(np.zeros(poly.dimension)) / 6.0
 
 
-class UnivariateRestriction:
-    """Restriction t -> func(x + t*v) of a homogeneous function to a line;
-    for polynomials ``coefficients`` holds it exactly (:func:`line_coefficients`),
-    for smooth maps it is None."""
-
-    def __init__(self, func, x, v):
-        direction = np.asarray(v, dtype=float)
-        if not np.any(direction != 0.0):
-            raise ValueError("direction must be nonzero")
-        self.coefficients = None
-        if isinstance(func, HomogeneousPolynomial):
-            self.coefficients = line_coefficients(func, np.asarray(x, dtype=float), direction[None])[0]
-
-
-def restrict_to_line(func, x, v) -> UnivariateRestriction:
-    return UnivariateRestriction(func, x, v)
+def restrict_to_line(func, x, v) -> np.ndarray | None:
+    """Coefficients of the restriction t -> func(x + t*v) of a homogeneous
+    function to a line, lowest order first: one row of
+    :func:`line_coefficients` for a polynomial, None for a smooth map.
+    Refuses a zero direction."""
+    direction = np.asarray(v, dtype=float)
+    if not np.any(direction != 0.0):
+        raise ValueError("direction must be nonzero")
+    if not isinstance(func, HomogeneousPolynomial):
+        return None
+    return line_coefficients(func, np.asarray(x, dtype=float), direction[None])[0]
 
 
 def line_coefficients(poly: HomogeneousPolynomial, x, directions) -> np.ndarray:

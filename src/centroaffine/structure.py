@@ -15,17 +15,9 @@ import numpy as np
 
 from .chart import ChartFrame, _psi_rows, chart_metric
 from .errors import DegenerateFrameError
-from .forms import SymmetricForm
 from .homogeneous import HomogeneousPolynomial, polarization
 
 MAX_FRAME_CONDITION = 1e8
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    coords: np.ndarray
-    gamma: np.ndarray  # gamma[l, i, j]: upper index first, symmetric in (i, j)
-    metric: SymmetricForm
 
 
 @dataclass(frozen=True)
@@ -33,12 +25,6 @@ class CubicFormSample:
     coords: np.ndarray
     tensor: np.ndarray  # fully symmetric (n, n, n)
     method: str
-
-
-def _default_step(frame: ChartFrame, coords, fd_step) -> float:
-    """One row of :func:`_default_steps`."""
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    return float(_default_steps(frame, coords[None], fd_step)[0])
 
 
 def _default_steps(frame: ChartFrame, coords, fd_step) -> np.ndarray:
@@ -55,28 +41,15 @@ def _default_steps(frame: ChartFrame, coords, fd_step) -> np.ndarray:
     return 1e-4 * np.where(np.isfinite(dist), dist, 1.0 + np.abs(coords).max(axis=1))
 
 
-def gauss_split(frame: ChartFrame, coords) -> ConnectionSample:
-    """Split embedding second derivatives into connection and metric parts.
-
-    Solves M @ [gamma^1_ij, ..., gamma^n_ij, g_ij] = d2(embedding)_ij with
-    M = [tangent images | position vector]; refuses frames with condition
-    number above 1e8.  One row of :func:`gauss_split_rows`.
-    """
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    gamma, gram = gauss_split_rows(frame, coords[None])
-    return ConnectionSample(coords=coords, gamma=gamma[0], metric=SymmetricForm(gram[0]))
-
-
-def gauss_split_rows(frame: ChartFrame, coords):
-    """Connection coefficients (m, n, n, n) and metric parts (m, n, n) of
-    :func:`gauss_split` at the rows of ``coords``, each row rounded as it
-    is alone; raises for the first row that fails a check."""
-    return _split_rows(frame, frame._jets(coords, (1, 2)))
-
-
 def _split_rows(frame: ChartFrame, jets):
-    """:func:`gauss_split_rows` from the slice points, values, gradients and
-    Hessians of ``ChartFrame._jets``, each evaluated once."""
+    """Split embedding second derivatives into connection and metric parts at
+    the rows of ``ChartFrame._jets``: solves M @ [gamma^1_ij, ..., gamma^n_ij,
+    g_ij] = d2(embedding)_ij with M = [tangent images | position vector].
+    Returns the connection coefficients (m, n, n, n), upper index first, and
+    the metric parts (m, n, n), each row rounded as it is alone; raises for
+    the first row whose frame has condition number above
+    :data:`MAX_FRAME_CONDITION` or whose metric part disagrees with the
+    ``psi_formula``."""
     _, hx, grads, hess = jets
     n = frame.chart_dim
     # one moving frame per row
@@ -132,10 +105,8 @@ def cubic_form(frame: ChartFrame, coords, method: str = "nabla_g") -> CubicFormS
         return CubicFormSample(coords=coords, tensor=_cubic_rows(frame, frame._jets(coords[None], (1,)))[0], method=method)
     if method != "nabla_g":
         raise ValueError(f"unknown method {method!r}")
-    step = _default_step(frame, coords, None)
-    sample = gauss_split(frame, coords)
-    g = sample.metric.matrix
-    gamma = sample.gamma
+    step = _default_steps(frame, coords[None], None)[0]
+    gamma, g = (part[0] for part in _split_rows(frame, frame._jets(coords[None], (1, 2))))
     n = frame.chart_dim
     dg = np.empty((n, n, n))
     for i in range(n):

@@ -11,28 +11,23 @@ import pytest
 
 from centroaffine import (
     HomogeneousPolynomial,
-    boundary_scan,
     chart_metric,
-    chart_metric_consistency,
     completeness_verdict,
-    cone_identity_residual,
     cubic_form,
     cubic_segment_test,
     curvature_residual,
     curve_length_with_error,
-    euler_residual,
     fund_equation_residual,
     gen_perturb,
     geodesic_shoot,
-    lorentz_identity_residuals,
     lorentz_metric,
     make_chart,
-    position_identity_residual,
-    regular_boundary_check,
     regularity_report,
     volume_parallel_residual,
 )
 from centroaffine.catalog import analytic_example, catalog_cubics, nonclosed_example, quartic_P, quartic_claims
+from centroaffine.chart import chart_metric_consistency_rows, cone_identity_residual_rows, lorentz_identity_residual_rows
+from centroaffine.homogeneous import euler_residual_rows, position_identity_residual_rows
 from centroaffine.completeness import AnalysisConfig
 from centroaffine.cli import RunConfig, cmd_analyze, dumps, render_plot
 
@@ -135,37 +130,47 @@ def test_criterion_3_curve_pair():
 # -- criterion 4 -----------------------------------------------------------------
 
 
+def _cone_draws(poly, frame, rng, count):
+    """The first ``count`` draws origin + 0.25 z (z standard normal) with
+    h above 1e-8, in draw order, and h there.  Each pass draws as many
+    points as are still missing, so the generator stops where a loop of
+    one draw at a time stops."""
+    points, values = [], []
+    while count:
+        x = frame.origin + 0.25 * rng.standard_normal((count, poly.dimension))
+        hx = poly.derivative_rows(x, 0)
+        keep = ~(hx <= 1e-8)
+        points.append(x[keep])
+        values.append(hx[keep])
+        count -= int(keep.sum())
+    return np.concatenate(points), np.concatenate(values)
+
+
 def test_criterion_4_identity_suites():
     fixtures = [e.build() for e in catalog_cubics()]
     fixtures += random_hyperbolic_cubics(20)
     rng = np.random.default_rng(104)
     worst = {"euler": 0.0, "position": 0.0, "metric": 0.0, "lorentz": 0.0, "cone": 0.0}
+
+    def update(name, values):
+        worst[name] = max(worst[name], float(values.max()))
+
     for poly, frame in fixtures:
-        d = poly.dimension
         k = poly.degree
-        checked = 0
-        while checked < 1000:
-            x = frame.origin + 0.25 * rng.standard_normal(d)
-            hx = poly(x)
-            if hx <= 1e-8:
-                continue
-            checked += 1
-            worst["euler"] = max(worst["euler"], abs(euler_residual(poly, x)) / (1.0 + abs(hx)))
-            scale = 1.0 + (k - 1.0) * float(np.abs(poly.gradient(x)).max())
-            worst["position"] = max(
-                worst["position"], position_identity_residual(poly, x) / scale
-            )
-            res = lorentz_identity_residuals(poly, x)
-            worst["lorentz"] = max(
-                worst["lorentz"], res["radial"] / (1.0 + (k - 1.0) * abs(hx))
-            )
-        for c in frame.sample_coords(100, max_frac=0.85, seed=9):
-            worst["metric"] = max(worst["metric"], chart_metric_consistency(frame, c, tol=1.0))
-        for c in frame.sample_coords(10, max_frac=0.7, seed=10):
-            for lam in (1.0, 2.0):
-                x = lam * frame.point(c)
-                scale = max(1.0, float(np.abs(lorentz_metric(poly, x, validate=False).matrix).max()))
-                worst["cone"] = max(worst["cone"], cone_identity_residual(frame, x) / scale)
+        x, hx = _cone_draws(poly, frame, rng, 1000)
+        grads, hessians = poly.derivative_rows(x, 1), poly.derivative_rows(x, 2)
+        update("euler", np.abs(euler_residual_rows(k, x, hx, grads)) / (1.0 + np.abs(hx)))
+        scale = 1.0 + (k - 1.0) * np.abs(grads).max(axis=1)
+        update("position", position_identity_residual_rows(k, x, grads, hessians) / scale)
+        radial, _ = lorentz_identity_residual_rows(k, x, hx, grads, hessians)
+        update("lorentz", radial / (1.0 + (k - 1.0) * np.abs(hx)))
+        coords = frame.sample_coords(100, max_frac=0.85, seed=9)
+        update("metric", chart_metric_consistency_rows(frame, coords, tol=1.0))
+        points = frame.point(frame.sample_coords(10, max_frac=0.7, seed=10))
+        for lam in (1.0, 2.0):
+            x = lam * points
+            scale = [max(1.0, float(np.abs(lorentz_metric(poly, p, validate=False).matrix).max())) for p in x]
+            update("cone", cone_identity_residual_rows(frame, x) / scale)
     ok = (
         worst["euler"] <= 1e-12
         and worst["position"] <= 1e-10
@@ -262,11 +267,9 @@ def test_criterion_7_perturbation_regularity():
     details = []
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
         _, new_frame = gen_perturb(frame, eps)
-        points = boundary_scan(new_frame, count=500)
-        entries = [regular_boundary_check(new_frame, bp) for bp in points]
-        regular = all(e.regular for e in entries)
-        ok = ok and regular and len(points) == 500
-        details.append(f"eps={eps}: {sum(e.regular for e in entries)}/{len(entries)}")
+        rep = regularity_report(new_frame, count=500)
+        ok = ok and rep.regular and len(rep.entries) == 500
+        details.append(f"eps={eps}: {sum(e.regular for e in rep.entries)}/{len(rep.entries)}")
     assert report(7, "perturbed monomial regular at 500 boundary points", ok, "; ".join(details))
 
 

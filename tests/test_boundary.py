@@ -10,7 +10,6 @@ from centroaffine import (
     boundary_scan,
     gen_perturb,
     make_chart,
-    regular_boundary_check,
     regularity_report,
 )
 from centroaffine.boundary import _boundary_rows, _boundary_tangent_bases, _cholesky_rows, _gradient_scale
@@ -87,8 +86,9 @@ def test_scan_points_arise_from_interior_rays():
 
 def test_regular_check_curve_faces():
     frame = make_chart(CURVE, [1, 0])
-    for bp in boundary_scan(frame, directions=[[1.0], [-1.0]]):
-        entry = regular_boundary_check(frame, bp)
+    entries, _ = _rows(frame, *_scanned(frame, directions=[[1.0], [-1.0]]))
+    assert len(entries) == 2
+    for entry in entries:
         assert entry.condition_i and entry.condition_ii and entry.regular
     # condition (ii) is vacuous in the planar case: no slice tangent directions
     assert _boundary_tangent_bases(frame, _scanned(frame, directions=[[1.0]])[1]).shape == (1, 0, 2)
@@ -97,9 +97,9 @@ def test_regular_check_curve_faces():
 def test_regular_check_monomial_faces():
     frame = make_chart(MONOMIAL, [1, 1])
     by_face = {}
-    for bp in boundary_scan(frame, directions=[[1.0], [-1.0]]):
-        key = "x_axis" if abs(bp.point[1]) < 1e-8 else "y_axis"
-        by_face[key] = regular_boundary_check(frame, bp)
+    for entry in _rows(frame, *_scanned(frame, directions=[[1.0], [-1.0]]))[0]:
+        key = "x_axis" if abs(entry.point[1]) < 1e-8 else "y_axis"
+        by_face[key] = entry
     # gradient vanishes where the curve approaches the vertical axis
     assert not by_face["y_axis"].condition_i and not by_face["y_axis"].regular
     assert by_face["y_axis"].condition_ii is None
@@ -242,10 +242,9 @@ def test_regularity_rows_equal_one_row_checks(scans):
     checked = 0
     for frame, points, grads, entries, dets in scans:
         assert entries == regularity_report(frame).entries
-        bps = [bp for bp in boundary_scan(frame, unbounded_ok=True) if bp is not None]
-        assert entries == [regular_boundary_check(frame, bp) for bp in bps]
         for i, det in enumerate(dets.tolist()):
-            one = _rows(frame, points[i : i + 1], grads[i : i + 1])[1][0]
+            (entry,), (one,) = _rows(frame, points[i : i + 1], grads[i : i + 1])
+            assert entry == entries[i]
             assert (math.isnan(one) and math.isnan(det)) or abs(one - det) <= 1e-12 * abs(det)
             checked += not math.isnan(det)
     assert checked > 3000  # Lorentz determinants compared

@@ -124,6 +124,15 @@ def test_analyze_inconclusive_exit_code(tmp_path):
     assert json.loads(out.read_text())["completeness"]["status"] == "inconclusive"
 
 
+# an input flag given where it does not apply, refused rather than ignored by
+# `analyze` and `plot` alike: the analytic map's chart is fixed, and only its
+# degree is a parameter
+MISPLACED_INPUTS = (
+    (["--example", "analytic", "--seed", "1,2"], "--seed"),
+    (["--example", "curve-regular", "--k", "7"], "--k"),
+    (["--poly", "x^2*y", "--seed", "1,1", "--k", "7"], "--k"),
+)
+
 # (argv after `analyze`, the option the error names): each is refused before any route runs
 BAD_NUMBERS = (
     (["--poly", "x^2*y", "--seed", "1,1", "--tol-def", "nan"], "--tol-def"),
@@ -139,6 +148,7 @@ BAD_NUMBERS = (
     (["--example", "analytic", "--k", "1e6"], "--k"),  # (1/4)^k at the slice origin underflows
     (["--example", "curve-regular", "--seed", "nan,1"], "--seed"),
     (["--poly", "x^3-x*y^2", "--seed", "1,0", "--rng-seed", "-1"], "--rng-seed"),
+    *MISPLACED_INPUTS,
 )
 
 
@@ -677,6 +687,13 @@ def test_plot_refuses_the_analysis_flags(tmp_path, capsys, flag, value):
     args = ["plot", "--example", "curve-regular", "--out", str(tmp_path / "curve.svg")]
     assert run_cli(args + [flag, str(tmp_path / value) if flag == "--trace" else value]) == 1
     assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, flag", MISPLACED_INPUTS)
+def test_plot_refuses_a_misplaced_input_flag(tmp_path, capsys, args, flag):
+    assert run_cli(["plot", *args, "--out", str(tmp_path / "curve.svg")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}:")
     assert not any(tmp_path.iterdir())
 
 

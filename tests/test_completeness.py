@@ -21,6 +21,7 @@ from centroaffine import (
     geodesic_shoot,
     make_chart,
     n1_monomial_test,
+    regularity_report,
     slice_chart,
 )
 from centroaffine import completeness, homogeneous
@@ -294,20 +295,20 @@ def test_trace_csv_columns():
 
 def test_monomial_test_catalog_curves():
     frame = make_chart(MONOMIAL, [1, 1])
-    result = n1_monomial_test(MONOMIAL, frame)
+    result = n1_monomial_test(MONOMIAL, regularity_report(frame))
     assert result.passed and not result.skipped
     powers = sorted(f.min_power for f in result.faces)
     assert powers == [1, 2]
 
     quartic = HomogeneousPolynomial.parse("x*y^3")
     frame4 = make_chart(quartic, [1, 1])
-    result4 = n1_monomial_test(quartic, frame4)
+    result4 = n1_monomial_test(quartic, regularity_report(frame4))
     assert result4.passed
     assert {f.min_power for f in result4.faces} == {1, 3}
     assert {f.sign_value for f in result4.faces} == {-2.0, 0.0}
 
     frame_c = make_chart(CURVE, [1, 0])
-    assert n1_monomial_test(CURVE, frame_c).passed
+    assert n1_monomial_test(CURVE, regularity_report(frame_c)).passed
 
 
 def test_monomial_face_check_axis_violation():
@@ -320,7 +321,7 @@ def test_monomial_face_check_axis_violation():
 def test_monomial_test_skips_unbounded_cone():
     entry = nonclosed_example()
     poly, frame = entry.build()
-    result = n1_monomial_test(poly, frame)
+    result = n1_monomial_test(poly, regularity_report(frame))
     assert result.skipped
 
 
@@ -471,7 +472,7 @@ def test_curve_length_refuses_a_segment_across_a_zero_of_the_metric():
     # N = (k-1) h'^2 - k h h''; beyond it g(v, v) = N / (k h)^2 is negative
     frame = nonclosed_example().build()[1]
     direction = np.array([-1.0])
-    h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis).coefficients
+    h = restrict_to_line(frame.func, frame.origin, direction @ frame.basis)
     t_end = float(first_positive_zero(completeness._speed_numerator(h, 3)[0][:4])[0])
     length, _ = curve_length_with_error(frame, [0.0], direction, 0.0, t_end)
     assert abs(length - NONCLOSED_ARC) <= 1e-10
@@ -621,7 +622,7 @@ def test_a_shot_tail_ends_at_a_zero_of_the_metric_as_a_curve_side_does():
     origin, back = np.zeros(2), np.array([-1.0, 0.0])
     assert math.isinf(frame.boundary_distances(origin, back[None])[0])
     P = np.polynomial.polynomial
-    h = restrict_to_line(frame.func, frame.point(origin), frame.vectors(back[None])[0]).coefficients
+    h = restrict_to_line(frame.func, frame.point(origin), frame.vectors(back[None])[0])
     numer = 2.0 * P.polypow(P.polyder(h), 2) - 3.0 * P.polymul(h, P.polyder(h, 2))
     roots = P.polyroots(numer[:4])  # the t^4 terms cancel
     t_flat = min(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0.0)
@@ -902,7 +903,7 @@ def _count_quadratures(monkeypatch) -> list:
 
 def _tail(frame, start, direction, t_end, order, quad_tol):
     """``_tail_length`` given the line restriction, as ``_side`` passes it."""
-    h = restrict_to_line(frame.func, frame.point(start), frame.vectors(direction[None])[0]).coefficients
+    h = restrict_to_line(frame.func, frame.point(start), frame.vectors(direction[None])[0])
     return completeness._tail_length(frame, start, direction, t_end, order, h, quad_tol)
 
 

@@ -17,19 +17,16 @@ from centroaffine.chart import (
     METHODS,
     ChartFrame,
     chart_metric,
-    chart_metric_consistency,
     chart_metric_consistency_rows,
     chart_metric_rows,
     classify,
-    cone_identity_residual,
     cone_identity_residual_rows,
     contract_indices,
     jet_connection,
     levi_civita_gamma,
     lorentz_identity_residual_rows,
-    lorentz_identity_residuals,
     positive_root,
-    tangent_basis_at,
+    tangent_bases_at,
 )
 from centroaffine.cli import _cone_points
 from centroaffine.completeness import (
@@ -50,24 +47,21 @@ from centroaffine.forms import SymmetricForm
 from centroaffine.homogeneous import (
     _bisect_rows,
     _convolve_rows,
-    euler_residual,
     euler_residual_rows,
     line_coefficients,
     polarization,
     polyval_rows,
-    position_identity_residual,
     position_identity_residual_rows,
     univariate_zeros_rows,
 )
 from centroaffine.sampling import unit_directions
 from centroaffine.structure import (
-    _default_step,
     _default_steps,
+    _split_rows,
     _volume_rows,
     curvature_defect,
     curvature_residual,
     fund_equation_residual,
-    gauss_split_rows,
     structure_residual_rows,
     volume_parallel_residual,
 )
@@ -94,6 +88,14 @@ def _frames(cubic_only=False, maps=False):
 
 def _same(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _one_row_slices(count, *arrays):
+    """Each of the first ``count`` rows of ``arrays`` as a one-row array (a
+    tuple of them for several arrays): the input of a row function called
+    on that row alone."""
+    rows = [tuple(a[i : i + 1] for a in arrays) for i in range(count)]
+    return rows if len(arrays) > 1 else [row for row, in rows]
 
 
 # -- the one-point formulas, as they were before the row code ------------------
@@ -170,6 +172,11 @@ def _old_chart_metric(frame, c, method):
     return SymmetricForm(-hess_u / u).matrix
 
 
+def _old_tangent_basis(func, q):
+    """Orthonormal basis of ker(dh) at one point q."""
+    return tangent_bases_at(q[None], func.gradient(q)[None])[0]
+
+
 def _old_consistency(frame, c):
     grams = [_old_chart_metric(frame, c, m) for m in METHODS]
     scale = max(1e-300, max(float(np.abs(g).max()) for g in grams))
@@ -185,7 +192,7 @@ def _old_cone(frame, x):
     hx = _value(func, x)
     fd_step = 1e-5 * (1.0 + float(np.linalg.norm(x)))
     s0 = 2.0 * math.sqrt(k - 1.0) / k
-    vectors = [x] + list(tangent_basis_at(func, x))
+    vectors = [x] + list(_old_tangent_basis(func, x))
     ds = np.array(
         [
             (s0 * math.sqrt(_value(func, x + fd_step * w)) - s0 * math.sqrt(_value(func, x - fd_step * w)))
@@ -304,7 +311,7 @@ def _old_classify(frame, sample_size, seed, tol=1e-9):
         hq = func(q)
         if abs(hq - 1.0) > 1e-10 * max(1.0, abs(hq)):
             raise DomainError(f"point is not on the unit level set (value {hq})")
-        basis = tangent_basis_at(func, q)
+        basis = _old_tangent_basis(func, q)
         form = SymmetricForm(-(basis @ func.hessian(q) @ basis.T) / func.degree)
         if form.is_definite(1, tol):
             kind = "hyperbolic"
@@ -425,8 +432,12 @@ def test_identity_rows_equal_the_one_point_formulas():
         for got, want in zip(rows, ref):
             assert _same(got, want), label
         one = [
-            [euler_residual(func, p), position_identity_residual(func, p), *lorentz_identity_residuals(func, p).values()]
-            for p in x[:20]
+            [
+                *euler_residual_rows(k, p, h, g),
+                *position_identity_residual_rows(k, p, g, b),
+                *np.concatenate(lorentz_identity_residual_rows(k, p, h, g, b)),
+            ]
+            for p, h, g, b in _one_row_slices(20, x, hx, grads, hess)
         ]
         assert _same(one, ref[:, :20].T), label
 
@@ -441,7 +452,7 @@ def test_metric_route_rows_equal_the_one_point_formulas():
         ref = [_old_consistency(frame, c) for c in coords]
         assert _same(chart_metric_consistency_rows(frame, coords), ref), label
         assert _same(frame.embed(coords), [_old_embed(frame, c) for c in coords]), label  # classify's points
-        assert _same([chart_metric_consistency(frame, c) for c in coords[:10]], ref[:10]), label
+        assert _same([chart_metric_consistency_rows(frame, c)[0] for c in _one_row_slices(10, coords)], ref[:10]), label
 
 
 def test_cone_residual_rows_equal_the_one_point_formula():
@@ -449,7 +460,7 @@ def test_cone_residual_rows_equal_the_one_point_formula():
         points = frame.point(frame.sample_coords(50, max_frac=0.85, seed=5))
         ref = [_old_cone(frame, x) for x in points]
         assert _same(cone_identity_residual_rows(frame, points), ref), label
-        assert _same([cone_identity_residual(frame, x) for x in points[:10]], ref[:10]), label
+        assert _same([cone_identity_residual_rows(frame, x)[0] for x in _one_row_slices(10, points)], ref[:10]), label
 
 
 def test_structure_rows_share_one_step_and_equal_the_per_residual_loops():
@@ -568,14 +579,14 @@ def test_batched_structure_steps_equal_the_one_row_steps():
         coords = frame.sample_coords(5, max_frac=0.5, seed=6)
         steps = _default_steps(frame, coords, None)
         assert _same(steps, [_old_default_step(frame, c) for c in coords]), label
-        assert _same(steps, [_default_step(frame, c, None) for c in coords]), label
+        assert _same(steps, [_default_steps(frame, c, None)[0] for c in _one_row_slices(len(coords), coords)]), label
         assert _same(_default_steps(frame, coords, 1e-3), [1e-3] * len(coords)), label
 
 
 def test_split_and_volume_rows_equal_the_one_point_formulas():
     for label, _, frame in _frames(maps=True):
         coords = frame.sample_coords(6, max_frac=0.5, seed=7)
-        gamma, gram = gauss_split_rows(frame, coords)
+        gamma, gram = _split_rows(frame, frame._jets(coords, (1, 2)))
         ref = [_old_gauss_split(frame, c) for c in coords]
         assert _same(gamma, [g for g, _ in ref]) and _same(gram, [m for _, m in ref]), label
         assert _same(_volume_rows(frame, frame._jets(coords, (1,))), [_old_volume(frame, c) for c in coords]), label

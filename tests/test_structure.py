@@ -7,16 +7,22 @@ from centroaffine import (
     cubic_form,
     curvature_residual,
     fund_equation_residual,
-    gauss_split,
     make_chart,
     polarization,
     volume_parallel_residual,
 )
-from centroaffine.structure import _volume_rows, curvature_defect
+from centroaffine.structure import _split_rows, _volume_rows, curvature_defect
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
 MONOMIAL = HomogeneousPolynomial.parse("x^2*y")
 TRIPLE = HomogeneousPolynomial.parse("x*y*z")
+
+
+def _split(frame, coords):
+    """Connection coefficients and metric part of the Gauss split at one
+    chart point."""
+    gamma, gram = _split_rows(frame, frame._jets(np.atleast_2d(coords), (1, 2)))
+    return gamma[0], gram[0]
 
 
 def _volume(frame, coords):
@@ -26,18 +32,18 @@ def _volume(frame, coords):
 
 def test_gauss_split_metric_component_matches_chart_metric():
     frame = make_chart(CURVE, [1, 0])
-    sample = gauss_split(frame, [0.0])
+    _, gram = _split(frame, [0.0])
     direct = chart_metric(frame, [0.0]).matrix
-    assert np.allclose(sample.metric.matrix, direct, atol=1e-12)
-    sample2 = gauss_split(frame, [0.35])
+    assert np.allclose(gram, direct, atol=1e-12)
+    _, gram2 = _split(frame, [0.35])
     direct2 = chart_metric(frame, [0.35]).matrix
-    assert np.abs(sample2.metric.matrix - direct2).max() <= 1e-7 * max(1, np.abs(direct2).max())
+    assert np.abs(gram2 - direct2).max() <= 1e-7 * max(1, np.abs(direct2).max())
 
 
 def test_gauss_split_gamma_symmetric_lower_indices():
     frame = make_chart(TRIPLE, [1, 1, 1])
-    sample = gauss_split(frame, [0.2, -0.1])
-    assert np.allclose(sample.gamma, sample.gamma.transpose(0, 2, 1), atol=1e-12)
+    gamma, _ = _split(frame, [0.2, -0.1])
+    assert np.allclose(gamma, gamma.transpose(0, 2, 1), atol=1e-12)
 
 
 def test_gauss_split_gamma_matches_finite_difference_oracle():
@@ -50,9 +56,9 @@ def test_gauss_split_gamma_matches_finite_difference_oracle():
     second = (phi(c0 + step) - 2.0 * phi(c0) + phi(c0 - step)) / step**2
     m = np.column_stack([frame._jacobian_rows(*frame._jets(c0[None], (1,)))[0], frame.embed(c0)])
     sol = np.linalg.solve(m, second)
-    sample = gauss_split(frame, c0)
-    assert abs(sol[0] - sample.gamma[0, 0, 0]) < 1e-5
-    assert abs(sol[1] - sample.metric.matrix[0, 0]) < 1e-5
+    gamma, gram = _split(frame, c0)
+    assert abs(sol[0] - gamma[0, 0, 0]) < 1e-5
+    assert abs(sol[1] - gram[0, 0]) < 1e-5
 
 
 def test_quadric_has_vanishing_cubic_form():
@@ -179,4 +185,4 @@ def test_gauss_split_rejects_ill_conditioned_frame():
     basis = np.array([[1.0, 0.0, -1.0], [1.0, 1e-9, -1.0]])
     frame = ChartFrame(TRIPLE, np.array([1.0, 1.0, 1.0]), basis, tangent=False)
     with pytest.raises(DegenerateFrameError):
-        gauss_split(frame, [0.0, 0.0])
+        _split(frame, [0.0, 0.0])

@@ -7,9 +7,15 @@ API: its tests check a copy of what the routes compute.
 
 A use is a load of the name or of an attribute of that name; an import or
 an ``__all__`` entry is not a use.  Names are matched alone, so a use of any
-definition of that name counts."""
+definition of that name counts.
+
+Every ``:func:``, ``:meth:``, ``:class:`` and ``:data:`` reference in a
+docstring of the package names a definition in the package: a module-level
+function, class or assignment, or (as ``Class.name`` or ``name`` alone) a
+method or class attribute."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +70,52 @@ def unused_names() -> list:
 
 def test_every_public_name_is_used_outside_the_unit_tests():
     assert unused_names() == []
+
+
+REFERENCE = re.compile(r":(?:func|meth|class|data):`~?([\w.]+)`")
+
+
+def _definitions(tree):
+    """Names defined at module level, and the members of each class, of a module."""
+    names, members = set(), {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            own = members.setdefault(node.name, set())
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef):
+                    own.add(f.name)
+                elif isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name):
+                    own.add(f.target.id)
+                elif isinstance(f, ast.Assign):
+                    own.update(t.id for t in f.targets if isinstance(t, ast.Name))
+    return names, members
+
+
+def dangling_references() -> list:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    names, members = set(), {}
+    for tree in trees.values():
+        module_names, module_members = _definitions(tree)
+        names |= module_names
+        for cls, own in module_members.items():
+            members.setdefault(cls, set()).update(own)
+    names |= set().union(*members.values())
+    dangling = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                continue
+            for target in REFERENCE.findall(ast.get_docstring(node) or ""):
+                owner, _, member = target.rpartition(".")
+                if member not in (members.get(owner, set()) if owner else names):
+                    dangling.append(f"{stem}: {target}")
+    return dangling
+
+
+def test_every_docstring_reference_names_a_definition():
+    assert dangling_references() == []
