@@ -128,6 +128,8 @@ def build_frame(config: RunConfig):
     if config.example_k is not None and not math.isfinite(config.example_k):
         raise ValueError(f"--k: expected a finite number, got {config.example_k}")
     if config.example:
+        if config.poly is not None:
+            raise ValueError(f"--poly: the example {config.example} is the input; give one of --poly and --example")
         entry = catalog.get(config.example, k=config.example_k)
         if entry.kind == "map" and config.seed is not None:
             raise ValueError(f"--seed: the example {entry.identifier} has a fixed chart and takes no seed")

@@ -270,9 +270,14 @@ _INIT_STEP = 1e-2
 _DRIFT_STOP = 1e-5
 _MAX_STEPS = 500_000
 
-# largest factor by which the step may grow after an accepted step, and the
-# fraction of the largest step taken below which a rejected step ends the run
+# largest factor by which the step may grow after an accepted step
 _MAX_GROW = 5.0
+# a rejected trial whose error estimate exceeds this factor times the
+# truncation prediction err1 (trial / trial1)^5 of the rejection before it,
+# from the same state, is set by rounding and ends the run
+_ROUNDING_GAP = 4.0
+# the backstop where accepted and rejected steps alternate: the fraction of
+# the largest step taken below which a rejected step ends the run
 _MIN_STEP_FRAC = 1e-2
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5): row i
@@ -462,9 +467,17 @@ def geodesic_shoot(
     0.9 (tol / err)^(1/5), kept within a factor 0.2 to 5 (at most 1 right
     after a rejection).  A step whose evaluations leave the positivity region
     is halved.  Where rounding, not truncation, sets the error estimate, the
-    tolerance cannot be met: once the controller asks for a step below
-    ``_MIN_STEP_FRAC`` of the largest step the run has taken, the run ends on
-    ``drift`` or ``degenerate_metric`` (diagnosed as below).
+    tolerance cannot be met, and two rules end the run on ``drift`` or
+    ``degenerate_metric`` (diagnosed as below).  A truncation-limited
+    estimate falls as the fifth power of the trial, so a second rejection
+    from the same state whose estimate exceeds ``_ROUNDING_GAP`` times the
+    first's prediction err1 (trial2 / trial1)^5 ends the run at once: this
+    catches the rounding floor of chart coordinates near the boundary.
+    Where accepted and rejected steps alternate, no two rejections share a
+    state, and the step creeps down instead; the backstop ends the run once
+    the controller asks for a step below ``_MIN_STEP_FRAC`` of the largest
+    step the run has taken: this catches the creep into a collapse of the
+    metric.
 
     Boundary layer: for a :class:`HomogeneousPolynomial`, once the ray along
     the current velocity meets the boundary within ``_LAYER_FRAC`` times the
@@ -540,6 +553,7 @@ def geodesic_shoot(
     step = _INIT_STEP
     largest = 0.0
     grow = _MAX_GROW
+    refused = ()  # (error estimate, trial) of a rejection from the current state
     steps = rejected = 0
     error_sum = 0.0
     param = 0.0
@@ -554,6 +568,7 @@ def geodesic_shoot(
         except (DomainError, DegenerateFrameError, FloatingPointError):
             step = 0.5 * trial
             grow = 1.0
+            refused = ()
             if step < 1e-13 * _INIT_STEP:
                 reason = "step_underflow"
                 break
@@ -565,12 +580,17 @@ def geodesic_shoot(
         fac = 0.9 * err**-0.2 if err > 0.0 else _MAX_GROW
         if not err <= 1.0:
             rejected += 1
+            if refused and err > _ROUNDING_GAP * refused[0] * (trial / refused[1]) ** 5:
+                reason = blown_up(g)
+                break
+            refused = (err, trial)
             step = trial * (max(0.2, fac) if math.isfinite(err) else 0.2)
             grow = 1.0
             if step < _MIN_STEP_FRAC * largest:
                 reason = blown_up(g)
                 break
             continue
+        refused = ()
         sq = float(v_next @ g_next @ v_next)
         if sq <= 0.0:
             reason = "degenerate_metric"

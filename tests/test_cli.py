@@ -125,12 +125,13 @@ def test_analyze_inconclusive_exit_code(tmp_path):
 
 
 # an input flag given where it does not apply, refused rather than ignored by
-# `analyze` and `plot` alike: the analytic map's chart is fixed, and only its
-# degree is a parameter
+# `analyze` and `plot` alike: the analytic map's chart is fixed, only its
+# degree is a parameter, and an example leaves no room for a --poly
 MISPLACED_INPUTS = (
     (["--example", "analytic", "--seed", "1,2"], "--seed"),
     (["--example", "curve-regular", "--k", "7"], "--k"),
     (["--poly", "x^2*y", "--seed", "1,1", "--k", "7"], "--k"),
+    (["--example", "curve-regular", "--poly", "x^2*y", "--seed", "1,0"], "--poly"),
 )
 
 # (argv after `analyze`, the option the error names): each is refused before any route runs

@@ -581,7 +581,7 @@ def test_surface_witness_reports_integrator_health(monkeypatch):
 
 
 # the axis-1 backward shot of x^2*y*z*w at (1, 1, 1, 1) stops on a collapse
-# of the metric that is rounding: h = 1.4e-8 there, where chart coordinates
+# of the metric that is rounding: h = 3.9e-8 there, where chart coordinates
 # leave the metric uncertain by far more than its smallest eigenvalue
 @pytest.mark.parametrize("expr", ["x^2*y*z", "x^3*y*z", "x^2*y*z*w"])
 def test_monomial_surfaces_never_get_a_witness(monkeypatch, expr):
@@ -601,6 +601,41 @@ def test_monomial_surfaces_never_get_a_witness(monkeypatch, expr):
     # two shots per chart axis at each seed, none of them finite
     assert len(lengths) == 2 * frame.chart_dim * len(seeds), lengths
     assert all(math.isinf(v) for v in lengths), lengths
+
+
+def test_an_estimate_above_its_truncation_prediction_ends_the_shot(monkeypatch):
+    # x^2*y*z at (1, 1, 1): the axis-1 probes reach the rounding floor of chart
+    # coordinates after about 80 steps.  There a second rejection's error
+    # estimate no longer falls as (trial ratio)^5 from the first's, and the
+    # run ends on it rather than creeping on until _MIN_STEP_FRAC
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+
+    def shoot(sign):
+        return geodesic_shoot(frame, np.zeros(2), np.array([0.0, sign]), max_len=WITNESS_MAX_LEN)
+
+    for sign in (1.0, -1.0):
+        trace = shoot(sign)
+        assert (trace.stop_reason, trace.rejected_steps <= 25) == ("drift", True), sign
+    monkeypatch.setattr(completeness, "_ROUNDING_GAP", math.inf)
+    trace = shoot(1.0)
+    assert (trace.stop_reason, trace.rejected_steps > 80) == ("drift", True)
+
+
+def test_the_step_fraction_backstop_ends_a_creeping_shot(monkeypatch):
+    # x^3 + y^3 + z^3 at (1.5, -1, -1), axis 0 backward, near its parabolic
+    # points: the estimate falls with the trial as truncation predicts, but
+    # accepted and rejected steps mostly alternate, so the step creeps down
+    # with few rejections from one state; only _MIN_STEP_FRAC ends that creep
+    frame = make_chart(HomogeneousPolynomial.parse("x^3+y^3+z^3"), [1.5, -1.0, -1.0])
+
+    def shoot():
+        return geodesic_shoot(frame, np.zeros(2), np.array([-1.0, 0.0]), max_len=WITNESS_MAX_LEN)
+
+    trace = shoot()
+    assert (trace.stop_reason, trace.rejected_steps <= 40) == ("degenerate_metric", True)
+    monkeypatch.setattr(completeness, "_MIN_STEP_FRAC", 0.0)
+    trace = shoot()
+    assert (trace.stop_reason, trace.rejected_steps > 150) == ("degenerate_metric", True)
 
 
 def test_resolved_metric_collapse_ends_a_witness_shot():
