@@ -20,87 +20,13 @@ Polynomial = np.polynomial.Polynomial
 # -- closed-form map: (x y / (x + y))^k on the open quadrant ---------------------
 
 
-def _quotient_derivatives(p):
-    """Value, gradient, Hessian and third tensor of q = x y / (x + y)."""
-    x, y = p
-    s = x + y
-    q = x * y / s
-    grad = np.array([y * y, x * x]) / s**2
-    hess = np.array([[-2.0 * y * y, 2.0 * x * y], [2.0 * x * y, -2.0 * x * x]]) / s**3
-    third = np.empty((2, 2, 2))
-    third[0, 0, 0] = 6.0 * y * y
-    third[1, 1, 1] = 6.0 * x * x
-    mixed_x = 2.0 * y * y - 4.0 * x * y
-    mixed_y = 2.0 * x * x - 4.0 * x * y
-    third[0, 0, 1] = third[0, 1, 0] = third[1, 0, 0] = mixed_x
-    third[1, 1, 0] = third[1, 0, 1] = third[0, 1, 1] = mixed_y
-    third /= s**4
-    return q, grad, hess, third
-
-
-def _power(base, expo):
-    if expo == 0.0:
-        return 1.0
-    if base == 0.0:
-        return 0.0
-    return base**expo
-
-
 def analytic_map(k: float) -> SmoothHomogeneousMap:
-    """The quotient-power map, homogeneous of (possibly non-integer) degree k.
-
-    The domain predicate admits the closed quadrant away from the origin so
-    that boundary limits of the derivatives can be evaluated.
-    """
-    if k <= 1.0:
-        raise ValueError(f"degree must exceed 1, got {k}")
-
-    def value(p):
-        q, *_ = _quotient_derivatives(p)
-        return _power(q, k)
-
-    def gradient(p):
-        q, grad, *_ = _quotient_derivatives(p)
-        return k * _power(q, k - 1.0) * grad
-
-    def hessian(p):
-        q, grad, hess, _ = _quotient_derivatives(p)
-        out = k * _power(q, k - 1.0) * hess
-        c = k * (k - 1.0)
-        if c != 0.0:
-            out = out + c * _power(q, k - 2.0) * np.outer(grad, grad)
-        return out
-
-    def third(p):
-        q, grad, hess, thr = _quotient_derivatives(p)
-        out = k * _power(q, k - 1.0) * thr
-        c2 = k * (k - 1.0)
-        if c2 != 0.0:
-            sym = (
-                np.einsum("ij,l->ijl", hess, grad)
-                + np.einsum("il,j->ijl", hess, grad)
-                + np.einsum("jl,i->ijl", hess, grad)
-            )
-            out = out + c2 * _power(q, k - 2.0) * sym
-        c3 = k * (k - 1.0) * (k - 2.0)
-        if c3 != 0.0:
-            out = out + c3 * _power(q, k - 3.0) * np.einsum("i,j,l->ijl", grad, grad, grad)
-        return out
-
-    def in_domain(p):
-        x, y = p
-        return x >= 0.0 and y >= 0.0 and x + y > 0.0
-
-    return SmoothHomogeneousMap(
-        dimension=2,
-        degree=k,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        third=third,
-        in_domain=in_domain,
-        name="quotient-power",
-    )
+    """The quotient-power map (x y / (x + y))^k, homogeneous of (possibly
+    non-integer) degree k: q = P / Q with P = x^2 y + x y^2 and Q = (x + y)^2,
+    since a polynomial has degree at least 2."""
+    numerator = HomogeneousPolynomial.parse("x^2*y + x*y^2")
+    denominator = HomogeneousPolynomial.parse("x^2 + 2*x*y + y^2")
+    return SmoothHomogeneousMap(numerator, denominator, k, name="quotient-power")
 
 
 def analytic_example(k: float = 2.0) -> tuple[SmoothHomogeneousMap, ChartFrame]:

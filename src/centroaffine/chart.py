@@ -242,16 +242,14 @@ class ChartFrame:
         ``directions``; inf where a ray never leaves the positivity region.
         ``coords`` is one origin for every ray, or one origin per ray.
 
-        Polynomial restrictions are solved exactly, all rays at once, through
-        their univariate coefficients, which also locates zeros of even order
-        (where the function touches zero without a sign change, as on
-        non-regular boundary faces); a zero that p neither crosses nor
-        touches is solved again (:func:`first_positive_zero_rows`).  Each ray
-        rounds as it does alone.  Maps
-        are bracketed ray by ray by bisection on "inside the domain with
-        positive value" up to ``ray_limit``.  With ``multiplicity``, also
-        returns each zero's multiplicity as the polish treated it (0 if
-        unbounded, 1 for maps).
+        The rays are solved together through the univariate coefficients of
+        a polynomial along them (:func:`first_positive_zero_rows`): the
+        function itself, or for a map P Q, positive exactly where P / Q is.
+        This also locates zeros of even order (where the polynomial touches
+        zero without a sign change, as on non-regular boundary faces); a zero
+        that p neither crosses nor touches is solved again.  Each ray rounds
+        as it does alone.  With ``multiplicity``, also returns each zero's
+        multiplicity as the polish treated it (0 if unbounded).
         """
         coords = np.asarray(coords, dtype=float)
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -260,32 +258,9 @@ class ChartFrame:
         x = self.point(coords)
         if (self.func.derivative_rows(np.atleast_2d(x), 0) <= 0.0).any():
             raise DomainError("ray origin is outside the positivity region")
-        if isinstance(self.func, HomogeneousPolynomial):
-            dist, mult = first_positive_zero_rows(line_coefficients(self.func, x, self.vectors(directions)))
-        else:
-            origins = np.broadcast_to(np.atleast_1d(coords), directions.shape)
-            dist = np.array([self._bisect_ray(c, d) for c, d in zip(origins, directions)])
-            mult = np.isfinite(dist).astype(int)
+        poly = self.func if isinstance(self.func, HomogeneousPolynomial) else self.func.positivity
+        dist, mult = first_positive_zero_rows(line_coefficients(poly, x, self.vectors(directions)))
         return (dist, mult) if multiplicity else dist
-
-    def _bisect_ray(self, coords, direction) -> float:
-        def inside(t):
-            x = self.point(coords + t * direction)
-            return self.func.contains(x) and 0.0 < self.func(x) < math.inf
-
-        scale = 1.0 + float(np.linalg.norm(coords))
-        t_lo, t_hi = 0.0, 1e-2 * scale
-        while inside(t_hi):
-            t_lo = t_hi
-            t_hi *= 2.0
-            if t_hi > self.ray_limit:
-                return math.inf
-        for _ in range(80):
-            mid = 0.5 * (t_lo + t_hi)
-            if mid == t_lo or mid == t_hi:
-                break
-            t_lo, t_hi = (mid, t_hi) if inside(mid) else (t_lo, mid)
-        return 0.5 * (t_lo + t_hi)
 
     def _capped_distances(self, directions) -> np.ndarray:
         # each distinct ray is solved once; rays are told apart bit for bit, so -0.0 is not 0.0

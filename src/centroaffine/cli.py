@@ -173,22 +173,13 @@ def _largest(values) -> float:
 
 def _cone_points(func, frame, rng, count: int):
     """The first ``count`` draws origin + 0.25 |origin| z (z standard normal)
-    in the domain with h > 0, in draw order, and h there.  A map checks its
-    rows one by one: ``contains``, then its value, which may raise."""
+    with h > 0, in draw order, and h there."""
     scale = np.linalg.norm(frame.origin)
     points, values, taken = [], [], 0
     while taken < count:
         x = frame.origin + 0.25 * rng.standard_normal((count - taken, frame.dimension)) * scale
-        if isinstance(func, HomogeneousPolynomial):
-            hx, inside = func.value_rows(x), np.ones(len(x), dtype=bool)
-        else:
-            hx, inside = np.full(len(x), np.nan), np.array([func.contains(p) for p in x])
-            for i in np.flatnonzero(inside):
-                try:
-                    hx[i] = func(x[i])
-                except DomainError:
-                    inside[i] = False
-        keep = np.flatnonzero(inside & ~(hx <= 0.0))
+        hx = func.derivative_rows(x, 0)
+        keep = np.flatnonzero(hx > 0.0)
         points.append(x[keep])
         values.append(hx[keep])
         taken += len(keep)

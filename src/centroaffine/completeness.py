@@ -230,11 +230,17 @@ def curve_length_with_error(
     1 / (t_end - t)), so each half of [t0, t1] is summed in s, t = end -+ s^2,
     on the speed sqrt(N) / (k h).  N below -1e-12 of the size of its terms
     raises DomainError (the segment crosses a zero of the metric); above, it
-    is rounding, as along a k-fold zero of h, and counts as 0.
+    is rounding, as along a k-fold zero of h, and counts as 0.  A map h = q^k
+    has N = -k^2 q^(2k-1) q'', so its speed sqrt(-q''/q) is that of its
+    degree-one root q: the rule runs on q with k = 1, and no power of q,
+    which could underflow, enters it.
     """
     if t1 == t0:
         return 0.0, 0.0
-    k = frame.degree
+    if isinstance(frame.func, HomogeneousPolynomial):
+        k, jets = frame.degree, lambda c: frame._jets(c, (1, 2))[1:]
+    else:
+        k, jets = 1.0, lambda c: frame.func.root_rows(frame.point(c), 2)
     start = np.atleast_1d(np.asarray(start, dtype=float))
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     vector = frame.vectors(direction)[0]
@@ -244,7 +250,7 @@ def curve_length_with_error(
         x, w = _leggauss(n)
         s = 0.5 * root * (x + 1.0)
         t = np.concatenate([t0 + sign * s * s, t1 - sign * s * s])
-        _, hx, grads, hess = frame._jets(start + t[:, None] * direction, (1, 2))
+        hx, grads, hess = jets(start + t[:, None] * direction)
         square, product = (k - 1.0) * (grads @ vector) ** 2, k * hx * ((hess @ vector) @ vector)
         if (square - product < -1e-12 * (square + np.abs(product))).any():
             raise DomainError("the segment crosses a zero of the metric")

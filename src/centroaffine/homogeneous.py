@@ -2,9 +2,11 @@
 
 Polynomials are stored as sparse coefficient tables over integer exponent
 vectors and differentiated exactly (term by term), so gradients, Hessians and
-third-derivative tensors carry no discretization error.  Non-polynomial
-homogeneous functions enter through :class:`SmoothHomogeneousMap`, which wraps
-user-supplied closed-form derivative callables behind the same interface.
+third-derivative tensors carry no discretization error.  The one
+non-polynomial kind, :class:`SmoothHomogeneousMap`, is a real power (P/Q)^k of
+a quotient of two polynomials whose degrees differ by one; its jets come from
+theirs by the quotient and power rules, and its cone's boundary from the
+zeros of the polynomial P Q.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -151,9 +153,6 @@ class HomogeneousPolynomial:
         """Value at each row of ``points`` (one value for a point): the terms
         c * prod_j x_j^e_j of a row summed by ``math.fsum``, correctly rounded."""
         return self._evaluate(np.atleast_2d(points), (0,))[0]
-
-    def contains(self, x) -> bool:
-        return True
 
     def gradient(self, x) -> np.ndarray:
         return self._evaluate(x, (1,))[0]
@@ -450,71 +449,111 @@ def _parse_expression(text, dimension):
 
 
 class SmoothHomogeneousMap:
-    """Closed-form homogeneous function with analytic derivative callables.
+    """The homogeneous function h = q^k of degree k > 1, with q = P / Q the
+    quotient of homogeneous polynomials of degrees m + 1 and m, so that q
+    has degree one; h lives on the cone where q > 0, which is where the
+    polynomial ``positivity`` = P Q is positive.
 
-    The degree may be any real number ``> 1``.  Derivatives are evaluated only
-    inside the declared domain cone; the domain predicate should accept the
-    closure wherever the formulas remain finite so that boundary analysis can
-    evaluate limits there.
+    Jets on rows come from one evaluation of P and one of Q: q's by the
+    quotient rule (:meth:`root_rows`), then h's by the power rule, to order
+    3.  A row where q is not positive and finite lies off the cone: its value
+    and derivatives read 0, as at a boundary point.  The one-point calls
+    refuse such a point.
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        degree: float,
-        value: Callable,
-        gradient: Callable,
-        hessian: Callable,
-        third: Callable | None = None,
-        in_domain: Callable | None = None,
-        name: str = "",
-    ):
+    def __init__(self, numerator: HomogeneousPolynomial, denominator: HomogeneousPolynomial, degree: float, name: str = ""):
         if degree <= 1:
             raise ValueError(f"degree must be > 1, got {degree}")
-        self.dimension = dimension
+        if numerator.dimension != denominator.dimension or numerator.degree != denominator.degree + 1:
+            raise ValueError("the numerator needs one degree more than the denominator, in as many variables")
+        self.numerator, self.denominator = numerator, denominator
+        self.positivity = HomogeneousPolynomial(_mul_terms(numerator.terms, denominator.terms), numerator.dimension)
+        self.dimension = numerator.dimension
         self.degree = float(degree)
         self.name = name
-        self._value = value
-        self._gradient = gradient
-        self._hessian = hessian
-        self._third = third
-        self._in_domain = in_domain or (lambda x: True)
-
-    def contains(self, x) -> bool:
-        return bool(self._in_domain(np.asarray(x, dtype=float)))
-
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self._in_domain(x):
-            raise DomainError(f"point {x.tolist()} outside the domain cone")
-        return x
 
     def __call__(self, x) -> float:
-        return float(self._value(self._check(x)))
+        return float(self._at(x, 0)[0])
 
     def gradient(self, x) -> np.ndarray:
-        return np.asarray(self._gradient(self._check(x)), dtype=float)
+        return self._at(x, 1)[1]
 
     def hessian(self, x) -> np.ndarray:
-        return np.asarray(self._hessian(self._check(x)), dtype=float)
+        return self._at(x, 2)[2]
 
     def third_tensor(self, x) -> np.ndarray:
-        if self._third is None:
-            raise DomainError("this map does not supply third derivatives")
-        return np.asarray(self._third(self._check(x)), dtype=float)
+        return self._at(x, 3)[3]
 
     def lower_jet(self, x) -> tuple:
         """Value, gradient and Hessian at ``x``."""
-        return self(x), self.gradient(x), self.hessian(x)
+        h, *rest = self._at(x, 2)
+        return (float(h), *rest)
 
     def derivative_rows(self, points, order: int) -> np.ndarray:
-        """Value (order 0), gradient or Hessian at each row of ``points``."""
-        jet = (self, self.gradient, self.hessian)[order]
-        return np.array([jet(x) for x in points], dtype=float).reshape((len(points),) + (self.dimension,) * order)
+        """Value (order 0) or derivative tensor at each row of ``points``;
+        a row rounds as the one-point call does."""
+        return self._rows(points, order)[1][order]
+
+    def _at(self, x, top: int) -> list:
+        """Value and derivative tensors to order ``top`` at the point ``x``."""
+        x = np.asarray(x, dtype=float)
+        inside, jet = self._rows(x[None], top)
+        if not inside[0]:
+            raise DomainError(f"point {x.tolist()} outside the cone where q > 0")
+        return [a[0] for a in jet]
+
+    def _rows(self, points, top: int) -> tuple:
+        """Whether each row of ``points`` lies on the cone, and the value and
+        derivative tensors of h to order ``top`` there: with c_j = k (k-1)
+        ... (k-j+1) q^(k-j), h' = c_1 q', h'' = c_1 q'' + c_2 q' q' and h''' =
+        c_1 q''' + c_2 (q'' q' and its two permutations) + c_3 q' q' q'."""
+        q = self.root_rows(points, top)
+        inside = (q[0] > 0.0) & (q[0] < math.inf)
+        base, k = np.where(inside, q[0], 1.0), self.degree
+        c = [math.prod(k - i for i in range(j)) * base ** (k - j) for j in range(top + 1)]
+        h = [c[0]]
+        if top >= 1:
+            h.append(c[1][:, None] * q[1])
+        if top >= 2:
+            h.append(c[1][:, None, None] * q[2] + c[2][:, None, None] * _outer(q[1], q[1]))
+        if top >= 3:
+            lower = c[2][:, None, None, None] * _sym(q[2], q[1]) + c[3][:, None, None, None] * _outer(_outer(q[1], q[1]), q[1])
+            h.append(c[1][:, None, None, None] * q[3] + lower)
+        return inside, [np.where(inside.reshape((-1,) + (1,) * m), a, 0.0) for m, a in enumerate(h)]
+
+    def root_rows(self, points, top: int) -> list:
+        """q = P / Q and its derivative tensors to order ``top`` (at most 3)
+        at each row of ``points``, by the quotient rule from P = q Q:
+        q' = (P' - q Q') / Q, q'' = (P'' - (q' Q' + Q' q') - q Q'') / Q, and
+        q''' = (P''' - (q'' Q' and Q'' q', each with its two permutations)
+        - q Q''') / Q; nan where Q is 0."""
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        orders = tuple(range(top + 1))
+        p, s = self.numerator._evaluate(x, orders), self.denominator._evaluate(x, orders)
+        den = np.where(s[0] != 0.0, s[0], math.nan)
+        q = [p[0] / den]
+        if top >= 1:
+            q.append((p[1] - q[0][:, None] * s[1]) / den[:, None])
+        if top >= 2:
+            q.append((p[2] - (_outer(q[1], s[1]) + _outer(s[1], q[1])) - q[0][:, None, None] * s[2]) / den[:, None, None])
+        if top >= 3:
+            q.append((p[3] - (_sym(q[2], s[1]) + _sym(s[2], q[1])) - q[0][:, None, None, None] * s[3]) / den[:, None, None, None])
+        return q
 
     def __repr__(self):
         tag = self.name or "anonymous"
         return f"SmoothHomogeneousMap({tag}, degree={self.degree})"
+
+
+def _outer(a, b) -> np.ndarray:
+    """Row-wise outer products of the tensor rows ``a`` and the vector rows ``b``."""
+    return a[..., None] * b.reshape(b.shape[:1] + (1,) * (a.ndim - 1) + b.shape[1:])
+
+
+def _sym(a, b) -> np.ndarray:
+    """Rows of a_ij b_l + a_il b_j + a_jl b_i, from matrix rows ``a`` and
+    vector rows ``b``."""
+    return a[:, :, :, None] * b[:, None, None, :] + a[:, :, None, :] * b[:, None, :, None] + a[:, None, :, :] * b[:, :, None, None]
 
 
 # -- identities and restrictions ---------------------------------------------
@@ -545,17 +584,14 @@ def polarization(poly: HomogeneousPolynomial) -> np.ndarray:
     return poly.third_tensor(np.zeros(poly.dimension)) / 6.0
 
 
-def restrict_to_line(func, x, v) -> np.ndarray | None:
-    """Coefficients of the restriction t -> func(x + t*v) of a homogeneous
-    function to a line, lowest order first: one row of
-    :func:`line_coefficients` for a polynomial, None for a smooth map.
-    Refuses a zero direction."""
+def restrict_to_line(poly: HomogeneousPolynomial, x, v) -> np.ndarray:
+    """Coefficients of the restriction t -> poly(x + t*v) of a homogeneous
+    polynomial to a line, lowest order first: one row of
+    :func:`line_coefficients`.  Refuses a zero direction."""
     direction = np.asarray(v, dtype=float)
     if not np.any(direction != 0.0):
         raise ValueError("direction must be nonzero")
-    if not isinstance(func, HomogeneousPolynomial):
-        return None
-    return line_coefficients(func, np.asarray(x, dtype=float), direction[None])[0]
+    return line_coefficients(poly, np.asarray(x, dtype=float), direction[None])[0]
 
 
 def line_coefficients(poly: HomogeneousPolynomial, x, directions) -> np.ndarray:

@@ -203,6 +203,36 @@ def scaled(poly, lam):
     return HomogeneousPolynomial({e: lam * c for e, c in poly.terms.items()})
 
 
+class CallableMap:
+    """A function of a declared degree from value and derivative callables,
+    with the interface the analysis reads of a homogeneous function.  The
+    negative controls build inconsistent ones from a consistent function: a
+    wrong degree, a scaled Hessian, a vanishing gradient."""
+
+    def __init__(self, dimension, degree, value, gradient, hessian, third=None):
+        self.dimension, self.degree = dimension, float(degree)
+        self._jet = (value, gradient, hessian, third)
+
+    def __call__(self, x):
+        return float(self._jet[0](np.asarray(x, dtype=float)))
+
+    def gradient(self, x):
+        return np.asarray(self._jet[1](np.asarray(x, dtype=float)), dtype=float)
+
+    def hessian(self, x):
+        return np.asarray(self._jet[2](np.asarray(x, dtype=float)), dtype=float)
+
+    def third_tensor(self, x):
+        return np.asarray(self._jet[3](np.asarray(x, dtype=float)), dtype=float)
+
+    def lower_jet(self, x):
+        return self(x), self.gradient(x), self.hessian(x)
+
+    def derivative_rows(self, points, order):
+        jet = (self, self.gradient, self.hessian)[order]
+        return np.array([jet(x) for x in points], dtype=float).reshape((len(points),) + (self.dimension,) * order)
+
+
 @pytest.fixture(scope="session")
 def catalog_frames():
     from centroaffine import catalog

@@ -20,7 +20,7 @@ from centroaffine.catalog import (
 )
 from centroaffine.completeness import AnalysisConfig
 
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, fd_third
 
 Polynomial = np.polynomial.Polynomial
 
@@ -111,6 +111,7 @@ def test_analytic_map_derivatives_match_central_differences():
             p = np.array(p)
             assert np.abs(amap.gradient(p) - fd_gradient(amap, p)).max() < 1e-7
             assert np.abs(amap.hessian(p) - fd_hessian(amap, p)).max() < 1e-5
+            assert np.abs(amap.third_tensor(p) - fd_third(amap, p)).max() < 1e-6
 
 
 def test_analytic_chart_values():

@@ -8,7 +8,6 @@ from centroaffine import (
     DegenerateFrameError,
     DomainError,
     HomogeneousPolynomial,
-    SmoothHomogeneousMap,
     UnboundedRayError,
     chart_metric,
     classify,
@@ -29,6 +28,8 @@ from centroaffine.chart import (
     tangent_bases,
 )
 from centroaffine.homogeneous import restrict_to_line
+
+from conftest import CallableMap
 
 CURVE = HomogeneousPolynomial.parse("x^3 - x*y^2")
 MONOMIAL = HomogeneousPolynomial.parse("x^2*y")
@@ -57,7 +58,7 @@ def test_make_chart_rejects_nonpositive_seed():
 
 
 def test_make_chart_rejects_degenerate_gradient():
-    flat = SmoothHomogeneousMap(
+    flat = CallableMap(
         dimension=2,
         degree=2.0,
         value=lambda x: 1.0,
@@ -147,14 +148,13 @@ def test_chart_metric_outside_region_raises():
 
 def test_consistency_negative_control():
     base = analytic_map(2.0)
-    corrupted = SmoothHomogeneousMap(
+    corrupted = CallableMap(
         dimension=2,
         degree=2.0,
         value=base.__call__,
         gradient=base.gradient,
         hessian=lambda x: 1.01 * base.hessian(x),
         third=base.third_tensor,
-        in_domain=base.contains,
     )
     frame = slice_chart(corrupted, [0.5, 0.5], [[1.0, -1.0]])
     with pytest.raises(ConsistencyError):
@@ -275,14 +275,13 @@ def test_cone_identity_at_scaled_points():
 
 def test_cone_identity_negative_control():
     base = analytic_map(2.0)
-    corrupted = SmoothHomogeneousMap(
+    corrupted = CallableMap(
         dimension=2,
         degree=2.0,
         value=base.__call__,
         gradient=base.gradient,
         hessian=lambda x: 1.05 * base.hessian(x),
         third=base.third_tensor,
-        in_domain=base.contains,
     )
     frame = slice_chart(corrupted, [0.5, 0.5], [[1.0, -1.0]])
     assert cone_identity_residual_rows(frame, np.array([[0.6, 0.55]]))[0] > 1e-3
@@ -324,16 +323,12 @@ def test_boundary_distance_simple_zero_among_close_zeros():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_boundary_distance_map_bisection():
-    _, frame = analytic_example(2.0)
-    assert abs(frame.boundary_distance([0.0], [1.0]) - 0.5) < 1e-12
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("k", [1.5, 2.0])
-def test_map_bisection_ends_at_adjacent_floats(k):
-    # the analytic chart ends at exactly +-1/2; the bisection runs until its
-    # bracket is two adjacent floats, so the witness lacks no end piece
+@pytest.mark.parametrize("k", [1.5, 2.0, 40.0])
+def test_map_rays_end_exactly_at_the_chart_ends(k):
+    # the analytic chart ends at exactly +-1/2, the zeros of P Q = x y (x + y)^3
+    # along the slice x + y = 1, whatever the degree; the ray solve finds them
+    # to the last bit, so the witness lacks no end piece
     _, frame = analytic_example(k)
     assert frame.boundary_distances([0.0], [[1.0], [-1.0]]).tolist() == [0.5, 0.5]
 
@@ -486,8 +481,10 @@ def _exponents(dim, degree):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_distances_of_a_map():
     _, frame = analytic_example(2.0)
-    dists = frame.boundary_distances([0.0], [[1.0], [-1.0]])
+    dists, mults = frame.boundary_distances([0.0], [[1.0], [-1.0]], multiplicity=True)
     assert abs(dists[0] - 0.5) < 1e-12 and dists[1] == frame.boundary_distance([0.0], [-1.0])
+    assert abs(frame.boundary_distance([0.0], [1.0]) - 0.5) < 1e-12
+    assert mults.tolist() == [1, 1]  # a simple zero of P Q
 
 
 def _gram_schmidt_loop(grad):

@@ -230,7 +230,18 @@ def test_analytic_witness_where_h_is_tiny_on_the_identity_slice(tmp_path):
     assert abs(completeness["evidence"]["witness_length"] - math.sqrt(2.0) * math.pi) <= 1e-8
 
 
-@pytest.mark.parametrize("k", ["50", "100", "200", "300"])
+@pytest.mark.parametrize("k", ["40", "100"])
+def test_analytic_witness_at_high_degrees(tmp_path, k):
+    # h = q^k underflows near the boundary, but each side's speed is that
+    # of q alone, sqrt(-q''/q), so every degree has the length sqrt(2) pi
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--example", "analytic", "--k", k, "--out", str(out)]) == 0
+    completeness = json.loads(out.read_text())["completeness"]
+    assert (completeness["status"], completeness["route"]) == ("incomplete", "finite-length-witness")
+    assert abs(completeness["evidence"]["witness_length"] - math.sqrt(2.0) * math.pi) <= 1e-8
+
+
+@pytest.mark.parametrize("k", ["50", "150", "200", "300"])
 def test_analytic_power_overflow_exits_one(capsys, k):
     # near the boundary h underflows so far that the derivatives of
     # h^(1/(k - eps)) in the concavity grid overflow a float

@@ -467,6 +467,17 @@ def test_curve_witness_sides_of_the_analytic_curve(monkeypatch):
     assert shots == []
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, 3.0, 24.0, 25.0, 30.0, 40.0, 45.0])
+def test_analytic_sides_have_one_length_at_every_degree(k):
+    # the metric of h = q^k is that of q = x y / (x + y) for every k, so each
+    # side of the chart interval has length pi / sqrt(2), though h itself
+    # underflows toward the ends once k is large
+    _, frame = analytic_example(k)
+    for sign in (1.0, -1.0):
+        length, end = completeness.curve_side(frame, sign)
+        assert end == "boundary" and abs(length - math.pi / math.sqrt(2.0)) <= 1e-9, (k, sign)
+
+
 def test_curve_length_refuses_a_segment_across_a_zero_of_the_metric():
     # nonclosed-piece's witness side ends at the first zero of
     # N = (k-1) h'^2 - k h h''; beyond it g(v, v) = N / (k h)^2 is negative

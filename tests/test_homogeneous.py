@@ -9,7 +9,6 @@ from centroaffine import (
     HomogeneousPolynomial,
     MixedDegreeError,
     ParseError,
-    SmoothHomogeneousMap,
     polarization,
     restrict_to_line,
 )
@@ -24,7 +23,7 @@ from centroaffine.homogeneous import (
     univariate_zeros_rows,
 )
 
-from conftest import _old_derivative, _old_value_rows, fd_gradient, fd_hessian, fd_third
+from conftest import CallableMap, _old_derivative, _old_value_rows, fd_gradient, fd_hessian, fd_third
 
 
 # -- parsing -----------------------------------------------------------------
@@ -211,9 +210,7 @@ def test_euler_residual_many_points(catalog_frames):
 def test_euler_residual_negative_control():
     # an inconsistent degree field models a corrupted coefficient table
     p = HomogeneousPolynomial.parse("x^3 - x*y^2")
-    corrupted = SmoothHomogeneousMap(
-        dimension=2, degree=4.0, value=p.__call__, gradient=p.gradient, hessian=p.hessian
-    )
+    corrupted = CallableMap(dimension=2, degree=4.0, value=p.__call__, gradient=p.gradient, hessian=p.hessian)
     assert abs(_euler(corrupted, [1.2, 0.3])[0]) > 1e-3
 
 
@@ -412,6 +409,10 @@ def test_fma_rounds_once():
 
 
 def test_map_domain_enforced():
+    # q = x y / (x + y) is -2 at (-1, 2) and 0 on the axis; (-1, 0.5), with
+    # q = 1, lies on the cone q > 0, in a wedge away from the quadrant
     amap = analytic_map(2.0)
-    with pytest.raises(DomainError):
-        amap([-1.0, 0.5])
+    for point in ([-1.0, 2.0], [0.0, 1.0]):
+        with pytest.raises(DomainError):
+            amap(point)
+    assert amap([-1.0, 0.5]) == 1.0

@@ -113,9 +113,6 @@ def _old_cone_points(func, frame, rng_seed, count):
     points, values, rejected = [], [], 0
     while len(points) < count:
         x = frame.origin + 0.25 * rng.standard_normal(frame.dimension) * np.linalg.norm(frame.origin)
-        if not func.contains(x):
-            rejected += 1
-            continue
         try:
             hx = func(x)
         except DomainError:

@@ -4,7 +4,7 @@
     python tools/corpus.py --diff A B   # list the files that differ; exit 1 if any
 
 The corpus is every input of both benchmark workloads at seeds 1 and 2 (read
-from perfbench/bench_workloads.py), `repro`, `list`, nine `analyze` inputs
+from perfbench/bench_workloads.py), `repro`, `list`, ten `analyze` inputs
 each with and without `--trace`, and `plot --out` of three curves.  Each run
 calls `centroaffine.cli.main` in process, from the `src/` beside this
 script, and leaves in DIR its report, trace CSV or SVG (as the run writes
@@ -35,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 # analyze inputs beside the workloads: (label, argv)
 ANALYZE = (
     ("analytic-k1.5", ("--example", "analytic", "--k", "1.5")),
+    ("analytic-k40", ("--example", "analytic", "--k", "40")),
     ("nonclosed-piece", ("--example", "nonclosed-piece")),
     ("x^2*y*z-eps3.9", ("--poly", "x^2*y*z", "--seed", "1,1,1", "--eps-grid", "3.9")),
     ("x^2*y*z*w-eps3.9", ("--poly", "x^2*y*z*w", "--seed", "1,1,1,1", "--eps-grid", "3.9")),
