@@ -251,6 +251,12 @@ class ChartFrame:
         as it does alone.  With ``multiplicity``, also returns each zero's
         multiplicity as the polish treated it (0 if unbounded).
         """
+        dist, mult = first_positive_zero_rows(self.ray_coefficients(coords, directions))
+        return (dist, mult) if multiplicity else dist
+
+    def ray_coefficients(self, coords, directions) -> np.ndarray:
+        """Coefficients (lowest order first) of the polynomial along each ray
+        of :meth:`boundary_distances` whose first positive zero ends it."""
         coords = np.asarray(coords, dtype=float)
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         if not np.any(directions != 0.0, axis=1).all():
@@ -259,8 +265,7 @@ class ChartFrame:
         if (self.func.derivative_rows(np.atleast_2d(x), 0) <= 0.0).any():
             raise DomainError("ray origin is outside the positivity region")
         poly = self.func if isinstance(self.func, HomogeneousPolynomial) else self.func.positivity
-        dist, mult = first_positive_zero_rows(line_coefficients(poly, x, self.vectors(directions)))
-        return (dist, mult) if multiplicity else dist
+        return line_coefficients(poly, x, self.vectors(directions))
 
     def _capped_distances(self, directions) -> np.ndarray:
         # each distinct ray is solved once; rays are told apart bit for bit, so -0.0 is not 0.0

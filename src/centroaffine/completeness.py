@@ -49,7 +49,9 @@ from .errors import DegenerateFrameError, DomainError
 from .homogeneous import (
     HomogeneousPolynomial,
     first_positive_zero,
+    first_positive_zero_rows,
     line_coefficients,
+    no_zero_below,
     univariate_zeros_rows,
 )
 
@@ -342,8 +344,11 @@ class _ChartCoordinates:
     def gradient(self, c):
         return self.frame.basis @ self.frame.func.gradient(self.frame.point(c))
 
-    def ray_distance(self, c, u) -> float:
-        return float(self.frame.boundary_distances(c, u[None])[0])
+    def ray_distance_below(self, c, u, r: float) -> float:
+        """The boundary distance along the unit direction ``u`` where it may
+        lie below ``r``; inf where :func:`no_zero_below` proves it does not."""
+        coeffs = self.frame.ray_coefficients(c, u[None])
+        return math.inf if no_zero_below(coeffs[0], r) else float(first_positive_zero_rows(coeffs)[0][0])
 
     def chart_coords(self, c):
         return c.copy()
@@ -437,7 +442,8 @@ class _BoundaryLayer:
     def gradient(self, y):
         return self.derivatives(y, 1)[1]
 
-    def ray_distance(self, y, u) -> float:
+    def ray_distance_below(self, y, u, r: float) -> float:
+        """As :meth:`_ChartCoordinates.ray_distance_below`, on the expansion."""
         jet = self.derivatives(y, len(self.tensors))
         coeffs = [jet[0]]
         for m in range(1, len(jet)):
@@ -445,7 +451,7 @@ class _BoundaryLayer:
             for _ in range(m):
                 t = t @ u
             coeffs.append(float(t) / math.factorial(m))
-        return first_positive_zero(coeffs)[0]
+        return math.inf if no_zero_below(coeffs, r) else first_positive_zero(coeffs)[0]
 
     def chart_coords(self, y):
         return self.anchor + y @ self.rotation
@@ -498,6 +504,14 @@ def geodesic_shoot(
     rounded anchor.  Traces of :class:`SmoothHomogeneousMap` inputs, which
     have no exact expansion, stay in chart coordinates, whose precision
     floors h near 1e-16.
+
+    The three ray checks (the boundary stop below, the layer entry and the
+    re-anchoring) each compare a ray's boundary distance with a threshold.
+    Each solves its ray only where :func:`no_zero_below` cannot prove the
+    distance beyond the threshold; a proof leaves the comparison as the
+    solve would, so the shot is the same bit for bit.  A shot into a
+    regular boundary point then solves two rays, at its layer entry and at
+    its stop, in place of one per step of its approach.
 
     Stop reasons: ``max_len``; ``h_floor`` when the function value falls to
     ``min_h``; ``boundary`` when the ray distance to the boundary drops below
@@ -628,13 +642,13 @@ def geodesic_shoot(
                 grad = geo.gradient(c)
                 slope = abs(float(grad @ u))
                 est = h_next / slope if slope > 0.0 else math.inf
-                if est < 8.0 * dist_floor and geo.ray_distance(c, u) < dist_floor:
+                if est < 8.0 * dist_floor and geo.ray_distance_below(c, u, dist_floor) < dist_floor:
                     reason = "boundary"
                     break
                 rot = None
                 if geo is chart:
                     if est < 8.0 * layer_dist:
-                        dist = chart.ray_distance(c, u)
+                        dist = chart.ray_distance_below(c, u, layer_dist)
                         if dist < layer_dist:
                             geo, rot = _BoundaryLayer.entered(frame, c + dist * u)
                             c = (-dist * u) @ rot.T
@@ -645,7 +659,7 @@ def geodesic_shoot(
                         # the offset outgrew the distance to the boundary:
                         # re-anchor at the boundary point along the normal
                         normal = -grad / gnorm
-                        dist = geo.ray_distance(c, normal)
+                        dist = geo.ray_distance_below(c, normal, 0.25 * offset)
                         if offset > 4.0 * dist:
                             geo, rot = geo.moved(c + dist * normal)
                             c = (-dist * normal) @ rot.T

@@ -775,6 +775,24 @@ def first_positive_zero_rows(coeffs) -> tuple[np.ndarray, np.ndarray]:
     return dist, mult
 
 
+def no_zero_below(coeffs, r: float) -> bool:
+    """Whether p, with p(0) = coeffs[0] > 0, is proved positive on [0, R],
+    R = r (1 + 1e-5): every Bernstein coefficient of p on [0, R] exceeds
+    1e-10 of the size of its terms there, and p is at least the least of
+    them (the convex-hull property; Farouki & Rajan, CAGD 4, 1987).  The
+    margin is far above the rounding of Horner's rule and above the touch
+    tolerance of :func:`_crosses_or_touches`, which every finite zero that
+    :func:`first_positive_zero_rows` or :func:`first_positive_zero` returns
+    passes; so where this holds, neither returns a zero below r."""
+    big_r = r * (1.0 + 1e-5)
+    a = [cj * big_r**j for j, cj in enumerate(np.asarray(coeffs, dtype=float).tolist())]
+    k = len(a) - 1
+    floor = 1e-10 * sum(abs(aj) for aj in a)
+    return all(
+        sum(math.comb(i, j) / math.comb(k, j) * a[j] for j in range(i + 1)) > floor for i in range(k + 1)
+    )
+
+
 def first_positive_zero(coeffs) -> tuple[float, int]:
     """Smallest positive zero of a univariate polynomial p with p(0) =
     coeffs[0] > 0, to full relative precision however small it is, and the

@@ -513,10 +513,13 @@ RK4_PASS_EVALS = 3580
 def x2yz_probes():
     """x^2*y*z at (1, 1, 1) with a concavity grid that fails, so that all four
     chart-axis probes run, in process: each shot with its trace and the chart
-    points of its Christoffel evaluations."""
+    points of its Christoffel evaluations; and the number of full ray solves
+    each shot made (:func:`_counted_solves`)."""
     patch = pytest.MonkeyPatch()
     points = []
     shots = []
+    solves = _counted_solves(patch)
+    per_shot = []
     gamma = completeness.levi_civita_gamma
     shoot = completeness.geodesic_shoot
 
@@ -526,8 +529,10 @@ def x2yz_probes():
 
     def recording_shoot(frame, start, direction, **kwargs):
         points.append([])
+        before = len(solves)
         trace = shoot(frame, start, direction, **kwargs)
         shots.append((np.asarray(direction, dtype=float), trace, points[-1]))
+        per_shot.append(len(solves) - before)
         return trace
 
     patch.setattr(completeness, "levi_civita_gamma", counting_gamma)
@@ -539,11 +544,11 @@ def x2yz_probes():
         verdict = completeness_verdict(frame, AnalysisConfig(eps_grid=(3.9,)))
     finally:
         patch.undo()
-    return verdict, shots
+    return verdict, shots, per_shot
 
 
 def test_x2yz_axis_0_shot_is_one_adaptive_pass(x2yz_probes):
-    _, shots = x2yz_probes
+    _, shots, _ = x2yz_probes
     axis0 = [(trace, pts) for d, trace, pts in shots if d[0] != 0.0]
     assert len(axis0) == 2
     for trace, pts in axis0:
@@ -554,7 +559,7 @@ def test_x2yz_axis_0_shot_is_one_adaptive_pass(x2yz_probes):
 
 
 def test_x2yz_axis_1_probes_end_within_budget(x2yz_probes):
-    verdict, shots = x2yz_probes
+    verdict, shots, _ = x2yz_probes
     axis1 = [(trace, pts) for d, trace, pts in shots if d[1] != 0.0]
     assert len(axis1) == 2
     for trace, pts in axis1:
@@ -576,6 +581,57 @@ def test_x2yz_axis_1_probes_end_within_budget(x2yz_probes):
         assert entry["stop"] == trace.stop_reason
         assert entry["rejected_steps"] == trace.rejected_steps
         assert 0.0 < entry["error_estimate"] == trace.error_estimate < 1e-4
+
+
+def _counted_solves(patch) -> list:
+    """A list that records each full ray solve of the shot loop, the solve
+    that runs where the certificate does not hold."""
+    calls = []
+    for name in ("first_positive_zero_rows", "first_positive_zero"):
+        solve = getattr(completeness, name)
+        patch.setattr(completeness, name, lambda *a, _solve=solve: calls.append(a) or _solve(*a))
+    return calls
+
+
+def _shot_bytes(trace) -> tuple:
+    return (
+        trace.to_csv(),
+        trace.stop_reason,
+        trace.rejected_steps,
+        float(trace.error_estimate).hex(),
+        float(trace.unit_speed_drift).hex(),
+        np.asarray(trace.final_velocity).tobytes(),
+    )
+
+
+def test_certified_ray_checks_leave_every_shot_unchanged(monkeypatch, x2yz_probes):
+    # the shot loop's ray checks (the boundary stop, the layer entry, the
+    # re-anchoring) each compare a distance with a threshold, and solve the
+    # ray only where the Bernstein certificate does not prove it beyond.
+    # With the certificate failing everywhere, every shot must come out the
+    # same, bit for bit.  With it, a shot that reaches the boundary solves a
+    # few rays, not one per step of its last ~70.
+    _, probes, probe_solves = x2yz_probes
+    frame = make_chart(HomogeneousPolynomial.parse("x^2*y*z"), [1, 1, 1])
+    shots = [(frame, d, trace) for d, trace, _ in probes]
+    for (d, trace, _), n in zip(probes, probe_solves):
+        assert trace.stop_reason != "boundary" or n <= 4, (d, n)
+    solves = _counted_solves(monkeypatch)
+    for expr, seed, axis, most in (
+        ("x*y*z*w", [1, 1, 1, 1], 0, 4),  # the trace shot of x*y*z*w
+        ("x*y*z", [1, 1, 1], 0, 4),  # and of triple-product
+        ("x^2*y*z*w", [1, 1, 1, 1], 1, 80),  # re-anchors 51 times in the layer
+    ):
+        frame = make_chart(HomogeneousPolynomial.parse(expr), seed)
+        direction = np.eye(frame.chart_dim)[axis]
+        del solves[:]
+        trace = geodesic_shoot(frame, np.zeros(frame.chart_dim), direction, max_len=WITNESS_MAX_LEN)
+        assert trace.stop_reason == "boundary" and len(solves) <= most, (expr, len(solves))
+        shots.append((frame, direction, trace))
+    monkeypatch.setattr(completeness, "no_zero_below", lambda coeffs, r: False)
+    for frame, direction, trace in shots:
+        again = geodesic_shoot(frame, np.zeros(frame.chart_dim), direction, max_len=WITNESS_MAX_LEN)
+        assert _shot_bytes(again) == _shot_bytes(trace), direction
 
 
 def test_surface_witness_reports_integrator_health(monkeypatch):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from centroaffine import (
     DomainError,
@@ -16,7 +16,10 @@ from centroaffine.catalog import analytic_map
 from centroaffine.homogeneous import (
     _fma,
     euler_residual_rows,
+    first_positive_zero,
+    first_positive_zero_rows,
     line_coefficients,
+    no_zero_below,
     position_identity_residual_rows,
     polyval_rows,
     univariate_zeros,
@@ -325,6 +328,62 @@ def test_univariate_zeros_handles_touch_roots():
     zeros = univariate_zeros(coeffs)
     assert np.allclose(sorted(zeros), [-1.0, 1.0], atol=1e-6)
     assert len(univariate_zeros([1.0, 0.0, 1.0])) == 0  # t^2 + 1
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def ray_rows(draw):
+    """(coefficients of p with p(0) > 0, a threshold r in 1e-9..1): a zero of
+    order 1-4 near r times real and complex factors, zeros straddling 0 at
+    the 1e-10 scale, or a dense random row."""
+    poly = np.polynomial.polynomial
+    r = draw(_log_uniform(-9.0, 0.0))
+    kind = draw(st.sampled_from(("multiple", "straddle", "dense")))
+    if kind == "multiple":
+        # a (t_e - t)^m q(t), q with real zeros of both signs and complex pairs
+        roots = [r * draw(st.floats(0.2, 5.0))] * draw(st.integers(1, 4))
+        for _ in range(draw(st.integers(0, 2))):
+            roots.append(draw(st.sampled_from((-1.0, 1.0))) * draw(_log_uniform(-10.0, 1.0)))
+        c = poly.polyfromroots(roots)
+        for _ in range(draw(st.integers(0, 2))):
+            re, im = draw(st.floats(-3.0, 3.0)), draw(_log_uniform(-10.0, 1.0))
+            c = poly.polymul(c, [re * re + im * im, -2.0 * re, 1.0])
+        c = c * draw(_log_uniform(-30.0, 5.0))
+    elif kind == "straddle":
+        roots = []
+        for _ in range(draw(st.integers(1, 3))):
+            roots += [draw(st.floats(-1.0, 1.0)) * draw(_log_uniform(-12.0, -8.0))] * draw(st.integers(1, 3))
+        c = poly.polyfromroots(roots + draw(st.lists(st.floats(-3.0, 3.0), max_size=2)))
+    else:
+        signed = st.tuples(st.sampled_from((-1.0, 1.0)), _log_uniform(-6.0, 0.0)).map(lambda p: p[0] * p[1])
+        c = np.array(draw(st.lists(signed, min_size=2, max_size=8))) * draw(_log_uniform(-5.0, 5.0))
+    c = np.asarray(c, dtype=float)
+    assume(c[0] != 0.0)
+    return (c if c[0] > 0.0 else -c), r
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(ray_rows())
+def test_a_certified_ray_has_no_zero_below_its_threshold(row):
+    # where the Bernstein bound proves p > 0 on [0, r (1 + 1e-5)], neither
+    # solve returns a zero below r, so a threshold check comes out as with
+    # the solve
+    c, r = row
+    if no_zero_below(c, r):
+        assert first_positive_zero_rows(c[None])[0][0] >= r
+        assert first_positive_zero(c)[0] >= r
+
+
+def test_the_certificate_holds_on_rays_whose_zero_is_beyond_the_threshold():
+    poly = np.polynomial.polynomial
+    for r in (1e-9, 1e-6, 1e-3, 1.0):
+        for m in range(1, 5):
+            for ratio in (1.5, 2.0, 10.0, 1e6):
+                c = poly.polymul(poly.polyfromroots([ratio * r] * m), [1.0, 1.0])
+                assert no_zero_below(c if c[0] > 0.0 else -c, r), (r, m, ratio)
 
 
 def _random_polynomial(rng, dim, degree):
