@@ -20,7 +20,7 @@ from numpy.linalg import _umath_linalg
 from . import sampling
 from .errors import ConsistencyError, DegenerateFrameError, DomainError, UnboundedRayError
 from .forms import Signature, SymmetricForm, signature_rows
-from .homogeneous import HomogeneousPolynomial, _fma, first_positive_zero_rows, line_coefficients
+from .homogeneous import HomogeneousPolynomial, first_positive_zero_rows, line_coefficients
 
 METHODS = ("pullback", "psi_formula", "u_formula")
 
@@ -171,8 +171,9 @@ class ChartFrame:
 
     def point(self, coords) -> np.ndarray:
         """Slice point of chart coordinates, or one per row of ``coords``;
-        a row rounds as it does alone."""
-        coords = np.atleast_1d(np.asarray(coords, dtype=float))
+        a row rounds as it does alone.  The rows are taken C-ordered, so that
+        numpy's matmul takes the same product whatever their layout."""
+        coords = np.ascontiguousarray(coords, dtype=float)
         return self.origin + np.matmul(coords[..., None, :], self.basis)[..., 0, :]
 
     def hval(self, coords) -> float:
@@ -218,14 +219,10 @@ class ChartFrame:
     # -- geometry of the slice -----------------------------------------------
 
     def vectors(self, directions) -> np.ndarray:
-        """Ambient vectors of the chart directions (rows), accumulated term
-        by term with fused multiply-adds, so that a row does not depend on
-        the rows beside it."""
-        rows = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = rows[:, :1] * self.basis[0]
-        for i in range(1, self.chart_dim):
-            out = _fma(rows[:, i : i + 1], self.basis[i], out)
-        return out
+        """Ambient vectors of the chart directions (rows), by the row product
+        of :meth:`point`: a row rounds as it does alone."""
+        rows = np.atleast_2d(np.ascontiguousarray(directions, dtype=float))
+        return np.matmul(rows[:, None, :], self.basis)[:, 0, :]
 
     def boundary_distance(self, coords, direction) -> float:
         """One row of :meth:`boundary_distances`; an unbounded ray raises

@@ -598,17 +598,14 @@ def line_coefficients(poly: HomogeneousPolynomial, x, directions) -> np.ndarray:
     """Coefficients of t -> poly(x + t v), lowest order first, one row per
     row v of ``directions``; ``x`` is one origin for every row, or one
     origin per row.  Per monomial, the binomial expansions of the factors
-    (x_i + t v_i)^e_i are multiplied out for all rows at once.  Each row is
-    rounded exactly as its expansion alone through ``numpy.convolve``
-    (:func:`_convolve_rows`), so it does not depend on the rows beside it."""
+    (x_i + t v_i)^e_i are multiplied out for all rows at once
+    (:func:`_convolve_rows`), by elementwise arithmetic alone.  So a row
+    rounds as it does alone: whatever the rows beside it, whether its origin
+    is shared, and however the arrays lie in memory."""
     rows = np.atleast_2d(np.asarray(directions, dtype=float))
-    x = np.asarray(x, dtype=float)
+    x = np.broadcast_to(np.asarray(x, dtype=float), rows.shape)
     top = poly._exps.max(axis=0)
-    if x.ndim == 1:  # one origin: its powers are scalars, broadcast over the rows
-        xpow = [[x[i] ** j for j in range(e + 1)] for i, e in enumerate(top)]
-    else:
-        xpow = [_scalar_powers(col, e) for col, e in zip(x.T, top)]
-    vpow = [_scalar_powers(col, e) for col, e in zip(rows.T, top)]
+    xpow, vpow = ([[col**j for j in range(e + 1)] for col, e in zip(a.T, top)] for a in (x, rows))
     total = np.zeros((len(rows), poly.degree + 1))
     for exp, coeff in poly._terms.items():
         factor = np.full((len(rows), 1), coeff)
@@ -620,39 +617,14 @@ def line_coefficients(poly: HomogeneousPolynomial, x, directions) -> np.ndarray:
     return total
 
 
-def _scalar_powers(col, top: int) -> list:
-    """[col^0, col^1, ..., col^top] of a column, a power above 1 by the C
-    library's pow for each entry, as for a scalar: numpy's array power may
-    round otherwise."""
-    return [np.ones(len(col)), col] + [np.array([v**j for v in col.tolist()]) for j in range(2, top + 1)]
-
-
 def _convolve_rows(f, g) -> np.ndarray:
-    """Row-wise ``numpy.convolve``, summed as it sums: in order along the
-    longer factor; over a partial overlap by fused multiply-adds, as the
-    BLAS dot that numpy calls there computes them on FMA hardware."""
+    """Row-wise product of polynomials (coefficients lowest order first):
+    the shorter factor shifted along the longer by multiply-adds."""
     a, b = (f, g) if f.shape[1] >= g.shape[1] else (g, f)
-    na, nb = a.shape[1], b.shape[1]
-    out = np.empty((len(a), na + nb - 1))
-    for n in range(na + nb - 1):
-        ks = range(max(0, n - nb + 1), min(na, n + 1))
-        s = 0.0 + a[:, ks[0]] * b[:, n - ks[0]]
-        for k in ks[1:]:
-            s = s + a[:, k] * b[:, n - k] if len(ks) == nb else _fma(a[:, k], b[:, n - k], s)
-        out[:, n] = s
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for k in range(a.shape[1]):
+        out[:, k : k + b.shape[1]] += a[:, k : k + 1] * b
     return out
-
-
-def _fma(a, b, c) -> np.ndarray:
-    """a * b + c with a single rounding: the product exactly by Dekker's
-    splitting, the sum by rounding to odd (Boldo & Melquiond, IEEE Trans.
-    Comput. 57, 2008)."""
-    p, pl = _two_product(a, b)
-    th, tl = _two_sum(c, pl)
-    vh, vl = _two_sum(p, th)
-    w, e = _two_sum(tl, vl)
-    even = (w.view(np.int64) & 1) == 0
-    return vh + np.where((e != 0.0) & even, np.nextafter(w, np.copysign(np.inf, e)), w)
 
 
 def _two_product(a, b):
@@ -804,11 +776,17 @@ def first_positive_zero(coeffs) -> tuple[float, int]:
     the companion solve.  The zeros are polished in order; the first that p
     crosses or touches is returned.  Failing that, as beside a tiny zero of
     the other sign, which makes tau tiny, the solve is repeated unscaled.
+    A scaled row beyond the float range, where a negative coefficient is
+    tiny beside c_0, is skipped for the unscaled solve alone.
     """
     cf = np.asarray(coeffs, dtype=float)
-    scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] < 0.0]
-    for tau in (min(scales), 1.0) if scales else ():
-        scaled = (cf * tau ** np.arange(len(cf)) / cf[0])[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = [(cf[0] / abs(cf[m])) ** (1.0 / m) for m in range(1, len(cf)) if cf[m] < 0.0]
+        taus = (min(scales), 1.0) if scales else ()
+        rows = [(tau, (cf * tau ** np.arange(len(cf)) / cf[0])[None]) for tau in taus]
+    for tau, scaled in rows:
+        if not np.isfinite(scaled).all():
+            continue
         zeros = univariate_zeros_rows(scaled)[0]
         for z in zeros[zeros > 0.0]:
             s, mult = _polish_polynomial_zeros(scaled, [z])

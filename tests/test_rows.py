@@ -4,10 +4,13 @@ against the one-point (or one-block-per-base) code they replaced, which is
 kept here as the reference: every row must equal its reference bit for bit
 (the report is written at 17 significant digits, so the stacked passes must
 not move one).  Likewise the geodesic loop's one-row calls (connection,
-Dormand-Prince step, one-row bisection) against the code they replaced."""
+Dormand-Prince step, one-row bisection) against the code they replaced.  The
+line restrictions are checked against an exact rational expansion, to a
+rounding bound, and against themselves row by row, bit for bit."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +49,6 @@ from centroaffine.errors import DomainError
 from centroaffine.forms import SymmetricForm
 from centroaffine.homogeneous import (
     _bisect_rows,
-    _convolve_rows,
     euler_residual_rows,
     line_coefficients,
     polarization,
@@ -349,29 +351,25 @@ def _old_concavity(frame, eps, n_samples, seed, tol=1e-9):
     return ConcavityResult(eps, True, len(coords), None, None)
 
 
-def _old_line_coefficients(poly, x, directions):
-    """The one-origin line restriction, the origin's powers by numpy's scalar pow."""
-    rows = np.atleast_2d(np.asarray(directions, dtype=float))
-    top = poly._exps.max(axis=0)
-    powers = [
-        [np.ones(len(rows)), col] + [np.array([v**j for v in col.tolist()]) for j in range(2, e + 1)]
-        for col, e in zip(rows.T, top)
-    ]
-    total = np.zeros((len(rows), poly.degree + 1))
+def _exact_line_coefficients(poly, x, v, absolute=False):
+    """Coefficients of t -> poly(x + t v), lowest order first, in exact
+    rational arithmetic from the float inputs; with ``absolute``, those of
+    the same expansion in |c|, |x_i| and |v_i|."""
+    exact = (lambda a: Fraction(abs(a))) if absolute else Fraction
+    total = [Fraction(0)] * (poly.degree + 1)
     for exp, coeff in poly._terms.items():
-        factor = np.full((len(rows), 1), coeff)
-        for i, e in enumerate(exp):
-            if e:
-                binom = [math.comb(e, j) * x[i] ** (e - j) * powers[i][j] for j in range(e + 1)]
-                factor = _convolve_rows(factor, np.column_stack(binom))
-        total[:, : factor.shape[1]] += factor
+        term = [exact(coeff)]
+        for xi, vi, e in zip(x.tolist(), v.tolist(), exp):
+            for _ in range(e):  # term * (x_i + t v_i)
+                term = [a * exact(xi) + b * exact(vi) for a, b in zip(term + [0], [0] + term)]
+        total = [a + b for a, b in zip(total, term + [0] * (len(total) - len(term)))]
     return total
 
 
 def _old_segment_block(frame, base, directions):
     """The segment test on the lines from one base point: whether each
     line's positivity interval is bounded."""
-    h0 = _old_line_coefficients(frame.func, frame.point(base), frame.vectors(directions))
+    h0 = line_coefficients(frame.func, frame.point(base), frame.vectors(directions))
     zeros = univariate_zeros_rows(h0)
     a = np.where(zeros < 0.0, zeros, -np.inf).max(axis=1)
     b = np.where(zeros > 0.0, zeros, np.inf).min(axis=1)
@@ -557,18 +555,46 @@ def test_segment_block_equals_the_per_base_blocks():
     assert failures  # the non-closed piece, last
 
 
+def test_line_coefficients_are_the_exact_expansion_to_a_rounding_bound():
+    # each coefficient lies within (2k + d + T) eps, for degree k, dimension d
+    # and T terms, of the size of the same expansion in absolute values: the
+    # bound of a sum of products of at most k + d rounded factors, summed in
+    # a chain of at most k + T additions (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, section 3.1)
+    rng = np.random.default_rng(11)
+    for label, func, frame in _frames():
+        origins = frame.point(frame.sample_coords(20, max_frac=0.9, seed=1))
+        dirs = rng.standard_normal((20, func.dimension)) * rng.choice([1e-3, 1.0, 30.0], (20, 1))
+        bound = Fraction((2 * func.degree + func.dimension + len(func._terms)) * np.finfo(float).eps)
+        for x, v, row in zip(origins, dirs, line_coefficients(func, origins, dirs)):
+            exact, size = _exact_line_coefficients(func, x, v), _exact_line_coefficients(func, x, v, absolute=True)
+            assert all(abs(Fraction(c) - e) <= bound * s for c, e, s in zip(row.tolist(), exact, size)), label
+
+
 def test_multi_origin_line_coefficients_equal_the_one_origin_calls():
+    # a row of line_coefficients and of ChartFrame.vectors (and .point, whose
+    # product it shares) rounds as it does alone, bit for bit: in a block or
+    # alone, from a shared origin or one per row, from C- or Fortran-ordered
+    # arrays
     rng = np.random.default_rng(11)
     for label, func, frame in _frames():
         origins = frame.point(frame.sample_coords(40, max_frac=0.9, seed=1))
         origins[::7] = -origins[::7]
         origins[1, 0] = -0.0
         dirs = rng.standard_normal((40, func.dimension)) * rng.choice([1e-3, 1.0, 30.0], (40, 1))
-        block = line_coefficients(func, origins, dirs)
-        for x, v, row in zip(origins, dirs, block):
-            assert _same(row, _old_line_coefficients(func, x, v)[0]), label
-            assert _same(row, line_coefficients(func, x, v[None])[0]), label
-        assert _same(line_coefficients(func, origins[0], dirs), _old_line_coefficients(func, origins[0], dirs)), label
+        chart_dirs = rng.standard_normal((40, frame.chart_dim)) * rng.choice([1e-3, 1.0, 30.0], (40, 1))
+        block, vectors = line_coefficients(func, origins, dirs), frame.vectors(chart_dirs)
+        fortran = [np.asfortranarray(a) for a in (origins, dirs, chart_dirs)]
+        assert _same(block, line_coefficients(func, fortran[0], fortran[1])), label
+        assert _same(vectors, frame.vectors(fortran[2])), label
+        assert _same(frame.point(chart_dirs), frame.point(fortran[2])), label
+        for i in range(len(dirs)):  # the rows of the Fortran-ordered arrays are strided
+            assert _same(block[i], line_coefficients(func, origins[i], dirs[i : i + 1])[0]), label
+            assert _same(block[i], line_coefficients(func, fortran[0][i], fortran[1][i][None])[0]), label
+            assert _same(vectors[i], frame.vectors(chart_dirs[i])[0]), label
+            assert _same(vectors[i], frame.vectors(fortran[2][i])[0]), label
+        shared = np.repeat(origins[:1], len(dirs), axis=0)
+        assert _same(line_coefficients(func, origins[0], dirs), line_coefficients(func, shared, dirs)), label
 
 
 def test_batched_structure_steps_equal_the_one_row_steps():
